@@ -154,17 +154,24 @@ def build_multiplier_matrix(tactics: np.ndarray, params: ModelParams) -> np.ndar
 
     Off-diagonal entries are beta where the tactic entry is >= 0 (zero
     allocations count as benevolent) and mu where it is negative; the
-    diagonal is 1 because self-allocation is not amplified.
+    diagonal is 1 because self-allocation is not amplified. A stack of
+    matrices (..., n, n) gets one multiplier matrix per member.
     """
     tactics = np.asarray(tactics, dtype=float)
     multipliers = np.where(tactics >= 0.0, params.beta, params.mu)
-    idx = np.arange(tactics.shape[0])
-    multipliers[idx, idx] = 1.0
+    idx = np.arange(tactics.shape[-1])
+    multipliers[..., idx, idx] = 1.0
     return multipliers
 
 
 def update_sizes(tactics: np.ndarray, sizes: np.ndarray, params: ModelParams) -> np.ndarray:
-    """One power-transfer step on raw arrays: (T * M) @ s with death clamping."""
+    """One power-transfer step on raw arrays: (T * M) @ s with death clamping.
+
+    tactics may be a stack (..., n, n), giving one size vector per member.
+    The stacked matmul reduces each row in the same order as a single
+    matrix does, so a stack and its members one at a time agree bit for
+    bit (an explicit sum over T * M * s does not).
+    """
     effective = tactics * build_multiplier_matrix(tactics, params)
     updated = effective @ np.asarray(sizes, dtype=float)
     # Dead agents are pinned at exactly 0; no epsilon band, tiny positive

@@ -11,17 +11,20 @@ no equilibrium at all, the security level (best worst case) stands in.
 The profile space is enumerated exhaustively while it fits a budget and
 Monte Carlo subsampled beyond it. A subsampled sweep checks each drawn
 profile exactly (full deviation scan per agent) but can miss equilibria
-that were never drawn.
+that were never drawn. One solver does both; stage_game,
+stage_nash_equilibria and minimax_vector all go through it.
 
-Every payoff goes through the same scalar pipeline: update_sizes, then
-positional_utility, then the inertia discount. Keeping one code path for
-single and bulk evaluation makes results reproducible against a plain
-re-implementation down to the last bit, which the test suite exploits.
+Every payoff comes from one batched kernel, stage_payoffs, built from the
+stack-aware update and utility primitives that line generation also
+calls. A stack and its members scored one at a time agree bit for bit,
+so exact payoff ties, and the comparison with plain re-implementations
+in the tests, do not depend on how profiles are grouped. The exhaustive
+tensor is scored PAYOFF_BLOCK profiles per call; a subsampled screen
+scores each drawn profile's deviation slice in one call.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +42,10 @@ from .utility import expected_utility, positional_utility
 
 DEFAULT_CANDIDATES = 30
 DEFAULT_MAX_PROFILES = 200_000
+# Profiles per kernel call when scoring many: large enough to amortize
+# the per-call overhead, small enough that the (block, n, n) temporaries
+# stay a few hundred kilobytes.
+PAYOFF_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -70,15 +77,23 @@ def sample_candidates(
     )
 
 
-def profile_matrix(candidates: tuple[np.ndarray, ...], profile: tuple[int, ...]) -> np.ndarray:
-    """Assemble the full tactic matrix for one choice of candidate per agent."""
-    return np.column_stack([candidates[agent][index] for agent, index in enumerate(profile)])
+def profile_matrix(candidates: tuple[np.ndarray, ...], profile) -> np.ndarray:
+    """Assemble the full tactic matrix for one choice of candidate per agent.
+
+    profile holds one candidate index per agent; given one index array per
+    agent instead, the result is the stack (P, n, n) of those profiles.
+    """
+    return np.stack([pool[index] for pool, index in zip(candidates, profile)], axis=-1)
 
 
 def stage_payoffs(
     tactics: np.ndarray, previous: np.ndarray, sizes: np.ndarray, params: ModelParams
 ) -> np.ndarray:
-    """Expected-utility vector of playing one full matrix from (previous, sizes)."""
+    """Expected utilities of playing tactics from (previous, sizes).
+
+    tactics is one matrix (n, n), giving shape (n,), or a stack (P, n, n),
+    giving (P, n), through the same code.
+    """
     updated = update_sizes(tactics, sizes, params)
     utilities = positional_utility(updated, params.alpha)
     return expected_utility(utilities, tactics, previous, params.sigma)
@@ -104,20 +119,12 @@ def best_response(
     pool = np.asarray(candidates, dtype=float)
     if pool.ndim != 2 or pool.shape[0] == 0:
         raise ValueError("candidate pool must be a nonempty stack of columns")
-    best_rank = None
-    best_index = -1
-    best_payoff = 0.0
-    for index, column in enumerate(pool):
-        tactics = fixed.copy()
-        tactics[:, agent] = column
-        payoff = float(stage_payoffs(tactics, previous, sizes, params)[agent])
-        closeness = float(np.linalg.norm(column - previous[:, agent]))
-        rank = (-payoff, closeness, index)
-        if best_rank is None or rank < best_rank:
-            best_rank = rank
-            best_index = index
-            best_payoff = payoff
-    return best_index, best_payoff
+    stack = np.repeat(fixed[np.newaxis], len(pool), axis=0)
+    stack[:, :, agent] = pool
+    payoffs = stage_payoffs(stack, previous, sizes, params)[:, agent]
+    closeness = [float(np.linalg.norm(column - previous[:, agent])) for column in pool]
+    best = min(range(len(pool)), key=lambda index: (-payoffs[index], closeness[index], index))
+    return best, float(payoffs[best])
 
 
 def stage_nash_equilibria(
@@ -135,19 +142,7 @@ def stage_nash_equilibria(
     subset is screened (rng defaults to a fixed stream) and the result may
     be incomplete. The returned list can legitimately be empty.
     """
-    candidates = tuple(np.asarray(pool, dtype=float) for pool in candidates)
-    previous = np.asarray(previous, dtype=float)
-    sizes = np.asarray(sizes, dtype=float)
-    ks = tuple(len(pool) for pool in candidates)
-    if math.prod(ks) <= max_profiles:
-        tensor = payoff_tensor(candidates, previous, sizes, params)
-        profiles = _equilibrium_profiles(tensor)
-    else:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        evaluate = _payoff_cache(candidates, previous, sizes, params)
-        profiles = _sampled_equilibrium_profiles(ks, evaluate, max_profiles, rng)
-    return [profile_matrix(candidates, profile) for profile in profiles]
+    return _solve(candidates, previous, sizes, params, max_profiles, rng)[0]
 
 
 def minimax_vector(
@@ -166,21 +161,7 @@ def minimax_vector(
     i's payoff. With none, element i is agent i's security level: its best
     candidate under the worst combination of the others' candidates.
     """
-    candidates = tuple(np.asarray(pool, dtype=float) for pool in candidates)
-    previous = np.asarray(previous, dtype=float)
-    sizes = np.asarray(sizes, dtype=float)
-    if equilibria:
-        stacked = np.stack(
-            [stage_payoffs(np.asarray(m, dtype=float), previous, sizes, params) for m in equilibria]
-        )
-        return stacked.min(axis=0)
-    ks = tuple(len(pool) for pool in candidates)
-    if math.prod(ks) <= max_profiles:
-        return _security_from_tensor(payoff_tensor(candidates, previous, sizes, params))
-    if rng is None:
-        rng = np.random.default_rng(0)
-    evaluate = _payoff_cache(candidates, previous, sizes, params)
-    return _sampled_security_levels(ks, evaluate, max_profiles, rng)
+    return _solve(candidates, previous, sizes, params, max_profiles, rng, list(equilibria))[1]
 
 
 def stage_game(
@@ -195,34 +176,22 @@ def stage_game(
 
     Candidate draws come from one dedicated substream of the config seed
     and profile subsampling from another, so the same config always
-    reproduces the same game. The payoff table is computed once and reused
-    for both the equilibrium scan and the guarantee.
+    reproduces the same game.
     """
-    n = state.n
     candidates = sample_candidates(
-        n, k_candidates, cfg, substream(cfg.rng_seed, CANDIDATE_STREAM)
+        state.n, k_candidates, cfg, substream(cfg.rng_seed, CANDIDATE_STREAM)
     )
-    ks = tuple(len(pool) for pool in candidates)
-    exhaustive = math.prod(ks) <= max_profiles
-    if exhaustive:
-        tensor = payoff_tensor(candidates, state.tactics, state.sizes, params)
-        profiles = _equilibrium_profiles(tensor)
-        if profiles:
-            minimax = np.stack([tensor[profile] for profile in profiles]).min(axis=0)
-        else:
-            minimax = _security_from_tensor(tensor)
-    else:
-        rng = substream(cfg.rng_seed, PROFILE_STREAM)
-        evaluate = _payoff_cache(candidates, state.tactics, state.sizes, params)
-        profiles = _sampled_equilibrium_profiles(ks, evaluate, max_profiles, rng)
-        if profiles:
-            minimax = np.stack([evaluate(profile) for profile in profiles]).min(axis=0)
-        else:
-            minimax = _sampled_security_levels(ks, evaluate, max_profiles, rng)
-    equilibria = tuple(profile_matrix(candidates, profile) for profile in profiles)
+    equilibria, minimax, exhaustive = _solve(
+        candidates,
+        state.tactics,
+        state.sizes,
+        params,
+        max_profiles,
+        substream(cfg.rng_seed, PROFILE_STREAM),
+    )
     return StageGame(
         candidates=candidates,
-        equilibria=equilibria,
+        equilibria=tuple(equilibria),
         minimax=minimax,
         exhaustive=exhaustive,
     )
@@ -236,12 +205,53 @@ def payoff_tensor(
 ) -> np.ndarray:
     """Payoff table over the whole profile space, shape (k_1..k_n, n)."""
     ks = tuple(len(pool) for pool in candidates)
-    tensor = np.empty(ks + (len(ks),))
-    for profile in itertools.product(*(range(k) for k in ks)):
-        tensor[profile] = stage_payoffs(
-            profile_matrix(candidates, profile), previous, sizes, params
+    flat = np.arange(math.prod(ks))
+    return _score(candidates, flat, previous, sizes, params).reshape(ks + (len(ks),))
+
+
+def _solve(candidates, previous, sizes, params, max_profiles, rng, equilibria=None):
+    """The stage-game solver: (equilibria, guarantee, exhaustive).
+
+    The scan is exhaustive when the profile space fits max_profiles, else
+    a screen of rng-drawn profiles (rng defaults to a fixed stream). Given
+    equilibria, the scan is skipped and the guarantee taken over them.
+    """
+    candidates = tuple(np.asarray(pool, dtype=float) for pool in candidates)
+    previous = np.asarray(previous, dtype=float)
+    sizes = np.asarray(sizes, dtype=float)
+    if rng is None:
+        rng = np.random.default_rng(0)
+    exhaustive = math.prod(len(pool) for pool in candidates) <= max_profiles
+    tensor = None
+    if exhaustive and not equilibria:
+        tensor = payoff_tensor(candidates, previous, sizes, params)
+    game = (candidates, previous, sizes, params)
+    if equilibria is None:
+        if exhaustive:
+            profiles = _equilibrium_profiles(tensor)
+        else:
+            profiles = _sampled_equilibrium_profiles(*game, max_profiles, rng)
+        equilibria = [profile_matrix(candidates, profile) for profile in profiles]
+    if equilibria:
+        minimax = stage_payoffs(np.array(equilibria, dtype=float), previous, sizes, params)
+        minimax = minimax.min(axis=0)
+    elif exhaustive:
+        minimax = _security_from_tensor(tensor)
+    else:
+        minimax = _sampled_security_levels(*game, max_profiles, rng)
+    return equilibria, minimax, exhaustive
+
+
+def _score(candidates, flat, previous, sizes, params) -> np.ndarray:
+    """Payoffs (len(flat), n) of flat profile indices, a block per kernel call."""
+    ks = tuple(len(pool) for pool in candidates)
+    payoffs = np.empty((len(flat), len(ks)))
+    for start in range(0, len(flat), PAYOFF_BLOCK):
+        block = np.unravel_index(flat[start : start + PAYOFF_BLOCK], ks)
+        payoffs[start : start + PAYOFF_BLOCK] = stage_payoffs(
+            profile_matrix(candidates, block), previous, sizes, params
         )
-    return tensor
+    return payoffs
 
 
 def _equilibrium_profiles(tensor: np.ndarray) -> list[tuple[int, ...]]:
@@ -266,70 +276,59 @@ def _security_from_tensor(tensor: np.ndarray) -> np.ndarray:
     return levels
 
 
-def _payoff_cache(candidates, previous, sizes, params):
-    """Memoized per-profile payoff evaluator for the subsampled paths."""
-    cache: dict[tuple[int, ...], np.ndarray] = {}
-
-    def evaluate(profile: tuple[int, ...]) -> np.ndarray:
-        payoffs = cache.get(profile)
-        if payoffs is None:
-            payoffs = stage_payoffs(
-                profile_matrix(candidates, profile), previous, sizes, params
-            )
-            cache[profile] = payoffs
-        return payoffs
-
-    return evaluate
-
-
 def _sampled_equilibrium_profiles(
-    ks: tuple[int, ...], evaluate, max_profiles: int, rng: np.random.Generator
+    candidates, previous, sizes, params, max_profiles: int, rng: np.random.Generator
 ) -> list[tuple[int, ...]]:
     """Screen a random subset of profiles; each check itself is exact.
 
-    Checking one profile costs sum(ks) evaluations (the full deviation
-    scan), so the number of screened profiles is budgeted accordingly.
+    Checking one profile scores its deviation slice, the profile and its
+    sum(ks) unilateral deviations, in one kernel call, so the number of
+    screened profiles is budgeted accordingly.
     """
+    ks = tuple(len(pool) for pool in candidates)
     budget = max(1, max_profiles // (sum(ks) + 1))
-    drawn = {
-        tuple(int(rng.integers(k)) for k in ks) for _ in range(budget)
-    }
+    drawn = {tuple(int(rng.integers(k)) for k in ks) for _ in range(budget)}
+    # Row 1 + d of a slice replaces agent deviators[d]'s choice by alternatives[d].
+    deviators = np.repeat(np.arange(len(ks)), ks)
+    alternatives = np.concatenate([np.arange(k) for k in ks])
+    deviations = np.arange(1, len(deviators) + 1)
+    firsts = np.cumsum((0,) + ks[:-1])
     found = []
     for profile in sorted(drawn):
-        own = evaluate(profile)
-        if all(
-            own[agent]
-            >= max(
-                evaluate(profile[:agent] + (alt,) + profile[agent + 1 :])[agent]
-                for alt in range(ks[agent])
-            )
-            for agent in range(len(ks))
-        ):
+        rows = np.tile(profile, (len(deviators) + 1, 1))
+        rows[deviations, deviators] = alternatives
+        payoffs = stage_payoffs(profile_matrix(candidates, rows.T), previous, sizes, params)
+        best = np.maximum.reduceat(payoffs[deviations, deviators], firsts)
+        if np.all(payoffs[0] >= best):
             found.append(profile)
     return found
 
 
 def _sampled_security_levels(
-    ks: tuple[int, ...], evaluate, max_profiles: int, rng: np.random.Generator
+    candidates, previous, sizes, params, max_profiles: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Monte Carlo max-min: the worst case is taken over sampled others.
 
     An approximation from above (a wider scan could only lower the inner
-    minimum); used only when the profile space exceeds the budget.
+    minimum); used only when the profile space exceeds the budget. The
+    scalar draws come in a fixed order; the drawn profiles are then
+    scored in blocks.
     """
+    ks = tuple(len(pool) for pool in candidates)
     n = len(ks)
     combos = max(1, max_profiles // max(1, sum(ks)))
+    drawn = [
+        tuple(own if axis == agent else int(rng.integers(ks[axis])) for axis in range(n))
+        for agent in range(n)
+        for own in range(ks[agent])
+        for _ in range(combos)
+    ]
+    flat = np.ravel_multi_index(tuple(np.array(drawn).T), ks)
+    payoffs = _score(candidates, flat, previous, sizes, params)
     levels = np.empty(n)
+    first = 0
     for agent in range(n):
-        best = -math.inf
-        for own in range(ks[agent]):
-            worst = math.inf
-            for _ in range(combos):
-                profile = tuple(
-                    own if axis == agent else int(rng.integers(ks[axis]))
-                    for axis in range(n)
-                )
-                worst = min(worst, float(evaluate(profile)[agent]))
-            best = max(best, worst)
-        levels[agent] = best
+        block = payoffs[first : first + ks[agent] * combos, agent]
+        levels[agent] = block.reshape(ks[agent], combos).min(axis=1).max()
+        first += ks[agent] * combos
     return levels

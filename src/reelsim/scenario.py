@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -32,6 +34,16 @@ _SIM_FIELDS = (
     "max_profiles",
 )
 _SAMPLER_FIELDS = ("p_neg", "allow_negative_diagonal", "local_mix", "rounding")
+# The JSON type each settings field must have; booleans are not numbers.
+_FIELD_TYPES = {
+    **dict.fromkeys(_PARAM_FIELDS + ("p_min", "p_neg", "local_mix", "rounding"), "a number"),
+    **dict.fromkeys(
+        ("lines", "horizon", "depth_max", "branch_k", "seed", "candidates", "max_profiles"),
+        "an integer",
+    ),
+    "allow_negative_diagonal": "true or false",
+}
+_JSON_TYPES = {"a number": (int, float), "an integer": (int,), "true or false": (bool,)}
 
 
 class ScenarioError(ValueError):
@@ -104,10 +116,17 @@ def parse_scenario(text: str | bytes) -> Scenario:
     """Parse and fully validate a scenario document.
 
     Sizes whose maximum is not 1 are normalized with a warning. All
-    structural problems raise ScenarioError naming the offending field.
+    structural problems raise ScenarioError naming the offending field,
+    non-finite numbers (NaN, Infinity, or a literal too large for a
+    float) included.
     """
     try:
-        raw = json.loads(text)
+        raw = json.loads(
+            text,
+            parse_constant=_reject_constant,
+            parse_float=_finite_float,
+            parse_int=_finite_int,
+        )
     except json.JSONDecodeError as err:
         raise ScenarioError(f"malformed scenario file: {err}") from None
     if not isinstance(raw, dict):
@@ -157,8 +176,9 @@ def parse_scenario(text: str | bytes) -> Scenario:
     except TacticMatrixError as err:
         raise ScenarioError(f"tactics: {err}") from None
 
+    params_block = _block(raw, "params", _PARAM_FIELDS)
     try:
-        params = ModelParams(**_block(raw, "params", _PARAM_FIELDS))
+        params = ModelParams(**params_block)
     except (TypeError, ValueError) as err:
         raise ScenarioError(f"params: {err}") from None
 
@@ -174,7 +194,10 @@ def parse_scenario(text: str | bytes) -> Scenario:
     except (TypeError, ValueError) as err:
         raise ScenarioError(f"sampler: {err}") from None
 
-    state = State(tactics=tactics, sizes=sizes)
+    try:
+        state = State(tactics=tactics, sizes=sizes)
+    except ValueError as err:
+        raise ScenarioError(f"state: {err}") from None
     return Scenario(
         agents=tuple(agents), state=state, params=params, sampler=sampler, sim=sim
     )
@@ -224,6 +247,24 @@ def _number_list(value, context: str) -> list[float]:
     return [float(entry) for entry in value]
 
 
+def _reject_constant(name: str):
+    raise ScenarioError(f"non-finite number {name} is not allowed")
+
+
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ScenarioError(f"number {literal} is too large for a float")
+    return value
+
+
+def _finite_int(literal: str) -> int:
+    # The length test comes first: int() refuses very long literals itself.
+    if len(literal) > 400 or abs(int(literal)) > sys.float_info.max:
+        raise ScenarioError(f"integer of {len(literal)} digits is too large for a float")
+    return int(literal)
+
+
 def _block(raw: dict, name: str, allowed: tuple[str, ...]) -> dict:
     block = raw.get(name, {})
     if not isinstance(block, dict):
@@ -231,4 +272,8 @@ def _block(raw: dict, name: str, allowed: tuple[str, ...]) -> dict:
     unknown = set(block) - set(allowed)
     if unknown:
         raise ScenarioError(f"{name}: unknown field {sorted(unknown)[0]!r}")
+    for field, value in block.items():
+        wanted = _FIELD_TYPES.get(field)
+        if wanted and type(value) not in _JSON_TYPES[wanted]:
+            raise ScenarioError(f"{name}: {field} must be {wanted} (got {json.dumps(value)})")
     return dict(block)

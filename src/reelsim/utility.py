@@ -4,6 +4,11 @@ Positional utility scores a size vector (dominance plus absolute growth),
 expected utility discounts it by the social-inertia probability of the
 tactical move that produced it, and intertemporal utility folds a sequence
 of expected payoffs into one discounted number per agent.
+
+Positional and expected utility, and the distance and inertia kernels
+under them, also take stacks: sizes (..., n) and tactic matrices
+(..., n, n) are scored member by member with the same operations as a
+single vector or matrix, so a batch agrees with its members bit for bit.
 """
 
 from __future__ import annotations
@@ -11,9 +16,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfc
 
 _SQRT2 = math.sqrt(2.0)
+# The scalar math.erfc applied elementwise, so an array of distances gets
+# exactly the probabilities its members get one at a time.
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def positional_utility(sizes: np.ndarray, alpha: float) -> np.ndarray:
@@ -25,35 +32,42 @@ def positional_utility(sizes: np.ndarray, alpha: float) -> np.ndarray:
     undefined and the all-zero vector is returned.
     """
     sizes = np.asarray(sizes, dtype=float)
-    if np.any(sizes < 0):
+    if (sizes < 0).any():
         raise ValueError("sizes must be nonnegative")
-    concentration = float(np.sum(sizes**2))
-    if concentration == 0.0:
-        return np.zeros_like(sizes)
-    return sizes**alpha / concentration
+    concentration = (sizes**2).sum(axis=-1, keepdims=True)
+    # All dead: every numerator is 0, so dividing by 1 gives the zero vector.
+    return sizes**alpha / np.where(concentration > 0.0, concentration, 1.0)
 
 
-def tactical_distance(tactics_a: np.ndarray, tactics_b: np.ndarray) -> float:
-    """Entrywise Euclidean (Frobenius) distance between two tactic matrices."""
+def tactical_distance(tactics_a: np.ndarray, tactics_b: np.ndarray) -> float | np.ndarray:
+    """Entrywise Euclidean (Frobenius) distance between two tactic matrices.
+
+    Either side may be a stack (..., n, n); the distances then come back
+    as an array, one per member.
+    """
     tactics_a = np.asarray(tactics_a, dtype=float)
     tactics_b = np.asarray(tactics_b, dtype=float)
-    if tactics_a.shape != tactics_b.shape:
+    if tactics_a.shape[-2:] != tactics_b.shape[-2:]:
         raise ValueError(f"shape mismatch: {tactics_a.shape} vs {tactics_b.shape}")
-    return float(np.sqrt(np.sum((tactics_a - tactics_b) ** 2)))
+    distance = np.sqrt(((tactics_a - tactics_b) ** 2).sum(axis=(-2, -1)))
+    return float(distance) if distance.ndim == 0 else distance
 
 
-def inertia_probability(distance: float, sigma: float) -> float:
+def inertia_probability(distance: float | np.ndarray, sigma: float) -> float | np.ndarray:
     """Probability that a tactical move of the given distance is realized.
 
     Half-normal tail: erfc(distance / (sigma * sqrt(2))). Equals 1 at zero
     distance, decreases strictly with distance, and grows with sigma
-    (weaker inertia) at any fixed positive distance.
+    (weaker inertia) at any fixed positive distance. An array of
+    distances gives an array of probabilities.
     """
-    if distance < 0:
+    stacked = isinstance(distance, np.ndarray)
+    if (distance < 0).any() if stacked else distance < 0:
         raise ValueError(f"tactical distance cannot be negative (got {distance})")
     if sigma <= 0:
         raise ValueError(f"sigma must be positive (got {sigma})")
-    return float(erfc(distance / (sigma * _SQRT2)))
+    scaled = distance / (sigma * _SQRT2)
+    return np.asarray(_erfc(scaled), dtype=float) if stacked else math.erfc(scaled)
 
 
 def expected_utility(
@@ -66,9 +80,12 @@ def expected_utility(
 
     The move from the previous tactic matrix to the current one has a
     single realization probability, so every agent's payoff is multiplied
-    by the same scalar.
+    by the same scalar. With a stack of current matrices (..., n, n) and
+    utilities (..., n), each member gets its own probability.
     """
     q = inertia_probability(tactical_distance(tactics_now, tactics_previous), sigma)
+    if isinstance(q, np.ndarray):
+        q = q[..., np.newaxis]
     return np.asarray(utilities, dtype=float) * q
 
 

@@ -2,10 +2,11 @@
 
 Everything here is written the slow, obvious way: plain Python loops and
 math-module scalars, so the engine has something genuinely separate to
-be compared against. The stage-game tabulation is the one deliberate
-exception: it reuses the engine's scalar payoff primitives (pinned down
-elsewhere by hand values) but does its own profile enumeration,
-equilibrium test, and max-min reduction.
+be compared against. The stage-game tabulation and the sampled stage
+game are the deliberate exceptions: they reuse the engine's payoff
+primitives on one matrix at a time (pinned down elsewhere by hand
+values) but do their own profile enumeration, equilibrium test, and
+max-min reduction.
 """
 
 import itertools
@@ -16,6 +17,8 @@ import numpy as np
 from reelsim import (
     inertia_probability,
     positional_utility,
+    profile_matrix,
+    stage_payoffs,
     tactical_distance,
     update_sizes,
 )
@@ -170,3 +173,55 @@ def stage_tabulation(candidates, previous, sizes, params):
                 best = max(best, worst)
             minimax.append(best)
     return payoffs, equilibria, minimax
+
+
+def sampled_stage_game(candidates, previous, sizes, params, max_profiles, rng):
+    """Subsampled stage game, one profile and one payoff call at a time.
+
+    A frozen copy of the engine's earlier scalar screen and security
+    levels, memoized per profile: returns (equilibrium profiles sorted,
+    minimax). The random draws, their order and the budgets are the
+    engine's, so the two must agree exactly.
+    """
+    ks = tuple(len(pool) for pool in candidates)
+    n = len(ks)
+    cache = {}
+
+    def evaluate(profile):
+        if profile not in cache:
+            cache[profile] = stage_payoffs(
+                profile_matrix(candidates, profile), previous, sizes, params
+            )
+        return cache[profile]
+
+    budget = max(1, max_profiles // (sum(ks) + 1))
+    drawn = {tuple(int(rng.integers(k)) for k in ks) for _ in range(budget)}
+    found = []
+    for profile in sorted(drawn):
+        own = evaluate(profile)
+        if all(
+            own[agent]
+            >= max(
+                evaluate(profile[:agent] + (alt,) + profile[agent + 1 :])[agent]
+                for alt in range(ks[agent])
+            )
+            for agent in range(n)
+        ):
+            found.append(profile)
+    if found:
+        return found, [min(float(evaluate(p)[agent]) for p in found) for agent in range(n)]
+
+    combos = max(1, max_profiles // max(1, sum(ks)))
+    levels = []
+    for agent in range(n):
+        best = -math.inf
+        for own in range(ks[agent]):
+            worst = math.inf
+            for _ in range(combos):
+                profile = tuple(
+                    own if axis == agent else int(rng.integers(ks[axis])) for axis in range(n)
+                )
+                worst = min(worst, float(evaluate(profile)[agent]))
+            best = max(best, worst)
+        levels.append(best)
+    return found, levels

@@ -42,6 +42,27 @@ def test_validate_bad_params(scenario_payload, write_scenario, capsys):
     assert "params: benevolence multiplier" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "block, field, value, message",
+    [
+        (None, "sizes", [float("nan"), 1.0, 0.6], "non-finite number NaN is not allowed"),
+        ("sim", "lines", 20.5, "sim: lines must be an integer (got 20.5)"),
+        ("sim", "lines", True, "sim: lines must be an integer (got true)"),
+        ("sim", "seed", 1.5, "sim: seed must be an integer (got 1.5)"),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "frame"])
+def test_bad_numbers_exit_one_with_one_line(
+    scenario_payload, write_scenario, tmp_path, capsys, command, block, field, value, message
+):
+    (scenario_payload[block] if block else scenario_payload)[field] = value
+    path = write_scenario(scenario_payload, "bad.json")
+    assert main(["--out-dir", str(tmp_path / "out"), command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_step_writes_trajectory(scenario_file, tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(["--out-dir", str(out_dir), "step", str(scenario_file), "--t", "1"]) == 0

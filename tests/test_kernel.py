@@ -1,0 +1,107 @@
+"""The batched payoff kernel: stacks agree with their members bit for bit."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import oracles
+import reelsim as rs
+from reelsim.equilibrium import PAYOFF_BLOCK
+
+
+@st.composite
+def payoff_problems(draw):
+    """A stack of tactic matrices with the awkward cases mixed in: dead and
+    all-dead agents, a member equal to the previous matrix (zero
+    distance), duplicate columns and duplicate members."""
+    n = draw(st.integers(1, 5))
+    count = draw(st.integers(1, 8))
+    entries = st.floats(-1.0, 1.0, allow_nan=False)
+    tactics = draw(hnp.arrays(float, (count, n, n), elements=entries))
+    tactics /= np.maximum(np.abs(tactics).sum(axis=1, keepdims=True), 1e-12)
+    if n > 1 and draw(st.booleans()):
+        source, target = draw(st.permutations(range(n)))[:2]
+        tactics[:, :, target] = tactics[:, :, source]
+    if count > 1 and draw(st.booleans()):
+        tactics[-1] = tactics[0]
+    sizes = draw(hnp.arrays(float, n, elements=st.floats(0.0, 1.0)))
+    sizes[draw(hnp.arrays(bool, n))] = 0.0
+    if draw(st.booleans()):
+        previous = tactics[draw(st.integers(0, count - 1))].copy()
+    else:
+        previous = np.eye(n)
+    params = rs.ModelParams(
+        alpha=draw(st.floats(2.0, 3.0)),
+        mu=draw(st.sampled_from([1.5, 3.0, 8.0])),
+        sigma=draw(st.floats(0.05, 5.0)),
+    )
+    return tactics, previous, sizes, params
+
+
+@settings(max_examples=300, deadline=None)
+@given(payoff_problems())
+def test_stacked_payoffs_equal_per_matrix_calls(problem):
+    tactics, previous, sizes, params = problem
+    stacked = rs.stage_payoffs(tactics, previous, sizes, params)
+    one_by_one = np.stack([rs.stage_payoffs(m, previous, sizes, params) for m in tactics])
+    assert stacked.shape == (len(tactics), len(sizes))
+    assert np.array_equal(stacked, one_by_one)
+
+
+def test_all_dead_stack_scores_zero(params):
+    tactics = np.stack([np.eye(3), np.full((3, 3), 1.0 / 3.0)])
+    payoffs = rs.stage_payoffs(tactics, np.eye(3), np.zeros(3), params)
+    assert np.array_equal(payoffs, np.zeros((2, 3)))
+
+
+def test_payoff_tensor_over_several_blocks_matches_tabulation(params):
+    rng = rs.substream(5, rs.CANDIDATE_STREAM)
+    candidates = rs.sample_candidates(3, 20, rs.SamplerConfig(p_neg=0.3), rng)
+    assert math.prod(len(pool) for pool in candidates) > 2 * PAYOFF_BLOCK
+    previous = rs.profile_matrix(candidates, (0, 0, 0))
+    sizes = np.array([0.4, 1.0, 0.7])
+    tensor = rs.payoff_tensor(candidates, previous, sizes, params)
+    payoffs, _, _ = oracles.stage_tabulation(
+        [pool.tolist() for pool in candidates], previous, sizes, params
+    )
+    assert tensor.shape == (20, 20, 20, 3)
+    for profile, expected in payoffs.items():
+        assert tensor[profile].tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "n, k, max_profiles, p_neg, seed, equilibria",
+    [
+        (4, 6, 600, 0.5, 12, 9),
+        (4, 6, 600, 0.0, 0, 0),
+        (5, 4, 500, 0.5, 0, 3),
+        (5, 4, 500, 0.5, 1, 0),
+    ],
+)
+def test_sampled_game_matches_scalar_screen(params, n, k, max_profiles, p_neg, seed, equilibria):
+    cfg = rs.SamplerConfig(rng_seed=seed, p_neg=p_neg)
+    sizes = np.random.default_rng(seed + 1000).uniform(0.0, 1.0, n)
+    state = rs.State(tactics=np.eye(n), sizes=sizes / sizes.max())
+    game = rs.stage_game(state, params, cfg, k_candidates=k, max_profiles=max_profiles)
+    assert not game.exhaustive
+    profiles, minimax = oracles.sampled_stage_game(
+        game.candidates,
+        state.tactics,
+        state.sizes,
+        params,
+        max_profiles,
+        rs.substream(seed, rs.PROFILE_STREAM),
+    )
+    assert len(profiles) == equilibria
+    expected = [rs.profile_matrix(game.candidates, profile) for profile in profiles]
+    assert len(game.equilibria) == len(expected)
+    for matrix, reference in zip(game.equilibria, expected):
+        assert np.array_equal(matrix, reference)
+    assert np.array_equal(game.minimax, minimax)
+    if p_neg == 0.0:
+        # nobody can be killed, so the security levels are not all zero
+        assert np.all(game.minimax > 0.0)

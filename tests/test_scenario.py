@@ -141,6 +141,51 @@ def test_booleans_are_not_numbers(scenario_payload):
         parse(scenario_payload)
 
 
+@pytest.mark.parametrize("sizes", [[float("nan"), 1.0, 0.6], [0.3, float("inf"), 0.6]])
+def test_non_finite_numbers_are_rejected(scenario_payload, sizes):
+    scenario_payload["sizes"] = sizes
+    with pytest.raises(rs.ScenarioError, match="non-finite number"):
+        parse(scenario_payload)
+
+
+@pytest.mark.parametrize(
+    "literal, message",
+    [("1e999", "1e999 is too large"), ("1" + "0" * 309, "310 digits is too large")],
+)
+def test_overflowing_literal_is_rejected(scenario_payload, literal, message):
+    text = json.dumps(scenario_payload).replace('"mu": 3.0', f'"mu": {literal}')
+    with pytest.raises(rs.ScenarioError, match=message):
+        rs.parse_scenario(text)
+    text = json.dumps(scenario_payload).replace('"sizes": [0.3,', f'"sizes": [{literal},')
+    with pytest.raises(rs.ScenarioError, match=message):
+        rs.parse_scenario(text)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("lines", 20.5), ("lines", True), ("seed", 1.5), ("candidates", 4.0), ("max_profiles", False)],
+)
+def test_integer_settings_refuse_floats_and_booleans(scenario_payload, field, value):
+    scenario_payload["sim"][field] = value
+    with pytest.raises(rs.ScenarioError, match=f"sim: {field} must be an integer"):
+        parse(scenario_payload)
+
+
+def test_settings_are_type_checked(scenario_payload):
+    bad = json.loads(json.dumps(scenario_payload))
+    bad["params"]["beta"] = "1.2"
+    with pytest.raises(rs.ScenarioError, match='params: beta must be a number \\(got "1.2"\\)'):
+        parse(bad)
+    bad = json.loads(json.dumps(scenario_payload))
+    bad["sim"]["p_min"] = True
+    with pytest.raises(rs.ScenarioError, match="sim: p_min must be a number"):
+        parse(bad)
+    bad = json.loads(json.dumps(scenario_payload))
+    bad["sim"]["sampler"]["allow_negative_diagonal"] = 1
+    with pytest.raises(rs.ScenarioError, match="sampler: allow_negative_diagonal must be true or false"):
+        parse(bad)
+
+
 def test_round_trip_is_identity(scenario_payload):
     first = parse(scenario_payload)
     text = rs.serialize_scenario(first)
