@@ -72,7 +72,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"directory for output files (default: ${OUT_DIR_ENV} or .)",
     )
     parser.add_argument(
-        "--threads", type=int, default=1, help="worker threads for line generation"
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for compatibility and ignored: lines run on one thread",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -142,7 +145,6 @@ def _cmd_frame(scenario: Scenario, args, out_dir: Path) -> int:
         scenario.sim.horizon,
         k_candidates=scenario.sim.candidates,
         max_profiles=scenario.sim.max_profiles,
-        threads=args.threads,
     )
     names = list(scenario.agents)
     _write(out_dir, "frames.json", export_frames_json(distribution, names))
@@ -169,7 +171,6 @@ def _cmd_reels(scenario: Scenario, args, out_dir: Path) -> int:
         scenario.sim.horizon,
         k_candidates=scenario.sim.candidates,
         max_profiles=scenario.sim.max_profiles,
-        threads=args.threads,
     )
     reels = enumerate_reels(tree)
     names = list(scenario.agents)

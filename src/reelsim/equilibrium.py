@@ -1,4 +1,4 @@
-"""Sampled stage games: best responses, equilibria, and guarantees.
+"""Sampled stage games: equilibria and guarantees.
 
 Each agent gets a pool of randomly drawn candidate tactic columns. Every
 profile (one column per agent) is scored by the expected utility it
@@ -97,34 +97,6 @@ def stage_payoffs(
     updated = update_sizes(tactics, sizes, params)
     utilities = positional_utility(updated, params.alpha)
     return expected_utility(utilities, tactics, previous, params.sigma)
-
-
-def best_response(
-    agent: int,
-    fixed: np.ndarray,
-    candidates: np.ndarray,
-    previous: np.ndarray,
-    sizes: np.ndarray,
-    params: ModelParams,
-) -> tuple[int, float]:
-    """Index and payoff of the agent's best candidate against fixed columns.
-
-    fixed is a full matrix whose column `agent` is overwritten by each
-    candidate in turn. Payoff ties break toward the candidate closest to
-    the agent's previous column, then toward the lower index; comparisons
-    are exact, duplicates are what the tie rule is for.
-    """
-    fixed = np.asarray(fixed, dtype=float)
-    previous = np.asarray(previous, dtype=float)
-    pool = np.asarray(candidates, dtype=float)
-    if pool.ndim != 2 or pool.shape[0] == 0:
-        raise ValueError("candidate pool must be a nonempty stack of columns")
-    stack = np.repeat(fixed[np.newaxis], len(pool), axis=0)
-    stack[:, :, agent] = pool
-    payoffs = stage_payoffs(stack, previous, sizes, params)[:, agent]
-    closeness = [float(np.linalg.norm(column - previous[:, agent])) for column in pool]
-    best = min(range(len(pool)), key=lambda index: (-payoffs[index], closeness[index], index))
-    return best, float(payoffs[best])
 
 
 def stage_nash_equilibria(

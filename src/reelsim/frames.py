@@ -10,7 +10,6 @@ probability of transitioning to that next frame.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,47 +111,54 @@ def generate_line(
     params: ModelParams,
     rng: np.random.Generator,
 ) -> LineOfPlay:
-    """Sample one line of play of `horizon` steps starting at the root."""
+    """Sample one line of play of `horizon` steps starting at the root.
+
+    The steps draw tactics and roll the sizes forward one at a time; the
+    finished line is then scored as one stack, which agrees bit for bit
+    with scoring its steps one by one.
+    """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1 (got {horizon})")
     n = root.n
     matrices = np.empty((horizon, n, n))
     sizes = np.empty((horizon, n))
-    payoffs = np.empty((horizon, n))
-    previous = root.tactics
+    tactics = root.tactics
     current = root.sizes
     for step in range(horizon):
-        tactics = sample_tactic_matrix(previous, cfg, rng, params.sigma)
-        current = update_sizes(tactics, current, params)
-        matrices[step] = tactics
-        sizes[step] = current
-        payoffs[step] = expected_utility(
-            positional_utility(current, params.alpha), tactics, previous, params.sigma
-        )
-        previous = tactics
+        tactics = matrices[step] = sample_tactic_matrix(tactics, cfg, rng, params.sigma)
+        current = sizes[step] = update_sizes(tactics, current, params)
+    previous = _previous_matrices(root.tactics, matrices)
+    payoffs = expected_utility(
+        positional_utility(sizes, params.alpha), matrices, previous, params.sigma
+    )
     return LineOfPlay(
         root_tactics=np.array(root.tactics),
         matrices=matrices,
         sizes=sizes,
         payoffs=payoffs,
         intertemporal=intertemporal_utility(payoffs, params.delta),
-        weight=_line_weight(root.tactics, matrices, params),
+        weight=_line_weight(tactical_distance(matrices, previous), params),
     )
 
 
 def frame_weight(line: LineOfPlay, params: ModelParams) -> float:
     """Inertia score of a whole line: q of its discounted total movement."""
-    return _line_weight(line.root_tactics, line.matrices, params)
+    previous = _previous_matrices(line.root_tactics, line.matrices)
+    return _line_weight(tactical_distance(line.matrices, previous), params)
 
 
-def _line_weight(root_tactics: np.ndarray, matrices: np.ndarray, params: ModelParams) -> float:
-    previous = root_tactics
+def _previous_matrices(root_tactics: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """The matrix each step moves away from: the root, then steps 1..H-1."""
+    return np.concatenate((np.asarray(root_tactics)[np.newaxis], matrices[:-1]))
+
+
+def _line_weight(distances: np.ndarray, params: ModelParams) -> float:
+    # A running discount, not delta**t: the weights keep their exact bits.
     total = 0.0
     discount = 1.0
-    for tactics in matrices:
+    for distance in distances.tolist():
         discount *= params.delta
-        total += discount * tactical_distance(tactics, previous)
-        previous = tactics
+        total += discount * distance
     return inertia_probability((1.0 - params.delta) * total, params.sigma)
 
 
@@ -220,32 +226,21 @@ def transition_distribution(
     *,
     k_candidates: int = DEFAULT_CANDIDATES,
     max_profiles: int = DEFAULT_MAX_PROFILES,
-    threads: int = 1,
 ) -> FrameDistribution:
     """Run the full pipeline at a root state.
 
     Line k always draws from the substream keyed by k, so the result is
-    a pure function of (root, params, cfg, n_lines, horizon) no matter
-    how many threads do the generating.
+    a pure function of (root, params, cfg, n_lines, horizon).
     """
     if n_lines < 1:
         raise ValueError(f"need at least one line (got {n_lines})")
-    if threads < 1:
-        raise ValueError(f"thread count must be at least 1 (got {threads})")
     game = stage_game(
         root, params, cfg, k_candidates=k_candidates, max_profiles=max_profiles
     )
-
-    def make_line(index: int) -> LineOfPlay:
-        return generate_line(
-            root, horizon, cfg, params, substream(cfg.rng_seed, LINE_STREAM, index)
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            lines = list(pool.map(make_line, range(n_lines)))
-    else:
-        lines = [make_line(index) for index in range(n_lines)]
+    lines = [
+        generate_line(root, horizon, cfg, params, substream(cfg.rng_seed, LINE_STREAM, index))
+        for index in range(n_lines)
+    ]
     retained = folk_filter(lines, game.minimax)
     frames = cluster_first_moves(retained, root, params, cfg)
     diagnostics = TransitionDiagnostics(

@@ -78,7 +78,6 @@ def build_reel_tree(
     *,
     k_candidates: int = DEFAULT_CANDIDATES,
     max_profiles: int = DEFAULT_MAX_PROFILES,
-    threads: int = 1,
 ) -> ReelNode:
     """Expand states recursively until depth, death, or a dead end.
 
@@ -111,7 +110,6 @@ def build_reel_tree(
             horizon,
             k_candidates=k_candidates,
             max_profiles=max_profiles,
-            threads=threads,
         )
         if distribution.is_empty:
             return ReelNode(state, depth, (), LEAF_EMPTY, 0.0)

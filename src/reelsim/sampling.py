@@ -3,11 +3,12 @@
 All randomness flows through numpy Generators derived from a master seed
 via SeedSequence spawn keys, so any unit of work (a candidate pool, one
 line of play, one tree node) gets its own substream and results never
-depend on worker scheduling.
+depend on the order the units run in.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,15 +56,15 @@ def _check_rounding(rounding: float) -> None:
     if not (0.0 < rounding <= 1.0):
         raise ValueError(f"rounding must lie in (0, 1] (got {rounding})")
     steps = 1.0 / rounding
-    if abs(steps - round(steps)) > 1e-9:
+    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
         raise ValueError(f"1/rounding must be an integer (got rounding={rounding})")
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Generator for the substream identified by (seed, key).
 
-    Identical (seed, key) pairs yield byte-identical draw sequences on any
-    worker, which is what makes parallel runs reproducible.
+    Identical (seed, key) pairs yield byte-identical draw sequences
+    wherever they are drawn, which is what makes runs reproducible.
     """
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
@@ -131,15 +132,12 @@ def sample_tactic_matrix(
 def _renormalize_columns(matrix: np.ndarray) -> np.ndarray:
     """Rescale each column to abs-sum 1; an all-zero column falls back to
     pure self-allocation."""
-    matrix = np.array(matrix, dtype=float)
-    for j in range(matrix.shape[1]):
-        scale = np.sum(np.abs(matrix[:, j]))
-        if scale == 0.0:
-            matrix[:, j] = 0.0
-            matrix[j, j] = 1.0
-        else:
-            matrix[:, j] /= scale
-    return matrix
+    matrix = np.asarray(matrix, dtype=float)
+    # Each column is summed as a contiguous row, the order a lone column
+    # is summed in; an axis=0 sum adds row by row and differs from n = 8.
+    scale = np.ascontiguousarray(np.abs(matrix).T).sum(axis=-1)
+    zero = scale == 0.0
+    return np.where(zero, np.eye(matrix.shape[1]), matrix / np.where(zero, 1.0, scale))
 
 
 def round_to_grid(tactics: np.ndarray, rounding: float) -> np.ndarray:

@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 import sys
+import typing
 import warnings
 from dataclasses import dataclass
 
@@ -21,30 +22,6 @@ from .core import ModelParams, State, TacticMatrixError, normalize_sizes, valida
 from .sampling import SamplerConfig
 
 SCHEMA_VERSION = 1
-
-_PARAM_FIELDS = ("alpha", "beta", "mu", "delta", "sigma")
-_SIM_FIELDS = (
-    "lines",
-    "horizon",
-    "depth_max",
-    "branch_k",
-    "p_min",
-    "seed",
-    "candidates",
-    "max_profiles",
-)
-_SAMPLER_FIELDS = ("p_neg", "allow_negative_diagonal", "local_mix", "rounding")
-# The JSON type each settings field must have; booleans are not numbers.
-_FIELD_TYPES = {
-    **dict.fromkeys(_PARAM_FIELDS + ("p_min", "p_neg", "local_mix", "rounding"), "a number"),
-    **dict.fromkeys(
-        ("lines", "horizon", "depth_max", "branch_k", "seed", "candidates", "max_profiles"),
-        "an integer",
-    ),
-    "allow_negative_diagonal": "true or false",
-}
-_JSON_TYPES = {"a number": (int, float), "an integer": (int,), "true or false": (bool,)}
-
 
 class ScenarioError(ValueError):
     """Raised when a scenario document cannot become a runnable setup."""
@@ -86,6 +63,23 @@ class SimSettings:
             raise ValueError(f"candidates must be at least 1 (got {self.candidates})")
         if self.max_profiles < 1:
             raise ValueError(f"max_profiles must be at least 1 (got {self.max_profiles})")
+
+
+def _field_names(cls, *skip: str) -> tuple[str, ...]:
+    return tuple(field.name for field in dataclasses.fields(cls) if field.name not in skip)
+
+
+_PARAM_FIELDS = _field_names(ModelParams)
+_SIM_FIELDS = _field_names(SimSettings)
+# The sampler's seed is not a file field: it always follows sim.seed.
+_SAMPLER_FIELDS = _field_names(SamplerConfig, "rng_seed")
+# The JSON type each settings field must have; booleans are not numbers.
+_FIELD_TYPES = {
+    name: {float: "a number", int: "an integer", bool: "true or false"}[kind]
+    for cls in (ModelParams, SimSettings, SamplerConfig)
+    for name, kind in typing.get_type_hints(cls).items()
+}
+_JSON_TYPES = {"a number": (int, float), "an integer": (int,), "true or false": (bool,)}
 
 
 @dataclass(frozen=True)
@@ -205,35 +199,15 @@ def parse_scenario(text: str | bytes) -> Scenario:
 
 def serialize_scenario(scenario: Scenario) -> str:
     """Write a scenario back out; parsing the result reproduces it exactly."""
-    sampler = scenario.sampler
+    sampler = dataclasses.asdict(scenario.sampler)
+    del sampler["rng_seed"]
     payload = {
         "schema": SCHEMA_VERSION,
         "agents": list(scenario.agents),
         "sizes": [float(value) for value in scenario.state.sizes],
         "tactics": [[float(value) for value in row] for row in scenario.state.tactics.T],
-        "params": {
-            "alpha": scenario.params.alpha,
-            "beta": scenario.params.beta,
-            "mu": scenario.params.mu,
-            "delta": scenario.params.delta,
-            "sigma": scenario.params.sigma,
-        },
-        "sim": {
-            "lines": scenario.sim.lines,
-            "horizon": scenario.sim.horizon,
-            "depth_max": scenario.sim.depth_max,
-            "branch_k": scenario.sim.branch_k,
-            "p_min": scenario.sim.p_min,
-            "seed": scenario.sim.seed,
-            "candidates": scenario.sim.candidates,
-            "max_profiles": scenario.sim.max_profiles,
-            "sampler": {
-                "p_neg": sampler.p_neg,
-                "allow_negative_diagonal": sampler.allow_negative_diagonal,
-                "local_mix": sampler.local_mix,
-                "rounding": sampler.rounding,
-            },
-        },
+        "params": dataclasses.asdict(scenario.params),
+        "sim": {**dataclasses.asdict(scenario.sim), "sampler": sampler},
     }
     return json.dumps(payload, indent=2) + "\n"
 

@@ -225,3 +225,33 @@ def sampled_stage_game(candidates, previous, sizes, params, max_profiles, rng):
             best = max(best, worst)
         levels.append(best)
     return found, levels
+
+
+def renormalize_columns(matrix):
+    """Column abs-sum renormalization, one np.sum per column.
+
+    The engine's earlier loop, kept as the reference its vectorized form
+    must match bit for bit: an all-zero column becomes self-allocation.
+    """
+    matrix = np.array(matrix, dtype=float)
+    for j in range(matrix.shape[1]):
+        scale = np.sum(np.abs(matrix[:, j]))
+        if scale == 0.0:
+            matrix[:, j] = 0.0
+            matrix[j, j] = 1.0
+        else:
+            matrix[:, j] /= scale
+    return matrix
+
+
+def scalar_line_weight(root_tactics, matrices, params):
+    """Line weight with one tactical_distance call per step and a running
+    discount: the engine's earlier scalar loop, exact to the bit."""
+    previous = root_tactics
+    total = 0.0
+    discount = 1.0
+    for tactics in matrices:
+        discount *= params.delta
+        total += discount * tactical_distance(tactics, previous)
+        previous = tactics
+    return inertia_probability((1.0 - params.delta) * total, params.sigma)

@@ -66,41 +66,6 @@ def attack_game():
     return candidates, previous, sizes, params
 
 
-def test_best_response_prefers_attack_under_weak_inertia():
-    candidates, previous, sizes, params = attack_game()
-    pool = np.array([[1.0, 0.0], [0.5, 0.5], [0.5, -0.5]])
-    index, payoff = rs.best_response(0, np.eye(2), pool, previous, sizes, params)
-    # wiping out the rival leaves agent 0 alone in the denominator
-    assert index == 2
-    tactics = np.eye(2)
-    tactics[:, 0] = pool[2]
-    assert payoff == rs.stage_payoffs(tactics, previous, sizes, params)[0]
-    assert payoff > 0.5
-
-
-def test_best_response_tie_breaks_toward_previous_column():
-    # a dead agent scores 0 with every candidate, so the tie rule decides
-    params = rs.ModelParams()
-    pool = np.array([[0.0, 1.0], [1.0, 0.0]])
-    index, payoff = rs.best_response(
-        0, np.eye(2), pool, np.eye(2), np.array([0.0, 1.0]), params
-    )
-    assert payoff == 0.0
-    assert index == 1  # (1, 0) matches the previous column exactly
-
-
-def test_best_response_duplicate_candidates_take_lower_index():
-    params = rs.ModelParams()
-    pool = np.array([[1.0, 0.0], [1.0, 0.0]])
-    index, _ = rs.best_response(0, np.eye(2), pool, np.eye(2), np.array([1.0, 1.0]), params)
-    assert index == 0
-
-
-def test_best_response_rejects_empty_pool():
-    with pytest.raises(ValueError, match="nonempty"):
-        rs.best_response(0, np.eye(2), np.empty((0, 2)), np.eye(2), np.ones(2), rs.ModelParams())
-
-
 # ---------------------------------------------------------------- equilibria
 
 

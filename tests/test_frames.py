@@ -72,6 +72,35 @@ def test_generate_line_replays_against_slow_reference(three_agent_state, params)
     )
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_generate_line_scores_match_per_step_calls_bitwise(n):
+    rng = np.random.default_rng(40 + n)
+    for index in range(6):
+        tactics = rng.uniform(-1.0, 1.0, (n, n))
+        tactics /= np.abs(tactics).sum(axis=0)
+        sizes = rng.uniform(0.0, 1.0, n)
+        sizes[rng.random(n) < 0.2] = 0.0
+        root = rs.State(tactics=tactics, sizes=sizes)
+        params = rs.ModelParams(
+            alpha=rng.uniform(2.0, 3.0), delta=rng.uniform(0.05, 0.95), sigma=rng.uniform(0.1, 2.0)
+        )
+        cfg = rs.SamplerConfig(rng_seed=n, local_mix=index / 5)
+        line = rs.generate_line(root, 1 + index, cfg, params, rs.substream(n, 0, index))
+        previous, current, payoffs = root.tactics, root.sizes, []
+        for matrix, step_sizes in zip(line.matrices, line.sizes):
+            current = rs.update_sizes(matrix, current, params)
+            assert np.array_equal(step_sizes, current)
+            utilities = rs.positional_utility(current, params.alpha)
+            payoffs.append(rs.expected_utility(utilities, matrix, previous, params.sigma))
+            previous = matrix
+        assert np.array_equal(line.payoffs, np.array(payoffs))
+        assert np.array_equal(
+            line.intertemporal, rs.intertemporal_utility(np.array(payoffs), params.delta)
+        )
+        assert line.weight == oracles.scalar_line_weight(root.tactics, line.matrices, params)
+        assert rs.frame_weight(line, params) == line.weight
+
+
 def test_generate_line_validates_every_matrix(three_agent_state, params):
     cfg = rs.SamplerConfig(rng_seed=2, local_mix=0.7)
     line = rs.generate_line(three_agent_state, 5, cfg, params, rs.substream(2, 0, 0))
@@ -208,11 +237,9 @@ def test_cluster_sorts_by_probability(three_agent_state, params):
 # ------------------------------------------------------------- distribution
 
 
-def small_distribution(state, params, seed=11, threads=1, lines=80):
+def small_distribution(state, params, seed=11, lines=80):
     cfg = rs.SamplerConfig(rng_seed=seed, rounding=0.25, local_mix=0.8)
-    return rs.transition_distribution(
-        state, params, cfg, lines, 2, k_candidates=4, threads=threads
-    )
+    return rs.transition_distribution(state, params, cfg, lines, 2, k_candidates=4)
 
 
 def test_distribution_probabilities_sum_to_one(three_agent_state, params):
@@ -247,17 +274,6 @@ def test_distribution_is_deterministic(three_agent_state, params):
         assert a.support == b.support
 
 
-def test_distribution_thread_count_does_not_matter(three_agent_state, params):
-    serial = small_distribution(three_agent_state, params, threads=1)
-    threaded = small_distribution(three_agent_state, params, threads=4)
-    assert len(serial.frames) == len(threaded.frames)
-    for a, b in zip(serial.frames, threaded.frames):
-        assert np.array_equal(a.key, b.key)
-        assert a.probability == b.probability
-        assert a.weight == b.weight
-    assert serial.diagnostics.lines_retained == threaded.diagnostics.lines_retained
-
-
 def test_distribution_all_dead_root_is_empty(params):
     state = rs.State(tactics=np.eye(3), sizes=np.zeros(3))
     dist = small_distribution(state, params, lines=30)
@@ -271,5 +287,3 @@ def test_distribution_rejects_bad_counts(three_agent_state, params):
     cfg = rs.SamplerConfig()
     with pytest.raises(ValueError, match="at least one line"):
         rs.transition_distribution(three_agent_state, params, cfg, 0, 2)
-    with pytest.raises(ValueError, match="thread count"):
-        rs.transition_distribution(three_agent_state, params, cfg, 5, 2, threads=0)

@@ -23,10 +23,10 @@ def tiny_state(three_agent_tactics):
     return rs.State(tactics=three_agent_tactics, sizes=np.array([0.3, 1.0, 0.6]))
 
 
-def small_tree(state, params, depth_max=2, seed=11, threads=1, p_min=0.0, branch_k=2):
+def small_tree(state, params, depth_max=2, seed=11, p_min=0.0, branch_k=2):
     cfg = rs.SamplerConfig(rng_seed=seed, rounding=0.25, local_mix=0.8)
     return rs.build_reel_tree(
-        state, depth_max, branch_k, p_min, params, cfg, 50, 2, k_candidates=4, threads=threads
+        state, depth_max, branch_k, p_min, params, cfg, 50, 2, k_candidates=4
     )
 
 
@@ -184,23 +184,6 @@ def test_tree_is_deterministic(tiny_state, params):
         )
 
     assert signature(small_tree(tiny_state, params)) == signature(small_tree(tiny_state, params))
-
-
-def test_tree_threads_do_not_change_it(tiny_state, params):
-    serial = small_tree(tiny_state, params, threads=1)
-    threaded = small_tree(tiny_state, params, threads=3)
-
-    def compare(a, b):
-        assert a.depth == b.depth
-        assert a.leaf_reason == b.leaf_reason
-        assert a.dropped_mass == b.dropped_mass
-        assert np.array_equal(a.state.sizes, b.state.sizes)
-        assert len(a.children) == len(b.children)
-        for ea, eb in zip(a.children, b.children):
-            assert ea.probability == eb.probability
-            compare(ea.child, eb.child)
-
-    compare(serial, threaded)
 
 
 def test_build_reel_tree_rejects_bad_arguments(tiny_state, params):

@@ -237,3 +237,25 @@ def test_round_tactic_matrix_fixed_point_on_unit_sum_grid():
 def test_round_tactic_matrix_rejects_non_square():
     with pytest.raises(rs.TacticMatrixError, match="square"):
         rs.round_tactic_matrix(np.ones((2, 3)), 0.25)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_renormalize_matches_per_column_loop_bitwise(n):
+    # From n = 8 a row-by-row (axis=0) column sum rounds differently from
+    # summing each column alone, so this comparison must be exact.
+    rng = np.random.default_rng(100 + n)
+    for rounding in (0.1, 0.25, 0.05, 0.01):
+        for _ in range(25):
+            tactics = rng.uniform(-1.0, 1.0, (n, n))
+            tactics /= np.abs(tactics).sum(axis=0)
+            grid = rs.round_to_grid(tactics, rounding)
+            grid[:, rng.random(n) < 0.2] = 0
+            expected = oracles.renormalize_columns(grid * rounding)
+            assert np.array_equal(rs.matrix_from_grid(grid, rounding), expected)
+            assert np.array_equal(
+                rs.round_tactic_matrix(tactics, rounding),
+                oracles.renormalize_columns(rs.round_to_grid(tactics, rounding) * rounding),
+            )
+    zero = rs.matrix_from_grid(np.zeros((n, n), dtype=np.int64), 0.1)
+    assert np.array_equal(zero, oracles.renormalize_columns(np.zeros((n, n))))
+    assert np.array_equal(zero, np.eye(n))

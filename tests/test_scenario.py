@@ -1,10 +1,14 @@
 """Scenario document parsing, validation, and round-tripping."""
 
 import json
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reelsim as rs
 
@@ -135,6 +139,13 @@ def test_sampler_validation_names_the_block(scenario_payload):
         parse(scenario_payload)
 
 
+def test_rounding_too_fine_for_a_float_is_rejected(scenario_payload):
+    # 1 / 1e-320 overflows to infinity, which has no nearest integer
+    scenario_payload["sim"]["sampler"]["rounding"] = 1e-320
+    with pytest.raises(rs.ScenarioError, match="sampler: 1/rounding must be an integer"):
+        parse(scenario_payload)
+
+
 def test_booleans_are_not_numbers(scenario_payload):
     scenario_payload["sizes"] = [0.3, True, 0.6]
     with pytest.raises(rs.ScenarioError, match="sizes must be a nonempty list of numbers"):
@@ -213,3 +224,125 @@ def test_shipped_scenario_parses():
     assert scenario.agents == ("minor", "major", "middle")
     assert scenario.state.sizes.max() == 1.0
     rs.validate_tactic_matrix(scenario.state.tactics)
+
+
+# ------------------------------------------------------ property tests
+
+
+def _numbers(low, high, **bounds):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False, **bounds)
+
+
+@st.composite
+def valid_documents(draw):
+    """A complete scenario in the serializer's own layout: every field
+    present, sizes already normalized, tactic rows summing to 1."""
+    n = draw(st.integers(1, 5))
+    sizes = draw(st.lists(_numbers(0.0, 1.0), min_size=n, max_size=n))
+    sizes[draw(st.integers(0, n - 1))] = 1.0
+    rows = []
+    for agent in range(n):
+        row = np.array(draw(st.lists(_numbers(-1.0, 1.0), min_size=n, max_size=n)))
+        total = np.abs(row).sum()
+        rows.append((row / total).tolist() if total > 0.0 else [float(j == agent) for j in range(n)])
+    beta = draw(_numbers(1.0, 50.0, exclude_min=True))
+    return {
+        "schema": 1,
+        "agents": draw(st.lists(st.text(min_size=1, max_size=6), min_size=n, max_size=n)),
+        "sizes": sizes,
+        "tactics": rows,
+        "params": {
+            "alpha": draw(_numbers(2.0, 3.0)),
+            "beta": beta,
+            "mu": draw(_numbers(beta, 100.0, exclude_min=True)),
+            "delta": draw(_numbers(0.0, 1.0, exclude_min=True, exclude_max=True)),
+            "sigma": draw(_numbers(0.0, 10.0, exclude_min=True)),
+        },
+        "sim": {
+            "lines": draw(st.integers(1, 10**6)),
+            "horizon": draw(st.integers(1, 50)),
+            "depth_max": draw(st.integers(0, 10)),
+            "branch_k": draw(st.integers(1, 10)),
+            "p_min": draw(_numbers(0.0, 1.0)),
+            "seed": draw(st.integers(0, 2**64)),
+            "candidates": draw(st.integers(1, 100)),
+            "max_profiles": draw(st.integers(1, 10**7)),
+            "sampler": {
+                "p_neg": draw(_numbers(0.0, 1.0)),
+                "allow_negative_diagonal": draw(st.booleans()),
+                "local_mix": draw(_numbers(0.0, 1.0)),
+                "rounding": 1.0 / draw(st.integers(1, 1000)),
+            },
+        },
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_documents())
+def test_valid_documents_round_trip_byte_identically(doc):
+    text = json.dumps(doc, indent=2) + "\n"
+    assert rs.serialize_scenario(rs.parse_scenario(text)) == text
+
+
+# Values that sit on or just past a boundary, mixed with arbitrary JSON.
+_EDGE_VALUES = st.sampled_from(
+    [0, 1, -1, 2**63, 0.0, -0.0, 0.5, 1.0, 1.5, 1e-320, 1e308, True, False, None, "", [], {}]
+)
+_JSON_VALUES = st.one_of(
+    _EDGE_VALUES,
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+        lambda children: st.lists(children, max_size=3)
+        | st.dictionaries(st.text(max_size=4), children, max_size=3),
+        max_leaves=6,
+    ),
+)
+
+
+def _paths(value, prefix=()):
+    """Every position in a JSON value, as the keys and indices leading to it."""
+    yield prefix
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_texts(draw):
+    """A valid document with one to three fields replaced, deleted or
+    added, sometimes cut short as text."""
+    doc = draw(valid_documents())
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = draw(_JSON_VALUES)
+            continue
+        parent = reduce(getitem, path[:-1], doc)
+        action = draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "replace":
+            parent[path[-1]] = draw(_JSON_VALUES)
+        elif action == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent, dict):
+            parent[draw(st.text(max_size=8))] = draw(_JSON_VALUES)
+        else:
+            parent.append(draw(_JSON_VALUES))
+    text = json.dumps(doc, indent=2)
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+@pytest.mark.filterwarnings("ignore:sizes rescaled")
+@settings(max_examples=500, deadline=None)
+@given(mutated_texts())
+def test_mutated_documents_parse_or_raise_scenario_error(text):
+    try:
+        rs.parse_scenario(text)
+    except rs.ScenarioError:
+        pass
