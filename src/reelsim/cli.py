@@ -4,7 +4,8 @@ Subcommands: validate (check a scenario file), step (play the scenario's
 own tactics forward, CSV out), frame (one transition distribution at the
 root, JSON + DOT out), reels (full tree of futures, JSON + DOT + CSV
 out). Exit codes: 0 success, 1 scenario validation failure, 2 runtime
-failure or bad usage.
+failure (a floating-point overflow, invalid value or division by zero
+included) or bad usage.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import argparse
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .core import evolve
 from .exports import (
@@ -50,7 +53,10 @@ def main(argv: list[str] | None = None) -> int:
         "reels": _cmd_reels,
     }[args.command]
     try:
-        return command(scenario, args, out_dir)
+        # A float overflow or invalid value is a runtime failure, never
+        # garbage in the output files.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return command(scenario, args, out_dir)
     except Exception as err:  # engine failures are runtime failures: exit 2
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -168,9 +168,11 @@ def update_sizes(tactics: np.ndarray, sizes: np.ndarray, params: ModelParams) ->
     """One power-transfer step on raw arrays: (T * M) @ s with death clamping.
 
     tactics may be a stack (..., n, n), giving one size vector per member.
-    The stacked matmul reduces each row in the same order as a single
-    matrix does, so a stack and its members one at a time agree bit for
-    bit (an explicit sum over T * M * s does not).
+    The stack shares one size vector (n,), or takes one per member as
+    columns (..., n, 1) and returns columns: a bare (..., n) stack would
+    be read as a matrix. The stacked matmul reduces each row in the same
+    order as a single matrix does, so a stack and its members one at a
+    time agree bit for bit (an explicit sum over T * M * s does not).
     """
     effective = tactics * build_multiplier_matrix(tactics, params)
     updated = effective @ np.asarray(sizes, dtype=float)

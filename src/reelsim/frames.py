@@ -10,6 +10,7 @@ probability of transitioning to that next frame.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from .sampling import (
     SamplerConfig,
     matrix_from_grid,
     round_to_grid,
-    sample_tactic_matrix,
+    sample_tactic_matrices,
     substream,
 )
 from .utility import (
@@ -31,6 +32,10 @@ from .utility import (
     positional_utility,
     tactical_distance,
 )
+
+# Lines generated and scored as one stack. Fixed, so the memory a block
+# holds does not grow with the line count; it changes no output bit.
+LINE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -104,6 +109,77 @@ class FrameDistribution:
         return np.array([frame.probability for frame in self.frames])
 
 
+@dataclass(frozen=True)
+class LineBlock:
+    """Lines of play stacked along a leading axis, one member per line.
+
+    The fields are LineOfPlay's with that axis in front: matrices
+    (B, H, n, n), sizes and payoffs (B, H, n), intertemporal (B, n) and
+    weights (B,); root_tactics is the one root they all start from.
+    """
+
+    root_tactics: np.ndarray
+    matrices: np.ndarray
+    sizes: np.ndarray
+    payoffs: np.ndarray
+    intertemporal: np.ndarray
+    weights: np.ndarray
+
+    def __len__(self) -> int:
+        return self.weights.shape[0]
+
+    def line(self, index: int) -> LineOfPlay:
+        """One member as a line of its own."""
+        return LineOfPlay(
+            root_tactics=self.root_tactics,
+            matrices=self.matrices[index],
+            sizes=self.sizes[index],
+            payoffs=self.payoffs[index],
+            intertemporal=self.intertemporal[index],
+            weight=float(self.weights[index]),
+        )
+
+
+def generate_lines(
+    root: State,
+    horizon: int,
+    cfg: SamplerConfig,
+    params: ModelParams,
+    rngs: Sequence[np.random.Generator],
+) -> LineBlock:
+    """Sample one line of play of `horizon` steps per generator, as a block.
+
+    Line b draws from rngs[b] alone, step by step in the order a single
+    line draws, so it does not depend on the other members. Each step
+    samples and rolls the whole block's tactics and sizes as stacks; the
+    finished block is then scored as one stack. Every member agrees bit
+    for bit with scoring its steps one by one.
+    """
+    if horizon < 1:
+        raise ValueError(f"horizon must be at least 1 (got {horizon})")
+    count, n = len(rngs), root.n
+    matrices = np.empty((count, horizon, n, n))
+    sizes = np.empty((count, horizon, n))
+    tactics = np.broadcast_to(root.tactics, (count, n, n))
+    current = np.broadcast_to(root.sizes, (count, n))
+    for step in range(horizon):
+        tactics = matrices[:, step] = sample_tactic_matrices(tactics, cfg, rngs, params.sigma)
+        # Sizes as columns: a bare (B,n,n) @ (B,n) is a matrix product.
+        current = sizes[:, step] = update_sizes(tactics, current[..., np.newaxis], params)[..., 0]
+    previous = _previous_matrices(root.tactics, matrices)
+    payoffs = expected_utility(
+        positional_utility(sizes, params.alpha), matrices, previous, params.sigma
+    )
+    return LineBlock(
+        root_tactics=np.array(root.tactics),
+        matrices=matrices,
+        sizes=sizes,
+        payoffs=payoffs,
+        intertemporal=intertemporal_utility(payoffs, params.delta),
+        weights=_line_weights(tactical_distance(matrices, previous), params),
+    )
+
+
 def generate_line(
     root: State,
     horizon: int,
@@ -111,108 +187,92 @@ def generate_line(
     params: ModelParams,
     rng: np.random.Generator,
 ) -> LineOfPlay:
-    """Sample one line of play of `horizon` steps starting at the root.
-
-    The steps draw tactics and roll the sizes forward one at a time; the
-    finished line is then scored as one stack, which agrees bit for bit
-    with scoring its steps one by one.
-    """
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1 (got {horizon})")
-    n = root.n
-    matrices = np.empty((horizon, n, n))
-    sizes = np.empty((horizon, n))
-    tactics = root.tactics
-    current = root.sizes
-    for step in range(horizon):
-        tactics = matrices[step] = sample_tactic_matrix(tactics, cfg, rng, params.sigma)
-        current = sizes[step] = update_sizes(tactics, current, params)
-    previous = _previous_matrices(root.tactics, matrices)
-    payoffs = expected_utility(
-        positional_utility(sizes, params.alpha), matrices, previous, params.sigma
-    )
-    return LineOfPlay(
-        root_tactics=np.array(root.tactics),
-        matrices=matrices,
-        sizes=sizes,
-        payoffs=payoffs,
-        intertemporal=intertemporal_utility(payoffs, params.delta),
-        weight=_line_weight(tactical_distance(matrices, previous), params),
-    )
+    """Sample one line of play of `horizon` steps starting at the root."""
+    return generate_lines(root, horizon, cfg, params, [rng]).line(0)
 
 
 def frame_weight(line: LineOfPlay, params: ModelParams) -> float:
     """Inertia score of a whole line: q of its discounted total movement."""
     previous = _previous_matrices(line.root_tactics, line.matrices)
-    return _line_weight(tactical_distance(line.matrices, previous), params)
+    return float(_line_weights(tactical_distance(line.matrices, previous), params))
 
 
 def _previous_matrices(root_tactics: np.ndarray, matrices: np.ndarray) -> np.ndarray:
-    """The matrix each step moves away from: the root, then steps 1..H-1."""
-    return np.concatenate((np.asarray(root_tactics)[np.newaxis], matrices[:-1]))
+    """The matrix each step moves away from: the root, then steps 1..H-1.
+
+    matrices may be one line (H, n, n) or a block (B, H, n, n)."""
+    root = np.broadcast_to(root_tactics, (*matrices.shape[:-3], 1, *matrices.shape[-2:]))
+    return np.concatenate((root, matrices[..., :-1, :, :]), axis=-3)
 
 
-def _line_weight(distances: np.ndarray, params: ModelParams) -> float:
+def _line_weights(distances: np.ndarray, params: ModelParams) -> float | np.ndarray:
+    """Weights of lines from their step distances (..., H)."""
     # A running discount, not delta**t: the weights keep their exact bits.
-    total = 0.0
+    total = np.zeros(distances.shape[:-1])
     discount = 1.0
-    for distance in distances.tolist():
+    for step in range(distances.shape[-1]):
         discount *= params.delta
-        total += discount * distance
+        total += discount * distances[..., step]
     return inertia_probability((1.0 - params.delta) * total, params.sigma)
 
 
-def folk_filter(lines: list[LineOfPlay], minimax: np.ndarray) -> list[LineOfPlay]:
-    """Keep the lines every agent strictly prefers to its guarantee.
+def folk_filter(block: LineBlock, minimax: np.ndarray) -> np.ndarray:
+    """Indices, in line order, of the lines every agent strictly prefers
+    to its guarantee.
 
     The comparison is strict per agent; a line that only matches the
     guarantee somewhere is discarded.
     """
     minimax = np.asarray(minimax, dtype=float)
-    return [line for line in lines if bool(np.all(line.intertemporal > minimax))]
+    return np.flatnonzero(np.all(block.intertemporal > minimax, axis=-1))
 
 
 def cluster_first_moves(
-    lines: list[LineOfPlay], root: State, params: ModelParams, cfg: SamplerConfig
+    first_moves: np.ndarray,
+    weights: np.ndarray,
+    root: State,
+    params: ModelParams,
+    cfg: SamplerConfig,
 ) -> tuple[Frame, ...]:
     """Group lines by the grid cell of their first move and share out weight.
 
-    Cluster identity is exact integer equality of grid keys. The emitted
-    frame carries the renormalized grid matrix as representative and the
-    sizes that matrix produces from the root, so each frame is itself a
-    valid state. Frames come out sorted by probability, ties keeping
-    first-seen order.
+    first_moves (L, n, n) and weights (L,) hold one line each, in line
+    order. Cluster identity is exact integer equality of grid keys, and a
+    cluster's weight is summed in line order. The emitted frame carries
+    the renormalized grid matrix as representative and the sizes that
+    matrix produces from the root, so each frame is itself a valid state.
+    Frames come out sorted by probability, ties keeping first-seen order.
     """
-    order: list[bytes] = []
-    keys: dict[bytes, np.ndarray] = {}
-    supports: dict[bytes, int] = {}
-    weights: dict[bytes, float] = {}
-    for line in lines:
-        grid = round_to_grid(line.matrices[0], cfg.rounding)
-        token = grid.tobytes()
-        if token not in keys:
-            order.append(token)
-            keys[token] = grid
-            supports[token] = 0
-            weights[token] = 0.0
-        supports[token] += 1
-        weights[token] += line.weight
-    total = sum(weights[token] for token in order)
+    grids = round_to_grid(first_moves, cfg.rounding)
+    clusters: dict[bytes, int] = {}
+    first_lines: list[int] = []
+    supports: list[int] = []
+    sums: list[float] = []
+    for line, (grid, weight) in enumerate(zip(grids, np.asarray(weights).tolist())):
+        cluster = clusters.setdefault(grid.tobytes(), len(first_lines))
+        if cluster == len(first_lines):
+            first_lines.append(line)
+            supports.append(0)
+            sums.append(0.0)
+        supports[cluster] += 1
+        sums[cluster] += weight
+    total = sum(sums)
     if total <= 0.0:
         return ()
-    frames = []
-    for token in order:
-        tactics = matrix_from_grid(keys[token], cfg.rounding)
-        frames.append(
-            Frame(
-                key=keys[token],
-                tactics=tactics,
-                sizes=update_sizes(tactics, root.sizes, params),
-                probability=weights[token] / total,
-                support=supports[token],
-                weight=weights[token],
-            )
+    keys = grids[first_lines]
+    tactics = matrix_from_grid(keys, cfg.rounding)
+    sizes = update_sizes(tactics, root.sizes, params)
+    frames = [
+        Frame(
+            key=keys[cluster],
+            tactics=tactics[cluster],
+            sizes=sizes[cluster],
+            probability=sums[cluster] / total,
+            support=supports[cluster],
+            weight=sums[cluster],
         )
+        for cluster in range(len(keys))
+    ]
     frames.sort(key=lambda frame: -frame.probability)
     return tuple(frames)
 
@@ -230,24 +290,31 @@ def transition_distribution(
     """Run the full pipeline at a root state.
 
     Line k always draws from the substream keyed by k, so the result is
-    a pure function of (root, params, cfg, n_lines, horizon).
+    a pure function of (root, params, cfg, n_lines, horizon). Lines run
+    LINE_BLOCK at a time; the block size changes no output bit.
     """
     if n_lines < 1:
         raise ValueError(f"need at least one line (got {n_lines})")
     game = stage_game(
         root, params, cfg, k_candidates=k_candidates, max_profiles=max_profiles
     )
-    lines = [
-        generate_line(root, horizon, cfg, params, substream(cfg.rng_seed, LINE_STREAM, index))
-        for index in range(n_lines)
-    ]
-    retained = folk_filter(lines, game.minimax)
-    frames = cluster_first_moves(retained, root, params, cfg)
+    first_moves, weights = [], []
+    for start in range(0, n_lines, LINE_BLOCK):
+        rngs = [
+            substream(cfg.rng_seed, LINE_STREAM, index)
+            for index in range(start, min(start + LINE_BLOCK, n_lines))
+        ]
+        block = generate_lines(root, horizon, cfg, params, rngs)
+        kept = folk_filter(block, game.minimax)
+        first_moves.append(block.matrices[kept, 0])
+        weights.append(block.weights[kept])
+    weights = np.concatenate(weights)
+    frames = cluster_first_moves(np.concatenate(first_moves), weights, root, params, cfg)
     diagnostics = TransitionDiagnostics(
         lines_generated=n_lines,
-        lines_retained=len(retained),
+        lines_retained=len(weights),
         clusters=len(frames),
-        total_weight=float(sum(line.weight for line in retained)),
+        total_weight=float(sum(weights.tolist())),
         equilibria=len(game.equilibria),
         minimax=game.minimax,
         exhaustive_game=game.exhaustive,

@@ -9,6 +9,7 @@ depend on the order the units run in.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,8 @@ class SamplerConfig:
         efficiency under strong inertia; it never changes definitions.
     rng_seed: master seed all substreams derive from.
     rounding: cluster granularity; entries are rounded to multiples of
-        this, so 1/rounding must be an integer.
+        this, so 1/rounding must be an integer, at most 2**53 so that
+        every grid key is exact and fits an int64.
     """
 
     p_neg: float = 0.5
@@ -58,6 +60,11 @@ def _check_rounding(rounding: float) -> None:
     steps = 1.0 / rounding
     if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
         raise ValueError(f"1/rounding must be an integer (got rounding={rounding})")
+    # Up to 2**53 steps per unit, every key is an exact integer.
+    if steps > 2**53:
+        raise ValueError(
+            f"1/rounding must be at most 2**53, so grid keys stay exact (got rounding={rounding})"
+        )
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -93,13 +100,8 @@ def sample_tactic_vector(
         raise ValueError(f"need at least one agent (got n={n})")
     if not (0 <= self_index < n):
         raise ValueError(f"self_index {self_index} out of range for n={n}")
-    magnitudes = rng.exponential(1.0, n)
-    total = magnitudes.sum()
-    magnitudes = magnitudes / total if total > 0.0 else np.full(n, 1.0 / n)
-    signs = np.where(rng.random(n) < cfg.p_neg, -1.0, 1.0)
-    if not cfg.allow_negative_diagonal:
-        signs[self_index] = 1.0
-    return magnitudes * signs
+    exponentials = rng.exponential(1.0, n)
+    return _tactic_vectors(exponentials, rng.random(n), self_index, cfg)
 
 
 def sample_tactic_matrix(
@@ -118,26 +120,82 @@ def sample_tactic_matrix(
     proposals stay within reach of the inertia kernel.
     """
     previous = np.asarray(previous, dtype=float)
-    n = previous.shape[0]
-    if rng.random() < cfg.local_mix:
-        perturbed = previous + rng.normal(0.0, noise_sigma / n, size=(n, n))
+    return sample_tactic_matrices(previous[np.newaxis], cfg, [rng], noise_sigma)[0]
+
+
+def sample_tactic_matrices(
+    previous: np.ndarray,
+    cfg: SamplerConfig,
+    rngs: Sequence[np.random.Generator],
+    noise_sigma: float,
+) -> np.ndarray:
+    """Draw one next tactic matrix per member of a stack (B, n, n).
+
+    Member b draws from rngs[b] exactly what sample_tactic_matrix draws,
+    in the same order; the draws are only recorded member by member, and
+    the arithmetic on them then runs once on the whole stack, bit for bit
+    what each member gets alone.
+    """
+    previous = np.asarray(previous, dtype=float)
+    count, n = previous.shape[0], previous.shape[-1]
+    scale = noise_sigma / n
+    local = np.zeros(count, dtype=bool)
+    noise = np.empty((count, n, n))
+    # Global draws per member, one row per column of the matrix.
+    exponentials = np.empty((count, n, n))
+    uniforms = np.empty((count, n, n))
+    for member, rng in enumerate(rngs):
+        if rng.random() < cfg.local_mix:
+            local[member] = True
+            noise[member] = rng.normal(0.0, scale, size=(n, n))
+        else:
+            for column in range(n):
+                exponentials[member, column] = rng.exponential(1.0, n)
+                uniforms[member, column] = rng.random(n)
+    matrices = np.empty((count, n, n))
+    if local.any():
+        perturbed = previous[local] + noise[local]
         if not cfg.allow_negative_diagonal:
             idx = np.arange(n)
-            perturbed[idx, idx] = np.abs(perturbed[idx, idx])
-        return _renormalize_columns(perturbed)
-    columns = [sample_tactic_vector(n, j, cfg, rng) for j in range(n)]
-    return np.column_stack(columns)
+            perturbed[:, idx, idx] = np.abs(perturbed[:, idx, idx])
+        matrices[local] = _renormalize_columns(perturbed)
+    fresh = ~local
+    if fresh.any():
+        columns = _tactic_vectors(exponentials[fresh], uniforms[fresh], np.arange(n), cfg)
+        matrices[fresh] = columns.swapaxes(-1, -2)
+    return matrices
+
+
+def _tactic_vectors(
+    exponentials: np.ndarray,
+    uniforms: np.ndarray,
+    self_index: int | np.ndarray,
+    cfg: SamplerConfig,
+) -> np.ndarray:
+    """Tactic vectors (..., n) from their exponential and uniform draws;
+    self_index (broadcast against the leading axes) marks each vector's
+    own entry."""
+    n = exponentials.shape[-1]
+    total = exponentials.sum(axis=-1, keepdims=True)
+    positive = total > 0.0
+    magnitudes = np.where(positive, exponentials / np.where(positive, total, 1.0), 1.0 / n)
+    signs = np.where(uniforms < cfg.p_neg, -1.0, 1.0)
+    if not cfg.allow_negative_diagonal:
+        own = np.arange(n) == np.asarray(self_index)[..., np.newaxis]
+        signs = np.where(own, 1.0, signs)
+    return magnitudes * signs
 
 
 def _renormalize_columns(matrix: np.ndarray) -> np.ndarray:
     """Rescale each column to abs-sum 1; an all-zero column falls back to
-    pure self-allocation."""
+    pure self-allocation. A stack (..., n, n) is rescaled member by member."""
     matrix = np.asarray(matrix, dtype=float)
     # Each column is summed as a contiguous row, the order a lone column
-    # is summed in; an axis=0 sum adds row by row and differs from n = 8.
-    scale = np.ascontiguousarray(np.abs(matrix).T).sum(axis=-1)
+    # is summed in; an axis=-2 sum adds row by row and differs from n = 8.
+    scale = np.ascontiguousarray(np.abs(matrix).swapaxes(-1, -2)).sum(axis=-1)
+    scale = scale[..., np.newaxis, :]
     zero = scale == 0.0
-    return np.where(zero, np.eye(matrix.shape[1]), matrix / np.where(zero, 1.0, scale))
+    return np.where(zero, np.eye(matrix.shape[-1]), matrix / np.where(zero, 1.0, scale))
 
 
 def round_to_grid(tactics: np.ndarray, rounding: float) -> np.ndarray:

@@ -96,13 +96,14 @@ def intertemporal_utility(payoffs: np.ndarray, delta: float) -> np.ndarray:
     first row being one step ahead (the current state's payoff is never
     counted). The sum is a finite-horizon truncation; the omitted tail is
     bounded by delta**(H + 1) times the largest payoff, so a handful of
-    steps suffices for any delta well inside (0, 1).
+    steps suffices for any delta well inside (0, 1). A stack of sequences
+    (..., H, n) gives one vector per member.
     """
     payoffs = np.asarray(payoffs, dtype=float)
     if payoffs.ndim == 1:
         payoffs = payoffs[:, np.newaxis] if payoffs.size else payoffs.reshape(0, 1)
-    if payoffs.shape[0] == 0:
+    horizon = payoffs.shape[-2]
+    if horizon == 0:
         raise ValueError("payoff sequence must contain at least one step")
-    horizon = payoffs.shape[0]
     discounts = delta ** np.arange(1, horizon + 1)
     return (1.0 - delta) * (discounts @ payoffs)

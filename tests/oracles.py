@@ -2,11 +2,11 @@
 
 Everything here is written the slow, obvious way: plain Python loops and
 math-module scalars, so the engine has something genuinely separate to
-be compared against. The stage-game tabulation and the sampled stage
-game are the deliberate exceptions: they reuse the engine's payoff
-primitives on one matrix at a time (pinned down elsewhere by hand
-values) but do their own profile enumeration, equilibrium test, and
-max-min reduction.
+be compared against. The stage-game tabulation, the sampled stage game
+and the per-step line are the deliberate exceptions: they reuse the
+engine's primitives on one matrix at a time (pinned down elsewhere by
+hand values) but do their own profile enumeration, equilibrium test,
+max-min reduction, or tactic draws and step loop.
 """
 
 import itertools
@@ -15,7 +15,10 @@ import math
 import numpy as np
 
 from reelsim import (
+    LineOfPlay,
+    expected_utility,
     inertia_probability,
+    intertemporal_utility,
     positional_utility,
     profile_matrix,
     stage_payoffs,
@@ -255,3 +258,55 @@ def scalar_line_weight(root_tactics, matrices, params):
         total += discount * tactical_distance(tactics, previous)
         previous = tactics
     return inertia_probability((1.0 - params.delta) * total, params.sigma)
+
+
+def tactic_vector(n, self_index, cfg, rng):
+    """One tactic vector: the engine's earlier sample_tactic_vector, frozen."""
+    magnitudes = rng.exponential(1.0, n)
+    total = magnitudes.sum()
+    magnitudes = magnitudes / total if total > 0.0 else np.full(n, 1.0 / n)
+    signs = np.where(rng.random(n) < cfg.p_neg, -1.0, 1.0)
+    if not cfg.allow_negative_diagonal:
+        signs[self_index] = 1.0
+    return magnitudes * signs
+
+
+def tactic_matrix(previous, cfg, rng, noise_sigma):
+    """One next tactic matrix, drawn and built on its own: the engine's
+    earlier sample_tactic_matrix, frozen. Its draws and their order are
+    the engine's, so the two must agree exactly."""
+    previous = np.asarray(previous, dtype=float)
+    n = previous.shape[0]
+    if rng.random() < cfg.local_mix:
+        perturbed = previous + rng.normal(0.0, noise_sigma / n, size=(n, n))
+        if not cfg.allow_negative_diagonal:
+            idx = np.arange(n)
+            perturbed[idx, idx] = np.abs(perturbed[idx, idx])
+        return renormalize_columns(perturbed)
+    return np.column_stack([tactic_vector(n, j, cfg, rng) for j in range(n)])
+
+
+def per_step_line(root, horizon, cfg, params, rng):
+    """One line of play, drawn, rolled and scored one step at a time: the
+    engine's earlier generate_line, frozen, with one update_sizes,
+    positional_utility and expected_utility call per step."""
+    previous, current = root.tactics, root.sizes
+    matrices, sizes, payoffs = [], [], []
+    for _ in range(horizon):
+        tactics = tactic_matrix(previous, cfg, rng, params.sigma)
+        current = update_sizes(tactics, current, params)
+        utilities = positional_utility(current, params.alpha)
+        payoffs.append(expected_utility(utilities, tactics, previous, params.sigma))
+        matrices.append(tactics)
+        sizes.append(current)
+        previous = tactics
+    matrices = np.array(matrices)
+    payoffs = np.array(payoffs)
+    return LineOfPlay(
+        root_tactics=np.array(root.tactics),
+        matrices=matrices,
+        sizes=np.array(sizes),
+        payoffs=payoffs,
+        intertemporal=intertemporal_utility(payoffs, params.delta),
+        weight=scalar_line_weight(root.tactics, matrices, params),
+    )

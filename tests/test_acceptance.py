@@ -116,23 +116,26 @@ def test_criterion_05_folk_filter_soundness():
     params = rs.ModelParams()
     cfg = rs.SamplerConfig(rng_seed=500, rounding=0.25, local_mix=0.6)
     game = rs.stage_game(state, params, cfg, k_candidates=8)
-    lines = [
-        rs.generate_line(state, 3, cfg, params, rs.substream(cfg.rng_seed, rs.LINE_STREAM, index))
-        for index in range(10_000)
-    ]
+    lines = rs.generate_lines(
+        state,
+        3,
+        cfg,
+        params,
+        [rs.substream(cfg.rng_seed, rs.LINE_STREAM, index) for index in range(10_000)],
+    )
     retained = rs.folk_filter(lines, game.minimax)
-    kept = {id(line) for line in retained}
-    ok_kept = all(bool(np.all(line.intertemporal > game.minimax)) for line in retained)
+    kept = set(retained.tolist())
+    ok_kept = all(bool(np.all(lines.intertemporal[index] > game.minimax)) for index in kept)
     ok_dropped = all(
-        bool(np.any(line.intertemporal <= game.minimax))
-        for line in lines
-        if id(line) not in kept
+        bool(np.any(lines.intertemporal[index] <= game.minimax))
+        for index in range(len(lines))
+        if index not in kept
     )
     # the stored scores themselves must be re-derivable from the matrices
     worst = 0.0
-    for line in lines[:500]:
-        redone = oracles.intertemporal(line.payoffs.tolist(), params.delta)
-        worst = max(worst, float(np.max(np.abs(line.intertemporal - redone))))
+    for index in range(500):
+        redone = oracles.intertemporal(lines.payoffs[index].tolist(), params.delta)
+        worst = max(worst, float(np.max(np.abs(lines.intertemporal[index] - redone))))
     _report(
         5,
         "10,000 lines: retained iff strictly above the guarantee",

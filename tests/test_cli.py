@@ -63,6 +63,36 @@ def test_bad_numbers_exit_one_with_one_line(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("rounding", [1e-19, 1e-300])
+def test_rounding_too_fine_for_exact_keys_exits_one(
+    scenario_payload, write_scenario, tmp_path, capsys, rounding
+):
+    scenario_payload["sim"]["sampler"]["rounding"] = rounding
+    path = write_scenario(scenario_payload, "fine.json")
+    assert main(["--out-dir", str(tmp_path / "out"), "frame", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: sampler: 1/rounding must be at most 2**53, so grid keys stay exact "
+        f"(got rounding={rounding})\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["frame", "reels"])
+def test_float_overflow_at_run_time_exits_two(
+    scenario_payload, write_scenario, tmp_path, capsys, command
+):
+    # finite parameters whose sizes overflow a float once play starts
+    scenario_payload["params"]["beta"] = 1e308
+    scenario_payload["params"]["mu"] = 1.5e308
+    path = write_scenario(scenario_payload, "huge.json")
+    assert main(["--out-dir", str(tmp_path / "out"), command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: overflow encountered in ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_step_writes_trajectory(scenario_file, tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(["--out-dir", str(out_dir), "step", str(scenario_file), "--t", "1"]) == 0

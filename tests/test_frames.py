@@ -25,6 +25,24 @@ def make_line(root_tactics, matrices, weight, intertemporal=None):
     )
 
 
+def make_block(lines):
+    """Lines of one root stacked into a block, in list order."""
+    return rs.LineBlock(
+        root_tactics=lines[0].root_tactics,
+        matrices=np.stack([line.matrices for line in lines]),
+        sizes=np.stack([line.sizes for line in lines]),
+        payoffs=np.stack([line.payoffs for line in lines]),
+        intertemporal=np.stack([line.intertemporal for line in lines]),
+        weights=np.array([line.weight for line in lines]),
+    )
+
+
+def cluster(lines, root, params, cfg):
+    """cluster_first_moves on the first moves and weights of a block."""
+    block = make_block(lines)
+    return rs.cluster_first_moves(block.matrices[:, 0], block.weights, root, params, cfg)
+
+
 # ------------------------------------------------------------------- lines
 
 
@@ -148,16 +166,16 @@ def test_folk_filter_strictness(three_agent_tactics):
     below = make_line(three_agent_tactics, [three_agent_tactics], 1.0, [0.2, 0.1, 0.4])
     boundary = make_line(three_agent_tactics, [three_agent_tactics], 1.0, [0.2, 0.2, 0.4])
     minimax = np.array([0.1, 0.2, 0.3])
-    kept = rs.folk_filter([above, below, boundary], minimax)
+    kept = rs.folk_filter(make_block([above, below, boundary]), minimax)
     # one agent merely matching its guarantee already disqualifies a line
-    assert kept == [above]
+    assert kept.tolist() == [0]
 
 
 def test_folk_filter_zero_guarantee_keeps_positive_lines(three_agent_tactics):
     positive = make_line(three_agent_tactics, [three_agent_tactics], 1.0, [0.1, 0.2, 0.3])
     zero = make_line(three_agent_tactics, [three_agent_tactics], 1.0, [0.1, 0.0, 0.3])
-    kept = rs.folk_filter([positive, zero], np.zeros(3))
-    assert kept == [positive]
+    kept = rs.folk_filter(make_block([positive, zero]), np.zeros(3))
+    assert kept.tolist() == [0]
 
 
 # --------------------------------------------------------------- clustering
@@ -172,7 +190,7 @@ def test_cluster_shares_weight_by_grid_cell(three_agent_state, params):
         make_line(three_agent_state.tactics, [a], 0.3),
         make_line(three_agent_state.tactics, [b], 0.2),
     ]
-    frames = rs.cluster_first_moves(lines, three_agent_state, params, cfg)
+    frames = cluster(lines, three_agent_state, params, cfg)
     assert len(frames) == 2
     assert [frame.probability for frame in frames] == [0.8, 0.2]
     assert [frame.support for frame in frames] == [2, 1]
@@ -183,7 +201,7 @@ def test_cluster_representative_is_valid_state(three_agent_state, params):
     cfg = rs.SamplerConfig(rounding=0.25)
     first = rs.round_tactic_matrix(three_agent_state.tactics, 0.25)
     lines = [make_line(three_agent_state.tactics, [first], 1.0)]
-    frames = rs.cluster_first_moves(lines, three_agent_state, params, cfg)
+    frames = cluster(lines, three_agent_state, params, cfg)
     frame = frames[0]
     rs.validate_tactic_matrix(frame.tactics)
     assert np.array_equal(frame.key, rs.round_to_grid(first, 0.25))
@@ -196,7 +214,7 @@ def test_cluster_representative_is_valid_state(three_agent_state, params):
 def test_cluster_zero_weight_lines_produce_nothing(three_agent_state, params):
     cfg = rs.SamplerConfig(rounding=0.25)
     lines = [make_line(three_agent_state.tactics, [np.eye(3)], 0.0)]
-    assert rs.cluster_first_moves(lines, three_agent_state, params, cfg) == ()
+    assert cluster(lines, three_agent_state, params, cfg) == ()
 
 
 def test_cluster_matches_slow_reference(three_agent_state, params):
@@ -205,7 +223,7 @@ def test_cluster_matches_slow_reference(three_agent_state, params):
     lines = [
         rs.generate_line(three_agent_state, 2, cfg, params, rng) for _ in range(60)
     ]
-    frames = rs.cluster_first_moves(lines, three_agent_state, params, cfg)
+    frames = cluster(lines, three_agent_state, params, cfg)
     slow = oracles.cluster(
         [line.matrices[0].tolist() for line in lines],
         [line.weight for line in lines],
@@ -230,7 +248,7 @@ def test_cluster_sorts_by_probability(three_agent_state, params):
         make_line(three_agent_state.tactics, [m], w)
         for m, w in [(a, 0.1), (b, 0.5), (c, 0.4)]
     ]
-    frames = rs.cluster_first_moves(lines, three_agent_state, params, cfg)
+    frames = cluster(lines, three_agent_state, params, cfg)
     assert [frame.probability for frame in frames] == [0.5, 0.4, 0.1]
 
 

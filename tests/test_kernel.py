@@ -52,6 +52,35 @@ def test_stacked_payoffs_equal_per_matrix_calls(problem):
     assert np.array_equal(stacked, one_by_one)
 
 
+@st.composite
+def update_problems(draw):
+    """A stack of tactic matrices with one size vector per member, some
+    agents dead; the stack is sometimes as long as a side (B == n)."""
+    n = draw(st.integers(1, 10))
+    count = draw(st.one_of(st.just(n), st.integers(1, 12)))
+    entries = st.floats(-1.0, 1.0, allow_nan=False)
+    tactics = draw(hnp.arrays(float, (count, n, n), elements=entries))
+    tactics /= np.maximum(np.abs(tactics).sum(axis=1, keepdims=True), 1e-12)
+    sizes = draw(hnp.arrays(float, (count, n), elements=st.floats(0.0, 1.0)))
+    sizes[draw(hnp.arrays(bool, (count, n)))] = 0.0
+    params = rs.ModelParams(
+        beta=draw(st.floats(1.01, 2.0)), mu=draw(st.sampled_from([2.5, 3.0, 8.0]))
+    )
+    return tactics, sizes, params
+
+
+@settings(max_examples=300, deadline=None)
+@given(update_problems())
+def test_stacked_update_equals_per_member_calls(problem):
+    tactics, sizes, params = problem
+    stacked = rs.update_sizes(tactics, sizes[..., np.newaxis], params)[..., 0]
+    assert stacked.shape == sizes.shape
+    for member, member_sizes, updated in zip(tactics, sizes, stacked):
+        assert np.array_equal(updated, rs.update_sizes(member, member_sizes, params))
+        expected = oracles.update(member.tolist(), member_sizes.tolist(), params.beta, params.mu)
+        assert np.max(np.abs(updated - expected)) <= 1e-12
+
+
 def test_all_dead_stack_scores_zero(params):
     tactics = np.stack([np.eye(3), np.full((3, 3), 1.0 / 3.0)])
     payoffs = rs.stage_payoffs(tactics, np.eye(3), np.zeros(3), params)

@@ -25,6 +25,9 @@ def cfg():
         ({"rounding": 0.0}, r"rounding must lie in \(0, 1\]"),
         ({"rounding": 1.5}, r"rounding must lie in \(0, 1\]"),
         ({"rounding": 0.3}, "1/rounding must be an integer"),
+        ({"rounding": 1e-19}, r"1/rounding must be at most 2\*\*53"),
+        ({"rounding": 1e-300}, r"1/rounding must be at most 2\*\*53"),
+        ({"rounding": float(np.nextafter(2.0**-53, 0.0))}, r"1/rounding must be at most 2\*\*53"),
     ],
 )
 def test_config_rejects_bad_values(kwargs, message):
@@ -35,6 +38,16 @@ def test_config_rejects_bad_values(kwargs, message):
 def test_config_accepts_common_grids():
     for rounding in (1.0, 0.5, 0.25, 0.2, 0.1, 0.05):
         rs.SamplerConfig(rounding=rounding)
+
+
+def test_finest_accepted_grid_keys_are_exact():
+    # 2**-53 is the smallest rounding accepted: 2**53 steps per unit
+    rounding = 2.0**-53
+    rs.SamplerConfig(rounding=rounding)
+    tactics = np.array([[1.0, -0.25], [0.0, 0.75]])
+    grid = rs.round_to_grid(tactics, rounding)
+    assert grid.tolist() == [[2**53, -(2**51)], [0, 3 * 2**51]]
+    assert np.array_equal(rs.matrix_from_grid(grid, rounding), tactics)
 
 
 # ---------------------------------------------------------------- substreams

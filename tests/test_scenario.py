@@ -146,6 +146,19 @@ def test_rounding_too_fine_for_a_float_is_rejected(scenario_payload):
         parse(scenario_payload)
 
 
+@pytest.mark.parametrize("rounding", [1e-19, 1e-300])
+def test_rounding_too_fine_for_exact_keys_is_rejected(scenario_payload, rounding):
+    # 1/rounding is a finite integer, but past 2**53 grid keys lose exactness
+    scenario_payload["sim"]["sampler"]["rounding"] = rounding
+    with pytest.raises(rs.ScenarioError, match=r"sampler: 1/rounding must be at most 2\*\*53"):
+        parse(scenario_payload)
+
+
+def test_finest_exact_rounding_is_accepted(scenario_payload):
+    scenario_payload["sim"]["sampler"]["rounding"] = 2.0**-53
+    assert parse(scenario_payload).sampler.rounding == 2.0**-53
+
+
 def test_booleans_are_not_numbers(scenario_payload):
     scenario_payload["sizes"] = [0.3, True, 0.6]
     with pytest.raises(rs.ScenarioError, match="sizes must be a nonempty list of numbers"):
