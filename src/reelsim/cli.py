@@ -38,6 +38,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error("--threads must be at least 1")
+    if args.seed is not None and args.seed < 0:
+        parser.error("--seed must be nonnegative")
     try:
         scenario = _load_scenario(args.file)
     except ScenarioError as err:

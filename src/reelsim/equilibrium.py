@@ -11,8 +11,8 @@ no equilibrium at all, the security level (best worst case) stands in.
 The profile space is enumerated exhaustively while it fits a budget and
 Monte Carlo subsampled beyond it. A subsampled sweep checks each drawn
 profile exactly (full deviation scan per agent) but can miss equilibria
-that were never drawn. One solver does both; stage_game,
-stage_nash_equilibria and minimax_vector all go through it.
+that were never drawn. One solver, solve_stage_game, does both;
+stage_game draws the candidate pools and calls it.
 
 Every payoff comes from one batched kernel, stage_payoffs, built from the
 stack-aware update and utility primitives that line generation also
@@ -99,43 +99,6 @@ def stage_payoffs(
     return expected_utility(utilities, tactics, previous, params.sigma)
 
 
-def stage_nash_equilibria(
-    candidates: tuple[np.ndarray, ...],
-    previous: np.ndarray,
-    sizes: np.ndarray,
-    params: ModelParams,
-    *,
-    max_profiles: int = DEFAULT_MAX_PROFILES,
-    rng: np.random.Generator | None = None,
-) -> list[np.ndarray]:
-    """All profiles where every agent's column attains its axis maximum.
-
-    Exhaustive within max_profiles total profiles; beyond that a random
-    subset is screened (rng defaults to a fixed stream) and the result may
-    be incomplete. The returned list can legitimately be empty.
-    """
-    return _solve(candidates, previous, sizes, params, max_profiles, rng)[0]
-
-
-def minimax_vector(
-    equilibria: list[np.ndarray],
-    candidates: tuple[np.ndarray, ...],
-    previous: np.ndarray,
-    sizes: np.ndarray,
-    params: ModelParams,
-    *,
-    max_profiles: int = DEFAULT_MAX_PROFILES,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Per-agent guarantee: worst equilibrium payoff, or security level.
-
-    With equilibria present, element i is the minimum over them of agent
-    i's payoff. With none, element i is agent i's security level: its best
-    candidate under the worst combination of the others' candidates.
-    """
-    return _solve(candidates, previous, sizes, params, max_profiles, rng, list(equilibria))[1]
-
-
 def stage_game(
     state: State,
     params: ModelParams,
@@ -153,19 +116,49 @@ def stage_game(
     candidates = sample_candidates(
         state.n, k_candidates, cfg, substream(cfg.rng_seed, CANDIDATE_STREAM)
     )
-    equilibria, minimax, exhaustive = _solve(
-        candidates,
-        state.tactics,
-        state.sizes,
-        params,
-        max_profiles,
-        substream(cfg.rng_seed, PROFILE_STREAM),
+    rng = substream(cfg.rng_seed, PROFILE_STREAM)
+    return solve_stage_game(
+        candidates, state.tactics, state.sizes, params, max_profiles=max_profiles, rng=rng
     )
+
+
+def solve_stage_game(
+    candidates: tuple[np.ndarray, ...],
+    previous: np.ndarray,
+    sizes: np.ndarray,
+    params: ModelParams,
+    *,
+    max_profiles: int = DEFAULT_MAX_PROFILES,
+    rng: np.random.Generator,
+) -> StageGame:
+    """Solve the stage game on given candidate pools.
+
+    Equilibria are the profiles where every agent's column attains its
+    axis maximum, found exhaustively while the profile space fits
+    max_profiles, else by screening rng-drawn profiles, which can miss
+    some. The guarantee is each agent's worst equilibrium payoff or, with
+    none found, its security level: its best candidate under the worst
+    combination of the others' candidates.
+    """
+    candidates = tuple(np.asarray(pool, dtype=float) for pool in candidates)
+    previous = np.asarray(previous, dtype=float)
+    sizes = np.asarray(sizes, dtype=float)
+    game = (candidates, previous, sizes, params)
+    exhaustive = math.prod(len(pool) for pool in candidates) <= max_profiles
+    if exhaustive:
+        tensor = payoff_tensor(*game)
+        profiles = _equilibrium_profiles(tensor)
+    else:
+        profiles = _sampled_equilibrium_profiles(*game, max_profiles, rng)
+    equilibria = tuple(profile_matrix(candidates, profile) for profile in profiles)
+    if equilibria:
+        minimax = stage_payoffs(np.array(equilibria), previous, sizes, params).min(axis=0)
+    elif exhaustive:
+        minimax = _security_from_tensor(tensor)
+    else:
+        minimax = _sampled_security_levels(*game, max_profiles, rng)
     return StageGame(
-        candidates=candidates,
-        equilibria=tuple(equilibria),
-        minimax=minimax,
-        exhaustive=exhaustive,
+        candidates=candidates, equilibria=equilibria, minimax=minimax, exhaustive=exhaustive
     )
 
 
@@ -179,39 +172,6 @@ def payoff_tensor(
     ks = tuple(len(pool) for pool in candidates)
     flat = np.arange(math.prod(ks))
     return _score(candidates, flat, previous, sizes, params).reshape(ks + (len(ks),))
-
-
-def _solve(candidates, previous, sizes, params, max_profiles, rng, equilibria=None):
-    """The stage-game solver: (equilibria, guarantee, exhaustive).
-
-    The scan is exhaustive when the profile space fits max_profiles, else
-    a screen of rng-drawn profiles (rng defaults to a fixed stream). Given
-    equilibria, the scan is skipped and the guarantee taken over them.
-    """
-    candidates = tuple(np.asarray(pool, dtype=float) for pool in candidates)
-    previous = np.asarray(previous, dtype=float)
-    sizes = np.asarray(sizes, dtype=float)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    exhaustive = math.prod(len(pool) for pool in candidates) <= max_profiles
-    tensor = None
-    if exhaustive and not equilibria:
-        tensor = payoff_tensor(candidates, previous, sizes, params)
-    game = (candidates, previous, sizes, params)
-    if equilibria is None:
-        if exhaustive:
-            profiles = _equilibrium_profiles(tensor)
-        else:
-            profiles = _sampled_equilibrium_profiles(*game, max_profiles, rng)
-        equilibria = [profile_matrix(candidates, profile) for profile in profiles]
-    if equilibria:
-        minimax = stage_payoffs(np.array(equilibria, dtype=float), previous, sizes, params)
-        minimax = minimax.min(axis=0)
-    elif exhaustive:
-        minimax = _security_from_tensor(tensor)
-    else:
-        minimax = _sampled_security_levels(*game, max_profiles, rng)
-    return equilibria, minimax, exhaustive
 
 
 def _score(candidates, flat, previous, sizes, params) -> np.ndarray:

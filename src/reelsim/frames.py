@@ -39,26 +39,6 @@ LINE_BLOCK = 256
 
 
 @dataclass(frozen=True)
-class LineOfPlay:
-    """One simulated future and its scores.
-
-    matrices[t] is the tactic matrix played at step t+1, sizes[t] the
-    power vector it produces, payoffs[t] the per-agent expected utility
-    of that step (positional utility discounted by the inertia kernel
-    between consecutive matrices, the root matrix anchoring step one).
-    intertemporal aggregates payoffs with the discount factor; weight is
-    the inertia score of the line's total discounted movement.
-    """
-
-    root_tactics: np.ndarray
-    matrices: np.ndarray
-    sizes: np.ndarray
-    payoffs: np.ndarray
-    intertemporal: np.ndarray
-    weight: float
-
-
-@dataclass(frozen=True)
 class Frame:
     """One clustered next move.
 
@@ -111,11 +91,15 @@ class FrameDistribution:
 
 @dataclass(frozen=True)
 class LineBlock:
-    """Lines of play stacked along a leading axis, one member per line.
+    """Lines of play from one root, stacked along a leading axis.
 
-    The fields are LineOfPlay's with that axis in front: matrices
-    (B, H, n, n), sizes and payoffs (B, H, n), intertemporal (B, n) and
-    weights (B,); root_tactics is the one root they all start from.
+    matrices[b, t] (B, H, n, n) is line b's tactic matrix at step t+1,
+    sizes[b, t] (B, H, n) the power vector it produces, payoffs[b, t]
+    (B, H, n) the per-agent expected utility of that step (positional
+    utility discounted by the inertia kernel between consecutive
+    matrices, root_tactics anchoring step one). intertemporal (B, n)
+    aggregates the payoffs with the discount factor; weights (B,) are
+    the lines' line_weights.
     """
 
     root_tactics: np.ndarray
@@ -127,17 +111,6 @@ class LineBlock:
 
     def __len__(self) -> int:
         return self.weights.shape[0]
-
-    def line(self, index: int) -> LineOfPlay:
-        """One member as a line of its own."""
-        return LineOfPlay(
-            root_tactics=self.root_tactics,
-            matrices=self.matrices[index],
-            sizes=self.sizes[index],
-            payoffs=self.payoffs[index],
-            intertemporal=self.intertemporal[index],
-            weight=float(self.weights[index]),
-        )
 
 
 def generate_lines(
@@ -176,7 +149,7 @@ def generate_lines(
         sizes=sizes,
         payoffs=payoffs,
         intertemporal=intertemporal_utility(payoffs, params.delta),
-        weights=_line_weights(tactical_distance(matrices, previous), params),
+        weights=line_weights(root.tactics, matrices, params),
     )
 
 
@@ -186,15 +159,10 @@ def generate_line(
     cfg: SamplerConfig,
     params: ModelParams,
     rng: np.random.Generator,
-) -> LineOfPlay:
-    """Sample one line of play of `horizon` steps starting at the root."""
-    return generate_lines(root, horizon, cfg, params, [rng]).line(0)
-
-
-def frame_weight(line: LineOfPlay, params: ModelParams) -> float:
-    """Inertia score of a whole line: q of its discounted total movement."""
-    previous = _previous_matrices(line.root_tactics, line.matrices)
-    return float(_line_weights(tactical_distance(line.matrices, previous), params))
+) -> LineBlock:
+    """Sample one line of play of `horizon` steps starting at the root, as
+    a one-member block (the n-sweep in bench/sweep.py times it)."""
+    return generate_lines(root, horizon, cfg, params, [rng])
 
 
 def _previous_matrices(root_tactics: np.ndarray, matrices: np.ndarray) -> np.ndarray:
@@ -205,8 +173,15 @@ def _previous_matrices(root_tactics: np.ndarray, matrices: np.ndarray) -> np.nda
     return np.concatenate((root, matrices[..., :-1, :, :]), axis=-3)
 
 
-def _line_weights(distances: np.ndarray, params: ModelParams) -> float | np.ndarray:
-    """Weights of lines from their step distances (..., H)."""
+def line_weights(
+    root_tactics: np.ndarray, matrices: np.ndarray, params: ModelParams
+) -> np.ndarray:
+    """Inertia score of each line: q of its discounted total movement.
+
+    matrices is one line (H, n, n), giving a 0-d array, or a block
+    (B, H, n, n), giving (B,); step one moves away from root_tactics.
+    """
+    distances = tactical_distance(matrices, _previous_matrices(root_tactics, matrices))
     # A running discount, not delta**t: the weights keep their exact bits.
     total = np.zeros(distances.shape[:-1])
     discount = 1.0

@@ -104,37 +104,22 @@ def sample_tactic_vector(
     return _tactic_vectors(exponentials, rng.random(n), self_index, cfg)
 
 
-def sample_tactic_matrix(
-    previous: np.ndarray,
-    cfg: SamplerConfig,
-    rng: np.random.Generator,
-    noise_sigma: float,
-) -> np.ndarray:
-    """Draw the next tactic matrix, mixing global and local proposals.
-
-    With probability (1 - local_mix) every column is a fresh global draw,
-    independent of ``previous``. Otherwise the previous matrix is
-    perturbed with additive Gaussian noise of scale noise_sigma / n per
-    entry and each column is renormalized by its abs-sum. Callers
-    typically pass the model's inertia coefficient as noise_sigma so local
-    proposals stay within reach of the inertia kernel.
-    """
-    previous = np.asarray(previous, dtype=float)
-    return sample_tactic_matrices(previous[np.newaxis], cfg, [rng], noise_sigma)[0]
-
-
 def sample_tactic_matrices(
     previous: np.ndarray,
     cfg: SamplerConfig,
     rngs: Sequence[np.random.Generator],
     noise_sigma: float,
 ) -> np.ndarray:
-    """Draw one next tactic matrix per member of a stack (B, n, n).
+    """Draw the next tactic matrix for each member of a stack (B, n, n).
 
-    Member b draws from rngs[b] exactly what sample_tactic_matrix draws,
-    in the same order; the draws are only recorded member by member, and
-    the arithmetic on them then runs once on the whole stack, bit for bit
-    what each member gets alone.
+    Member b draws from rngs[b] alone. With probability (1 - local_mix)
+    every column is a fresh global draw, independent of previous[b];
+    otherwise previous[b] is perturbed with additive Gaussian noise of
+    scale noise_sigma / n per entry (callers pass the model's inertia
+    coefficient, so local proposals stay within reach of the inertia
+    kernel) and each column is renormalized by its abs-sum. The draws
+    are recorded member by member; the arithmetic on them runs once on
+    the whole stack, bit for bit what each member gets alone.
     """
     previous = np.asarray(previous, dtype=float)
     count, n = previous.shape[0], previous.shape[-1]

@@ -138,6 +138,11 @@ def parse_scenario(text: str | bytes) -> Scenario:
         raise ScenarioError("agents must be a nonempty list of names")
     if not all(isinstance(name, str) and name for name in agents):
         raise ScenarioError("agents must be a nonempty list of names")
+    seen = set()
+    for name in agents:
+        if name in seen:
+            raise ScenarioError(f"agents: duplicate name {json.dumps(name)}")
+        seen.add(name)
     n = len(agents)
 
     sizes = _number_list(raw.get("sizes"), "sizes")

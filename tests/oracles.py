@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from reelsim import (
-    LineOfPlay,
+    LineBlock,
     expected_utility,
     inertia_probability,
     intertemporal_utility,
@@ -289,7 +289,8 @@ def tactic_matrix(previous, cfg, rng, noise_sigma):
 def per_step_line(root, horizon, cfg, params, rng):
     """One line of play, drawn, rolled and scored one step at a time: the
     engine's earlier generate_line, frozen, with one update_sizes,
-    positional_utility and expected_utility call per step."""
+    positional_utility and expected_utility call per step. It comes back
+    as a one-member block."""
     previous, current = root.tactics, root.sizes
     matrices, sizes, payoffs = [], [], []
     for _ in range(horizon):
@@ -302,11 +303,11 @@ def per_step_line(root, horizon, cfg, params, rng):
         previous = tactics
     matrices = np.array(matrices)
     payoffs = np.array(payoffs)
-    return LineOfPlay(
+    return LineBlock(
         root_tactics=np.array(root.tactics),
-        matrices=matrices,
-        sizes=np.array(sizes),
-        payoffs=payoffs,
-        intertemporal=intertemporal_utility(payoffs, params.delta),
-        weight=scalar_line_weight(root.tactics, matrices, params),
+        matrices=matrices[np.newaxis],
+        sizes=np.array(sizes)[np.newaxis],
+        payoffs=payoffs[np.newaxis],
+        intertemporal=intertemporal_utility(payoffs, params.delta)[np.newaxis],
+        weights=np.array([scalar_line_weight(root.tactics, matrices, params)]),
     )

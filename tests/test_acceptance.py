@@ -166,8 +166,10 @@ def test_criterion_06_stage_game_matches_brute_force():
     previous = np.array([[0.75, 0.25], [-0.25, 0.75]])
     sizes = np.array([1.0, 0.6])
     params = rs.ModelParams(sigma=0.8)
-    fast = rs.stage_nash_equilibria(candidates, previous, sizes, params)
-    fast_minimax = rs.minimax_vector(fast, candidates, previous, sizes, params)
+    game = rs.solve_stage_game(
+        candidates, previous, sizes, params, rng=np.random.default_rng(0)
+    )
+    fast, fast_minimax = game.equilibria, game.minimax
     _, slow_profiles, slow_minimax = oracles.stage_tabulation(
         [pool.tolist() for pool in candidates], previous, sizes, params
     )
@@ -181,7 +183,7 @@ def test_criterion_06_stage_game_matches_brute_force():
     _report(
         6,
         "exhaustive 0.25-grid stage game matches brute force exactly",
-        ok_matrices and ok_minimax and elapsed < 60.0,
+        game.exhaustive and ok_matrices and ok_minimax and elapsed < 60.0,
         f"{len(fast)} equilibria, minimax {np.round(fast_minimax, 6).tolist()}, {elapsed:.1f}s",
     )
 

@@ -35,6 +35,13 @@ def test_validate_malformed_json(tmp_path, capsys):
     assert "malformed scenario file" in capsys.readouterr().err
 
 
+def test_validate_duplicate_agent_names(scenario_payload, write_scenario, capsys):
+    scenario_payload["agents"] = ["a", "a", "b"]
+    path = write_scenario(scenario_payload, "duplicate.json")
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == 'error: agents: duplicate name "a"\n'
+
+
 def test_validate_bad_params(scenario_payload, write_scenario, capsys):
     scenario_payload["params"]["beta"] = 0.9
     path = write_scenario(scenario_payload, "bad.json")
@@ -189,6 +196,15 @@ def test_threads_flag_is_validated(scenario_file):
     with pytest.raises(SystemExit) as excinfo:
         main(["--threads", "0", "frame", str(scenario_file)])
     assert excinfo.value.code == 2
+
+
+def test_negative_seed_is_usage_error(scenario_file, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--seed", "-1", "validate", str(scenario_file)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed must be nonnegative" in err
+    assert "Traceback" not in err
 
 
 def test_threaded_run_matches_serial(scenario_file, tmp_path):

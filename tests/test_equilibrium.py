@@ -13,6 +13,16 @@ def pools(n, k, seed, p_neg=0.5):
     return rs.sample_candidates(n, k, cfg, rng)
 
 
+def exhaustive(candidates, previous, sizes, params):
+    """solve_stage_game on a profile space that fits the budget, so the
+    profile stream is never drawn from."""
+    game = rs.solve_stage_game(
+        candidates, previous, sizes, params, rng=np.random.default_rng(0)
+    )
+    assert game.exhaustive
+    return game
+
+
 def as_profiles(matrices, candidates):
     """Recover profile tuples from equilibrium matrices for set comparison."""
     out = []
@@ -71,12 +81,11 @@ def attack_game():
 
 def test_attack_game_equilibria_pinned():
     candidates, previous, sizes, params = attack_game()
-    equilibria = rs.stage_nash_equilibria(candidates, previous, sizes, params)
-    profiles = as_profiles(equilibria, candidates)
+    game = exhaustive(candidates, previous, sizes, params)
+    profiles = as_profiles(game.equilibria, candidates)
     # mutual peace is not stable, every war configuration is
     assert profiles == [(0, 1), (1, 0), (1, 1)]
-    minimax = rs.minimax_vector(equilibria, candidates, previous, sizes, params)
-    assert minimax.tolist() == [0.0, 0.0]
+    assert game.minimax.tolist() == [0.0, 0.0]
 
 
 def test_equilibria_match_brute_force_tabulation(params):
@@ -87,13 +96,12 @@ def test_equilibria_match_brute_force_tabulation(params):
         candidates = pools(n, k, seed=seed)
         previous = rs.profile_matrix(candidates, tuple(0 for _ in range(n)))
         sizes = rng.uniform(0.1, 1.0, n)
-        fast = rs.stage_nash_equilibria(candidates, previous, sizes, params)
+        fast = exhaustive(candidates, previous, sizes, params)
         _, slow_profiles, slow_minimax = oracles.stage_tabulation(
             [pool.tolist() for pool in candidates], previous, sizes, params
         )
-        assert as_profiles(fast, candidates) == slow_profiles
-        minimax = rs.minimax_vector(fast, candidates, previous, sizes, params)
-        assert minimax.tolist() == slow_minimax
+        assert as_profiles(fast.equilibria, candidates) == slow_profiles
+        assert fast.minimax.tolist() == slow_minimax
 
 
 def test_equilibria_are_valid_matrices(params, three_agent_state):
@@ -106,19 +114,20 @@ def test_equilibria_are_valid_matrices(params, three_agent_state):
 
 def test_single_agent_game_is_trivial(params):
     candidates = (np.ones((3, 1)),)
-    equilibria = rs.stage_nash_equilibria(candidates, np.eye(1), np.array([0.8]), params)
-    assert len(equilibria) == 3
-    minimax = rs.minimax_vector(equilibria, candidates, np.eye(1), np.array([0.8]), params)
-    assert minimax[0] == pytest.approx(0.8**0.5, rel=1e-12)
+    game = exhaustive(candidates, np.eye(1), np.array([0.8]), params)
+    assert len(game.equilibria) == 3
+    assert game.minimax[0] == pytest.approx(0.8**0.5, rel=1e-12)
 
 
 def test_security_fallback_matches_tabulation(params):
-    # passing no equilibria forces the max-min fallback
-    candidates = pools(2, 3, seed=77)
-    previous = np.eye(2)
-    sizes = np.array([0.5, 1.0])
-    security = rs.minimax_vector([], candidates, previous, sizes, params)
-    payoffs, _, _ = oracles.stage_tabulation(
+    # a game without a pure equilibrium falls back to the max-min value
+    candidates = pools(2, 3, seed=102)
+    previous = rs.profile_matrix(candidates, (0, 0))
+    sizes = np.array([1.0, 0.5])
+    game = exhaustive(candidates, previous, sizes, params)
+    assert game.equilibria == ()
+    security = game.minimax
+    payoffs, slow_profiles, _ = oracles.stage_tabulation(
         [pool.tolist() for pool in candidates], previous, sizes, params
     )
     for agent in range(2):
@@ -130,6 +139,7 @@ def test_security_fallback_matches_tabulation(params):
             for own in range(3)
         )
         assert security[agent] == best
+    assert slow_profiles == []
 
 
 # ----------------------------------------------------------------- sampling
@@ -139,16 +149,12 @@ def test_subsampled_scan_finds_only_true_equilibria(params):
     candidates = pools(3, 6, seed=9)
     previous = rs.profile_matrix(candidates, (0, 0, 0))
     sizes = np.array([0.4, 1.0, 0.7])
-    full = as_profiles(
-        rs.stage_nash_equilibria(candidates, previous, sizes, params), candidates
+    full = as_profiles(exhaustive(candidates, previous, sizes, params).equilibria, candidates)
+    sampled = rs.solve_stage_game(
+        candidates, previous, sizes, params, max_profiles=100, rng=np.random.default_rng(5)
     )
-    sampled = as_profiles(
-        rs.stage_nash_equilibria(
-            candidates, previous, sizes, params,
-            max_profiles=100, rng=np.random.default_rng(5),
-        ),
-        candidates,
-    )
+    assert not sampled.exhaustive
+    sampled = as_profiles(sampled.equilibria, candidates)
     assert set(sampled) <= set(full)
 
 
@@ -157,10 +163,9 @@ def test_subsampled_scan_is_deterministic(params):
     previous = rs.profile_matrix(candidates, (0, 0, 0))
     sizes = np.array([0.4, 1.0, 0.7])
     runs = [
-        rs.stage_nash_equilibria(
-            candidates, previous, sizes, params,
-            max_profiles=100, rng=np.random.default_rng(5),
-        )
+        rs.solve_stage_game(
+            candidates, previous, sizes, params, max_profiles=100, rng=np.random.default_rng(5)
+        ).equilibria
         for _ in range(2)
     ]
     assert len(runs[0]) == len(runs[1])

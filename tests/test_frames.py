@@ -10,31 +10,36 @@ import reelsim as rs
 
 
 def make_line(root_tactics, matrices, weight, intertemporal=None):
-    """Hand-built line; scoring fields default to zeros."""
+    """Hand-built one-member block; scoring fields default to zeros."""
     matrices = np.asarray(matrices, dtype=float)
     horizon, n, _ = matrices.shape
     if intertemporal is None:
         intertemporal = np.zeros(n)
-    return rs.LineOfPlay(
+    return rs.LineBlock(
         root_tactics=np.asarray(root_tactics, dtype=float),
-        matrices=matrices,
-        sizes=np.zeros((horizon, n)),
-        payoffs=np.zeros((horizon, n)),
-        intertemporal=np.asarray(intertemporal, dtype=float),
-        weight=weight,
+        matrices=matrices[np.newaxis],
+        sizes=np.zeros((1, horizon, n)),
+        payoffs=np.zeros((1, horizon, n)),
+        intertemporal=np.asarray(intertemporal, dtype=float)[np.newaxis],
+        weights=np.array([weight]),
     )
 
 
 def make_block(lines):
-    """Lines of one root stacked into a block, in list order."""
+    """One-member blocks of one root joined into one block, in list order."""
     return rs.LineBlock(
         root_tactics=lines[0].root_tactics,
-        matrices=np.stack([line.matrices for line in lines]),
-        sizes=np.stack([line.sizes for line in lines]),
-        payoffs=np.stack([line.payoffs for line in lines]),
-        intertemporal=np.stack([line.intertemporal for line in lines]),
-        weights=np.array([line.weight for line in lines]),
+        matrices=np.concatenate([line.matrices for line in lines]),
+        sizes=np.concatenate([line.sizes for line in lines]),
+        payoffs=np.concatenate([line.payoffs for line in lines]),
+        intertemporal=np.concatenate([line.intertemporal for line in lines]),
+        weights=np.concatenate([line.weights for line in lines]),
     )
+
+
+def line_weight(line, params):
+    """line_weights of a one-member block."""
+    return rs.line_weights(line.root_tactics, line.matrices, params)[0]
 
 
 def cluster(lines, root, params, cfg):
@@ -49,11 +54,12 @@ def cluster(lines, root, params, cfg):
 def test_generate_line_shapes(three_agent_state, params):
     cfg = rs.SamplerConfig(rng_seed=1)
     line = rs.generate_line(three_agent_state, 4, cfg, params, rs.substream(1, 0, 0))
-    assert line.matrices.shape == (4, 3, 3)
-    assert line.sizes.shape == (4, 3)
-    assert line.payoffs.shape == (4, 3)
-    assert line.intertemporal.shape == (3,)
-    assert 0.0 <= line.weight <= 1.0
+    assert len(line) == 1
+    assert line.matrices.shape == (1, 4, 3, 3)
+    assert line.sizes.shape == (1, 4, 3)
+    assert line.payoffs.shape == (1, 4, 3)
+    assert line.intertemporal.shape == (1, 3)
+    assert 0.0 <= line.weights[0] <= 1.0
 
 
 def test_generate_line_rejects_zero_horizon(three_agent_state, params):
@@ -63,26 +69,27 @@ def test_generate_line_rejects_zero_horizon(three_agent_state, params):
 
 def test_generate_line_replays_against_slow_reference(three_agent_state, params):
     cfg = rs.SamplerConfig(rng_seed=6, local_mix=0.4)
-    line = rs.generate_line(three_agent_state, 3, cfg, params, rs.substream(6, 0, 5))
+    block = rs.generate_line(three_agent_state, 3, cfg, params, rs.substream(6, 0, 5))
+    matrices, line_sizes, payoffs = block.matrices[0], block.sizes[0], block.payoffs[0]
     sizes = three_agent_state.sizes.tolist()
     previous = three_agent_state.tactics.tolist()
     for step in range(3):
-        tactics = line.matrices[step].tolist()
+        tactics = matrices[step].tolist()
         sizes = oracles.update(tactics, sizes, params.beta, params.mu)
-        assert np.allclose(line.sizes[step], sizes, atol=1e-12)
+        assert np.allclose(line_sizes[step], sizes, atol=1e-12)
         q = oracles.inertia(oracles.distance(tactics, previous), params.sigma)
         utilities = oracles.positional(sizes, params.alpha)
-        assert np.allclose(line.payoffs[step], np.array(utilities) * q, atol=1e-12)
+        assert np.allclose(payoffs[step], np.array(utilities) * q, atol=1e-12)
         previous = tactics
     assert np.allclose(
-        line.intertemporal,
-        oracles.intertemporal(line.payoffs.tolist(), params.delta),
+        block.intertemporal[0],
+        oracles.intertemporal(payoffs.tolist(), params.delta),
         atol=1e-12,
     )
-    assert line.weight == pytest.approx(
+    assert block.weights[0] == pytest.approx(
         oracles.line_weight(
             three_agent_state.tactics.tolist(),
-            [m.tolist() for m in line.matrices],
+            [m.tolist() for m in matrices],
             params.delta,
             params.sigma,
         ),
@@ -105,24 +112,26 @@ def test_generate_line_scores_match_per_step_calls_bitwise(n):
         cfg = rs.SamplerConfig(rng_seed=n, local_mix=index / 5)
         line = rs.generate_line(root, 1 + index, cfg, params, rs.substream(n, 0, index))
         previous, current, payoffs = root.tactics, root.sizes, []
-        for matrix, step_sizes in zip(line.matrices, line.sizes):
+        for matrix, step_sizes in zip(line.matrices[0], line.sizes[0]):
             current = rs.update_sizes(matrix, current, params)
             assert np.array_equal(step_sizes, current)
             utilities = rs.positional_utility(current, params.alpha)
             payoffs.append(rs.expected_utility(utilities, matrix, previous, params.sigma))
             previous = matrix
-        assert np.array_equal(line.payoffs, np.array(payoffs))
+        assert np.array_equal(line.payoffs[0], np.array(payoffs))
         assert np.array_equal(
-            line.intertemporal, rs.intertemporal_utility(np.array(payoffs), params.delta)
+            line.intertemporal[0], rs.intertemporal_utility(np.array(payoffs), params.delta)
         )
-        assert line.weight == oracles.scalar_line_weight(root.tactics, line.matrices, params)
-        assert rs.frame_weight(line, params) == line.weight
+        assert line.weights[0] == oracles.scalar_line_weight(
+            root.tactics, line.matrices[0], params
+        )
+        assert line_weight(line, params) == line.weights[0]
 
 
 def test_generate_line_validates_every_matrix(three_agent_state, params):
     cfg = rs.SamplerConfig(rng_seed=2, local_mix=0.7)
     line = rs.generate_line(three_agent_state, 5, cfg, params, rs.substream(2, 0, 0))
-    for matrix in line.matrices:
+    for matrix in line.matrices[0]:
         rs.validate_tactic_matrix(matrix)
 
 
@@ -131,7 +140,7 @@ def test_generate_line_validates_every_matrix(three_agent_state, params):
 
 def test_weight_of_standing_still_is_one(three_agent_tactics, params):
     line = make_line(three_agent_tactics, [three_agent_tactics] * 3, weight=0.0)
-    assert rs.frame_weight(line, params) == 1.0
+    assert line_weight(line, params) == 1.0
 
 
 def test_weight_hand_value():
@@ -144,10 +153,11 @@ def test_weight_hand_value():
     t2[1, 0] += 0.1
     t3 = t2.copy()
     t3[2, 0] += 0.4
-    line = make_line(t0, [t1, t2, t3], weight=0.0)
     moved = 0.9 * 0.2 + 0.9**2 * 0.1 + 0.9**3 * 0.4
     expected = math.erfc(0.1 * moved / (0.5 * math.sqrt(2.0)))
-    assert rs.frame_weight(line, params) == pytest.approx(expected, abs=1e-12)
+    assert rs.line_weights(t0, np.array([t1, t2, t3]), params) == pytest.approx(
+        expected, abs=1e-12
+    )
 
 
 def test_weight_decreases_with_extra_movement(three_agent_tactics, params):
@@ -155,7 +165,7 @@ def test_weight_decreases_with_extra_movement(three_agent_tactics, params):
     busy = make_line(three_agent_tactics, [np.eye(3), three_agent_tactics], weight=0.0)
     # moving away and back accumulates twice the discounted distance of
     # one late move
-    assert rs.frame_weight(busy, params) < rs.frame_weight(quiet, params)
+    assert line_weight(busy, params) < line_weight(quiet, params)
 
 
 # ------------------------------------------------------------------- filter
@@ -225,8 +235,8 @@ def test_cluster_matches_slow_reference(three_agent_state, params):
     ]
     frames = cluster(lines, three_agent_state, params, cfg)
     slow = oracles.cluster(
-        [line.matrices[0].tolist() for line in lines],
-        [line.weight for line in lines],
+        [line.matrices[0, 0].tolist() for line in lines],
+        [line.weights[0] for line in lines],
         0.25,
     )
     assert len(frames) == len(slow)

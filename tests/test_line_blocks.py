@@ -22,12 +22,13 @@ def random_root(rng, n):
     return rs.State(tactics=tactics, sizes=sizes)
 
 
-def assert_line_equals(line, expected):
-    assert np.array_equal(line.matrices, expected.matrices)
-    assert np.array_equal(line.sizes, expected.sizes)
-    assert np.array_equal(line.payoffs, expected.payoffs)
-    assert np.array_equal(line.intertemporal, expected.intertemporal)
-    assert line.weight == expected.weight
+def assert_line_equals(block, index, expected):
+    """Member index of block equals the one-member block expected."""
+    assert np.array_equal(block.matrices[index], expected.matrices[0])
+    assert np.array_equal(block.sizes[index], expected.sizes[0])
+    assert np.array_equal(block.payoffs[index], expected.payoffs[0])
+    assert np.array_equal(block.intertemporal[index], expected.intertemporal[0])
+    assert block.weights[index] == expected.weights[0]
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -54,10 +55,11 @@ def test_block_equals_per_step_lines_bitwise(n):
             expected = oracles.per_step_line(
                 root, horizon, cfg, params, rs.substream(n, 0, index)
             )
-            assert_line_equals(block.line(index), expected)
+            assert_line_equals(block, index, expected)
         single = rs.generate_line(root, horizon, cfg, params, rs.substream(n, 0, 0))
         expected = oracles.per_step_line(root, horizon, cfg, params, rs.substream(n, 0, 0))
-        assert_line_equals(single, expected)
+        assert len(single) == 1
+        assert_line_equals(single, 0, expected)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -75,8 +77,10 @@ def test_stacked_sampler_equals_frozen_sampler(n):
         for index in range(5):
             expected = oracles.tactic_matrix(previous[index], cfg, rs.substream(n, index), sigma)
             assert np.array_equal(stacked[index], expected)
-            alone = rs.sample_tactic_matrix(previous[index], cfg, rs.substream(n, index), sigma)
-            assert np.array_equal(alone, expected)
+            alone = rs.sample_tactic_matrices(
+                previous[index : index + 1], cfg, [rs.substream(n, index)], sigma
+            )
+            assert np.array_equal(alone[0], expected)
         for self_index in range(n):
             vector = rs.sample_tactic_vector(n, self_index, cfg, rs.substream(n, 9))
             expected = oracles.tactic_vector(n, self_index, cfg, rs.substream(n, 9))
@@ -94,11 +98,11 @@ def reference_distribution(root, params, cfg, n_lines, horizon, k_candidates):
         line = oracles.per_step_line(
             root, horizon, cfg, params, rs.substream(cfg.rng_seed, rs.LINE_STREAM, index)
         )
-        if np.all(line.intertemporal > game.minimax):
+        if np.all(line.intertemporal[0] > game.minimax):
             retained.append(line)
     clusters = oracles.cluster(
-        [line.matrices[0].tolist() for line in retained],
-        [line.weight for line in retained],
+        [line.matrices[0, 0].tolist() for line in retained],
+        [line.weights[0] for line in retained],
         cfg.rounding,
     )
     return retained, clusters
@@ -106,7 +110,7 @@ def reference_distribution(root, params, cfg, n_lines, horizon, k_candidates):
 
 def assert_matches_reference(dist, retained, clusters):
     assert dist.diagnostics.lines_retained == len(retained)
-    assert dist.diagnostics.total_weight == float(sum(line.weight for line in retained))
+    assert dist.diagnostics.total_weight == float(sum(line.weights[0] for line in retained))
     total = sum(weight for _, weight in clusters.values())
     # sorted by probability, ties in first-seen order
     order = sorted(clusters, key=lambda key: -clusters[key][1] / total)

@@ -132,25 +132,30 @@ def test_vector_rejects_bad_arguments(cfg):
 # ------------------------------------------------------------------ matrices
 
 
+def draw(previous, cfg, rng, noise_sigma):
+    """One next tactic matrix, drawn as a one-member stack."""
+    return rs.sample_tactic_matrices(previous[np.newaxis], cfg, [rng], noise_sigma)[0]
+
+
 def test_matrix_draws_are_always_valid(three_agent_tactics):
     cfg = rs.SamplerConfig(local_mix=0.5, p_neg=0.4)
     rng = rs.substream(6, rs.LINE_STREAM, 0)
     for _ in range(500):
-        matrix = rs.sample_tactic_matrix(three_agent_tactics, cfg, rng, noise_sigma=0.5)
+        matrix = draw(three_agent_tactics, cfg, rng, noise_sigma=0.5)
         rs.validate_tactic_matrix(matrix)
         assert np.all(np.diag(matrix) >= 0.0)
 
 
 def test_global_draws_ignore_previous(three_agent_tactics):
     cfg = rs.SamplerConfig(local_mix=0.0)
-    a = rs.sample_tactic_matrix(three_agent_tactics, cfg, rs.substream(7, 0), 0.5)
-    b = rs.sample_tactic_matrix(np.eye(3), cfg, rs.substream(7, 0), 0.5)
+    a = draw(three_agent_tactics, cfg, rs.substream(7, 0), 0.5)
+    b = draw(np.eye(3), cfg, rs.substream(7, 0), 0.5)
     assert np.array_equal(a, b)
 
 
 def test_local_draws_with_tiny_noise_stay_put(three_agent_tactics):
     cfg = rs.SamplerConfig(local_mix=1.0)
-    matrix = rs.sample_tactic_matrix(three_agent_tactics, cfg, rs.substream(8, 0), 1e-12)
+    matrix = draw(three_agent_tactics, cfg, rs.substream(8, 0), 1e-12)
     assert np.allclose(matrix, three_agent_tactics, atol=1e-9)
 
 
@@ -159,13 +164,13 @@ def test_local_draws_follow_noise_scale(three_agent_tactics):
     rng = rs.substream(9, 0)
     narrow = [
         rs.tactical_distance(
-            rs.sample_tactic_matrix(three_agent_tactics, cfg, rng, 0.1), three_agent_tactics
+            draw(three_agent_tactics, cfg, rng, 0.1), three_agent_tactics
         )
         for _ in range(200)
     ]
     wide = [
         rs.tactical_distance(
-            rs.sample_tactic_matrix(three_agent_tactics, cfg, rng, 1.0), three_agent_tactics
+            draw(three_agent_tactics, cfg, rng, 1.0), three_agent_tactics
         )
         for _ in range(200)
     ]

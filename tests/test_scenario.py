@@ -90,6 +90,13 @@ def test_agent_list_validation(scenario_payload):
             parse(payload)
 
 
+def test_duplicate_agent_names_are_rejected(scenario_payload):
+    for agents, name in ((["a", "a", "b"], '"a"'), (["a", "b", "b"], '"b"')):
+        payload = dict(scenario_payload, agents=agents)
+        with pytest.raises(rs.ScenarioError, match=f"agents: duplicate name {name}"):
+            parse(payload)
+
+
 def test_size_validation(scenario_payload):
     payload = dict(scenario_payload, sizes=[0.3, 1.0])
     with pytest.raises(rs.ScenarioError, match="3 agents but 2 sizes"):
@@ -261,7 +268,9 @@ def valid_documents(draw):
     beta = draw(_numbers(1.0, 50.0, exclude_min=True))
     return {
         "schema": 1,
-        "agents": draw(st.lists(st.text(min_size=1, max_size=6), min_size=n, max_size=n)),
+        "agents": draw(
+            st.lists(st.text(min_size=1, max_size=6), min_size=n, max_size=n, unique=True)
+        ),
         "sizes": sizes,
         "tactics": rows,
         "params": {
