@@ -20,7 +20,8 @@ calls. A stack and its members scored one at a time agree bit for bit,
 so exact payoff ties, and the comparison with plain re-implementations
 in the tests, do not depend on how profiles are grouped. The exhaustive
 tensor is scored PAYOFF_BLOCK profiles per call; a subsampled screen
-scores each drawn profile's deviation slice in one call.
+stacks the deviation slices of as many drawn profiles as fit in
+PAYOFF_BLOCK rows into one call.
 """
 
 from __future__ import annotations
@@ -214,26 +215,30 @@ def _sampled_equilibrium_profiles(
     """Screen a random subset of profiles; each check itself is exact.
 
     Checking one profile scores its deviation slice, the profile and its
-    sum(ks) unilateral deviations, in one kernel call, so the number of
-    screened profiles is budgeted accordingly.
+    sum(ks) unilateral deviations, so the number of screened profiles is
+    budgeted accordingly. The slices of several profiles, at most
+    PAYOFF_BLOCK rows, are stacked into one kernel call.
     """
     ks = tuple(len(pool) for pool in candidates)
-    budget = max(1, max_profiles // (sum(ks) + 1))
-    drawn = {tuple(int(rng.integers(k)) for k in ks) for _ in range(budget)}
+    width = 1 + sum(ks)
+    draws = rng.integers(np.tile(ks, max(1, max_profiles // width))).reshape(-1, len(ks))
+    # Tuples, not flat indices: the profile space may exceed an int64.
+    profiles = np.array(sorted(set(map(tuple, draws.tolist()))))
     # Row 1 + d of a slice replaces agent deviators[d]'s choice by alternatives[d].
     deviators = np.repeat(np.arange(len(ks)), ks)
     alternatives = np.concatenate([np.arange(k) for k in ks])
-    deviations = np.arange(1, len(deviators) + 1)
+    deviations = np.arange(1, width)
     firsts = np.cumsum((0,) + ks[:-1])
-    found = []
-    for profile in sorted(drawn):
-        rows = np.tile(profile, (len(deviators) + 1, 1))
-        rows[deviations, deviators] = alternatives
-        payoffs = stage_payoffs(profile_matrix(candidates, rows.T), previous, sizes, params)
-        best = np.maximum.reduceat(payoffs[deviations, deviators], firsts)
-        if np.all(payoffs[0] >= best):
-            found.append(profile)
-    return found
+    group = max(1, PAYOFF_BLOCK // width)
+    stable = np.empty(len(profiles), dtype=bool)
+    for start in range(0, len(profiles), group):
+        rows = np.repeat(profiles[start : start + group, None], width, axis=1)
+        rows[:, deviations, deviators] = alternatives
+        matrices = profile_matrix(candidates, rows.reshape(-1, len(ks)).T)
+        payoffs = stage_payoffs(matrices, previous, sizes, params).reshape(rows.shape)
+        best = np.maximum.reduceat(payoffs[:, deviations, deviators], firsts, axis=1)
+        stable[start : start + group] = np.all(payoffs[:, 0] >= best, axis=1)
+    return [tuple(profile) for profile in profiles[stable].tolist()]
 
 
 def _sampled_security_levels(
@@ -242,25 +247,19 @@ def _sampled_security_levels(
     """Monte Carlo max-min: the worst case is taken over sampled others.
 
     An approximation from above (a wider scan could only lower the inner
-    minimum); used only when the profile space exceeds the budget. The
-    scalar draws come in a fixed order; the drawn profiles are then
-    scored in blocks.
+    minimum); used only when the profile space exceeds the budget. One rng
+    call draws the others' candidates for every (agent, own candidate,
+    combo) in turn; the drawn profiles are then scored in blocks.
     """
     ks = tuple(len(pool) for pool in candidates)
     n = len(ks)
     combos = max(1, max_profiles // max(1, sum(ks)))
-    drawn = [
-        tuple(own if axis == agent else int(rng.integers(ks[axis])) for axis in range(n))
-        for agent in range(n)
-        for own in range(ks[agent])
-        for _ in range(combos)
-    ]
-    flat = np.ravel_multi_index(tuple(np.array(drawn).T), ks)
-    payoffs = _score(candidates, flat, previous, sizes, params)
-    levels = np.empty(n)
-    first = 0
-    for agent in range(n):
-        block = payoffs[first : first + ks[agent] * combos, agent]
-        levels[agent] = block.reshape(ks[agent], combos).min(axis=1).max()
-        first += ks[agent] * combos
-    return levels
+    agents = np.repeat(np.arange(n), np.array(ks) * combos)
+    own = np.concatenate([np.repeat(np.arange(k), combos) for k in ks])
+    mine = agents[:, None] == np.arange(n)
+    drawn = np.where(mine, own[:, None], 0)
+    # A boolean assignment fills row by row, which is the draw order.
+    drawn[~mine] = rng.integers(np.broadcast_to(ks, mine.shape)[~mine])
+    payoffs = _score(candidates, np.ravel_multi_index(drawn.T, ks), previous, sizes, params)
+    worst = payoffs[np.arange(len(agents)), agents].reshape(-1, combos).min(axis=1)
+    return np.maximum.reduceat(worst, np.cumsum((0,) + ks[:-1]))

@@ -235,3 +235,24 @@ def test_console_script_entry_point(scenario_file):
     )
     assert result.returncode == 0
     assert "scenario OK" in result.stdout
+
+
+def test_subsampled_frame_loads_no_extra_module(scenario_payload, write_scenario, tmp_path):
+    # A lazily imported module costs every run set-up time and memory.
+    # 125 profiles over a budget of 60: the screen finds no equilibrium at
+    # seed 11, so the security levels run too.
+    scenario_payload["sim"]["max_profiles"] = 60
+    path = write_scenario(scenario_payload)
+    out_dir = tmp_path / "out"
+    script = (
+        "import sys\n"
+        "from reelsim.cli import main\n"
+        f"assert main(['--out-dir', {str(out_dir)!r}, 'frame', {str(path)!r}]) == 0\n"
+        "print(sorted({'numpy.ma', 'scipy'} & set(sys.modules)))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+    diagnostics = json.loads((out_dir / "frames.json").read_text())["diagnostics"]
+    assert diagnostics["exhaustive_game"] is False
+    assert diagnostics["equilibria"] == 0

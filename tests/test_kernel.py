@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 import reelsim as rs
+from reelsim import equilibrium
 from reelsim.equilibrium import PAYOFF_BLOCK
 
 
@@ -109,28 +110,53 @@ def test_payoff_tensor_over_several_blocks_matches_tabulation(params):
         (4, 6, 600, 0.0, 0, 0),
         (5, 4, 500, 0.5, 0, 3),
         (5, 4, 500, 0.5, 1, 0),
+        # k as a tuple gives each agent its own pool size; a max_profiles
+        # of 30 // (1 + 3 + 7 + 2 + 5) screens a single profile
+        pytest.param(4, (3, 7, 2, 5), 120, 0.5, 7, 3, id="uneven-120-0.5-7-3"),
+        pytest.param(4, (3, 7, 2, 5), 120, 0.0, 0, 0, id="uneven-120-0.0-0-0"),
+        pytest.param(4, (3, 7, 2, 5), 30, 0.5, 6, 1, id="uneven-30-0.5-6-1"),
+        pytest.param(4, (3, 7, 2, 5), 30, 0.5, 4, 0, id="uneven-30-0.5-4-0"),
+        # 30**13 profiles: more than an int64 can index
+        pytest.param(13, 30, 1564, 0.5, 3, 1, id="wide-1564-0.5-3-1"),
     ],
 )
-def test_sampled_game_matches_scalar_screen(params, n, k, max_profiles, p_neg, seed, equilibria):
+def test_sampled_game_matches_scalar_screen(
+    params, monkeypatch, n, k, max_profiles, p_neg, seed, equilibria
+):
+    ks = k if isinstance(k, tuple) else (k,) * n
     cfg = rs.SamplerConfig(rng_seed=seed, p_neg=p_neg)
     sizes = np.random.default_rng(seed + 1000).uniform(0.0, 1.0, n)
     state = rs.State(tactics=np.eye(n), sizes=sizes / sizes.max())
-    game = rs.stage_game(state, params, cfg, k_candidates=k, max_profiles=max_profiles)
-    assert not game.exhaustive
+    pools = rs.sample_candidates(n, max(ks), cfg, rs.substream(seed, rs.CANDIDATE_STREAM))
+    candidates = tuple(pool[:size] for pool, size in zip(pools, ks))
+    oracle_rng = rs.substream(seed, rs.PROFILE_STREAM)
     profiles, minimax = oracles.sampled_stage_game(
-        game.candidates,
-        state.tactics,
-        state.sizes,
-        params,
-        max_profiles,
-        rs.substream(seed, rs.PROFILE_STREAM),
+        candidates, state.tactics, state.sizes, params, max_profiles, oracle_rng
     )
     assert len(profiles) == equilibria
-    expected = [rs.profile_matrix(game.candidates, profile) for profile in profiles]
-    assert len(game.equilibria) == len(expected)
-    for matrix, reference in zip(game.equilibria, expected):
-        assert np.array_equal(matrix, reference)
-    assert np.array_equal(game.minimax, minimax)
+    expected = [rs.profile_matrix(candidates, profile) for profile in profiles]
+    # 7 rows hold less than one deviation slice, 4,096 rows several
+    for block in (1, 7, PAYOFF_BLOCK, 4096):
+        monkeypatch.setattr(equilibrium, "PAYOFF_BLOCK", block)
+        rng = rs.substream(seed, rs.PROFILE_STREAM)
+        game = rs.solve_stage_game(
+            candidates, state.tactics, state.sizes, params, max_profiles=max_profiles, rng=rng
+        )
+        assert not game.exhaustive
+        assert len(game.equilibria) == len(expected)
+        for matrix, reference in zip(game.equilibria, expected):
+            assert np.array_equal(matrix, reference)
+        assert np.array_equal(game.minimax, minimax)
+        # the security draws continue the screen's stream: both end in one state
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    if len(set(ks)) == 1:
+        # stage_game draws these very pools from the same streams
+        drawn = rs.stage_game(state, params, cfg, k_candidates=k, max_profiles=max_profiles)
+        assert all(np.array_equal(a, b) for a, b in zip(drawn.candidates, candidates))
+        assert len(drawn.equilibria) == len(expected)
+        for matrix, reference in zip(drawn.equilibria, expected):
+            assert np.array_equal(matrix, reference)
+        assert np.array_equal(drawn.minimax, minimax)
     if p_neg == 0.0:
         # nobody can be killed, so the security levels are not all zero
         assert np.all(game.minimax > 0.0)
