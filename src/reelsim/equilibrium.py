@@ -18,10 +18,10 @@ Every payoff comes from one batched kernel, stage_payoffs, built from the
 stack-aware update and utility primitives that line generation also
 calls. A stack and its members scored one at a time agree bit for bit,
 so exact payoff ties, and the comparison with plain re-implementations
-in the tests, do not depend on how profiles are grouped. The exhaustive
-tensor is scored PAYOFF_BLOCK profiles per call; a subsampled screen
-stacks the deviation slices of as many drawn profiles as fit in
-PAYOFF_BLOCK rows into one call.
+in the tests, do not depend on how profiles are grouped. A profile is a
+row of candidate indices, never a flat index (a profile space can exceed
+an int64), and one loop scores rows PAYOFF_BLOCK at a time, whether they
+enumerate the tensor, stack a screen's deviation slices or are drawn.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ from .utility import expected_utility, positional_utility
 
 DEFAULT_CANDIDATES = 30
 DEFAULT_MAX_PROFILES = 200_000
-# Profiles per kernel call when scoring many: large enough to amortize
-# the per-call overhead, small enough that the (block, n, n) temporaries
-# stay a few hundred kilobytes.
+# Profile rows per kernel call in _score, the one scoring loop: large
+# enough to amortize the per-call overhead, small enough that the
+# (block, n, n) temporaries stay a few hundred kilobytes.
 PAYOFF_BLOCK = 1024
 
 
@@ -144,23 +144,40 @@ def solve_stage_game(
     candidates = tuple(np.asarray(pool, dtype=float) for pool in candidates)
     previous = np.asarray(previous, dtype=float)
     sizes = np.asarray(sizes, dtype=float)
+    _check_game(candidates, previous, sizes)
     game = (candidates, previous, sizes, params)
     exhaustive = math.prod(len(pool) for pool in candidates) <= max_profiles
     if exhaustive:
         tensor = payoff_tensor(*game)
         profiles = _equilibrium_profiles(tensor)
+        payoffs = tensor[tuple(profiles.T)]
     else:
-        profiles = _sampled_equilibrium_profiles(*game, max_profiles, rng)
-    equilibria = tuple(profile_matrix(candidates, profile) for profile in profiles)
-    if equilibria:
-        minimax = stage_payoffs(np.array(equilibria), previous, sizes, params).min(axis=0)
+        profiles, payoffs = _sampled_equilibrium_profiles(*game, max_profiles, rng)
+    if len(profiles):
+        minimax = payoffs.min(axis=0)
     elif exhaustive:
         minimax = _security_from_tensor(tensor)
     else:
         minimax = _sampled_security_levels(*game, max_profiles, rng)
+    equilibria = tuple(profile_matrix(candidates, profiles.T))
     return StageGame(
         candidates=candidates, equilibria=equilibria, minimax=minimax, exhaustive=exhaustive
     )
+
+
+def _check_game(candidates, previous, sizes) -> None:
+    """Reject pools and matrices that do not fit len(sizes) agents."""
+    n = len(sizes)
+    if len(candidates) != n:
+        raise ValueError(f"need one candidate pool per agent: got {len(candidates)} for {n}")
+    for agent, pool in enumerate(candidates):
+        if pool.ndim != 2 or pool.shape[1] != n or len(pool) == 0:
+            raise ValueError(
+                f"pool {agent} must be a nonempty (k, {n}) array of columns "
+                f"(got shape {pool.shape})"
+            )
+    if previous.shape != (n, n):
+        raise ValueError(f"previous must have shape ({n}, {n}) (got {previous.shape})")
 
 
 def payoff_tensor(
@@ -171,30 +188,31 @@ def payoff_tensor(
 ) -> np.ndarray:
     """Payoff table over the whole profile space, shape (k_1..k_n, n)."""
     ks = tuple(len(pool) for pool in candidates)
-    flat = np.arange(math.prod(ks))
-    return _score(candidates, flat, previous, sizes, params).reshape(ks + (len(ks),))
+    profiles = np.indices(ks).reshape(len(ks), -1).T
+    return _score(candidates, profiles, previous, sizes, params).reshape(ks + (len(ks),))
 
 
-def _score(candidates, flat, previous, sizes, params) -> np.ndarray:
-    """Payoffs (len(flat), n) of flat profile indices, a block per kernel call."""
-    ks = tuple(len(pool) for pool in candidates)
-    payoffs = np.empty((len(flat), len(ks)))
-    for start in range(0, len(flat), PAYOFF_BLOCK):
-        block = np.unravel_index(flat[start : start + PAYOFF_BLOCK], ks)
+def _score(candidates, profiles, previous, sizes, params) -> np.ndarray:
+    """Payoffs (P, n) of profiles given as (P, n) candidate-index rows, not
+    flat indices, since a profile space can exceed an int64. This is the
+    one kernel call site: PAYOFF_BLOCK rows per call."""
+    payoffs = np.empty(profiles.shape)
+    for start in range(0, len(profiles), PAYOFF_BLOCK):
+        block = profiles[start : start + PAYOFF_BLOCK].T
         payoffs[start : start + PAYOFF_BLOCK] = stage_payoffs(
             profile_matrix(candidates, block), previous, sizes, params
         )
     return payoffs
 
 
-def _equilibrium_profiles(tensor: np.ndarray) -> list[tuple[int, ...]]:
-    """Profiles where each agent's payoff equals the maximum along its axis."""
+def _equilibrium_profiles(tensor: np.ndarray) -> np.ndarray:
+    """Rows (E, n), in index order, of profiles where each agent's payoff is its axis max."""
     n = tensor.shape[-1]
     mask = np.ones(tensor.shape[:-1], dtype=bool)
     for agent in range(n):
         payoffs = tensor[..., agent]
         mask &= payoffs == payoffs.max(axis=agent, keepdims=True)
-    return [tuple(int(index) for index in profile) for profile in np.argwhere(mask)]
+    return np.argwhere(mask)
 
 
 def _security_from_tensor(tensor: np.ndarray) -> np.ndarray:
@@ -211,34 +229,29 @@ def _security_from_tensor(tensor: np.ndarray) -> np.ndarray:
 
 def _sampled_equilibrium_profiles(
     candidates, previous, sizes, params, max_profiles: int, rng: np.random.Generator
-) -> list[tuple[int, ...]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Screen a random subset of profiles; each check itself is exact.
 
     Checking one profile scores its deviation slice, the profile and its
     sum(ks) unilateral deviations, so the number of screened profiles is
-    budgeted accordingly. The slices of several profiles, at most
-    PAYOFF_BLOCK rows, are stacked into one kernel call.
+    budgeted accordingly. Returns the stable rows (E, n), sorted, and
+    their payoffs (E, n), taken from the slices already scored.
     """
     ks = tuple(len(pool) for pool in candidates)
-    width = 1 + sum(ks)
-    draws = rng.integers(np.tile(ks, max(1, max_profiles // width))).reshape(-1, len(ks))
-    # Tuples, not flat indices: the profile space may exceed an int64.
+    n, width = len(ks), 1 + sum(ks)
+    draws = rng.integers(np.tile(ks, max(1, max_profiles // width))).reshape(-1, n)
     profiles = np.array(sorted(set(map(tuple, draws.tolist()))))
     # Row 1 + d of a slice replaces agent deviators[d]'s choice by alternatives[d].
-    deviators = np.repeat(np.arange(len(ks)), ks)
+    deviators = np.repeat(np.arange(n), ks)
     alternatives = np.concatenate([np.arange(k) for k in ks])
     deviations = np.arange(1, width)
+    rows = np.repeat(profiles[:, None], width, axis=1)
+    rows[:, deviations, deviators] = alternatives
+    payoffs = _score(candidates, rows.reshape(-1, n), previous, sizes, params).reshape(rows.shape)
     firsts = np.cumsum((0,) + ks[:-1])
-    group = max(1, PAYOFF_BLOCK // width)
-    stable = np.empty(len(profiles), dtype=bool)
-    for start in range(0, len(profiles), group):
-        rows = np.repeat(profiles[start : start + group, None], width, axis=1)
-        rows[:, deviations, deviators] = alternatives
-        matrices = profile_matrix(candidates, rows.reshape(-1, len(ks)).T)
-        payoffs = stage_payoffs(matrices, previous, sizes, params).reshape(rows.shape)
-        best = np.maximum.reduceat(payoffs[:, deviations, deviators], firsts, axis=1)
-        stable[start : start + group] = np.all(payoffs[:, 0] >= best, axis=1)
-    return [tuple(profile) for profile in profiles[stable].tolist()]
+    best = np.maximum.reduceat(payoffs[:, deviations, deviators], firsts, axis=1)
+    stable = np.all(payoffs[:, 0] >= best, axis=1)
+    return profiles[stable], payoffs[stable, 0]
 
 
 def _sampled_security_levels(
@@ -249,7 +262,7 @@ def _sampled_security_levels(
     An approximation from above (a wider scan could only lower the inner
     minimum); used only when the profile space exceeds the budget. One rng
     call draws the others' candidates for every (agent, own candidate,
-    combo) in turn; the drawn profiles are then scored in blocks.
+    combo) in turn, and the drawn rows are scored as they are.
     """
     ks = tuple(len(pool) for pool in candidates)
     n = len(ks)
@@ -260,6 +273,6 @@ def _sampled_security_levels(
     drawn = np.where(mine, own[:, None], 0)
     # A boolean assignment fills row by row, which is the draw order.
     drawn[~mine] = rng.integers(np.broadcast_to(ks, mine.shape)[~mine])
-    payoffs = _score(candidates, np.ravel_multi_index(drawn.T, ks), previous, sizes, params)
+    payoffs = _score(candidates, drawn, previous, sizes, params)
     worst = payoffs[np.arange(len(agents)), agents].reshape(-1, combos).min(axis=1)
     return np.maximum.reduceat(worst, np.cumsum((0,) + ks[:-1]))

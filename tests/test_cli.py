@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from reelsim import equilibrium
 from reelsim.cli import main
 
 
@@ -256,3 +257,38 @@ def test_subsampled_frame_loads_no_extra_module(scenario_payload, write_scenario
     diagnostics = json.loads((out_dir / "frames.json").read_text())["diagnostics"]
     assert diagnostics["exhaustive_game"] is False
     assert diagnostics["equilibria"] == 0
+
+
+def test_frame_beyond_int64_profile_space(scenario_payload, write_scenario, tmp_path):
+    # 30**13 profiles exceed an int64; with no equilibrium in the screen the
+    # security levels are drawn from that space too.
+    n = 13
+    scenario_payload["agents"] = [f"a{agent}" for agent in range(n)]
+    scenario_payload["sizes"] = [1.0] * n
+    scenario_payload["tactics"] = np.eye(n).tolist()
+    scenario_payload["sim"].update(
+        {"candidates": 30, "max_profiles": 400, "lines": 20, "horizon": 2, "seed": 0}
+    )
+    path = write_scenario(scenario_payload, "wide.json")
+    out_dir = tmp_path / "out"
+    assert main(["--out-dir", str(out_dir), "frame", str(path)]) == 0
+    diagnostics = json.loads((out_dir / "frames.json").read_text())["diagnostics"]
+    assert diagnostics["exhaustive_game"] is False
+    assert diagnostics["equilibria"] == 0
+
+
+@pytest.mark.parametrize("max_profiles, exhaustive", [(None, True), (60, False)])
+def test_frame_does_not_depend_on_payoff_block(
+    scenario_payload, write_scenario, tmp_path, monkeypatch, max_profiles, exhaustive
+):
+    if max_profiles is not None:
+        scenario_payload["sim"]["max_profiles"] = max_profiles
+    path = write_scenario(scenario_payload)
+    outputs = []
+    for block in (7, equilibrium.PAYOFF_BLOCK):
+        monkeypatch.setattr(equilibrium, "PAYOFF_BLOCK", block)
+        out_dir = tmp_path / f"block-{block}"
+        assert main(["--out-dir", str(out_dir), "frame", str(path)]) == 0
+        outputs.append((out_dir / "frames.json").read_bytes())
+    assert json.loads(outputs[0])["diagnostics"]["exhaustive_game"] is exhaustive
+    assert outputs[0] == outputs[1]

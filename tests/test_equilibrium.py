@@ -142,6 +142,38 @@ def test_security_fallback_matches_tabulation(params):
     assert slow_profiles == []
 
 
+def test_empty_pool_is_rejected(params):
+    candidates = (np.eye(2)[:1], np.empty((0, 2)))
+    with pytest.raises(ValueError, match=r"pool 1 must be a nonempty \(k, 2\) array"):
+        rs.solve_stage_game(
+            candidates, np.eye(2), np.ones(2), params, rng=np.random.default_rng(0)
+        )
+
+
+def test_one_pool_per_agent_is_required(params):
+    candidates = pools(2, 3, seed=1)
+    with pytest.raises(ValueError, match="one candidate pool per agent: got 2 for 3"):
+        rs.solve_stage_game(
+            candidates, np.eye(3), np.ones(3), params, rng=np.random.default_rng(0)
+        )
+
+
+def test_pool_rows_must_have_one_entry_per_agent(params):
+    candidates = pools(2, 3, seed=1) + (np.eye(2),)
+    with pytest.raises(ValueError, match=r"pool 0 must be a nonempty \(k, 3\) array"):
+        rs.solve_stage_game(
+            candidates, np.eye(3), np.ones(3), params, rng=np.random.default_rng(0)
+        )
+
+
+def test_previous_must_be_square_over_the_agents(params):
+    candidates = pools(3, 2, seed=1)
+    with pytest.raises(ValueError, match=r"previous must have shape \(3, 3\)"):
+        rs.solve_stage_game(
+            candidates, np.eye(2), np.ones(3), params, rng=np.random.default_rng(0)
+        )
+
+
 # ----------------------------------------------------------------- sampling
 
 

@@ -88,19 +88,23 @@ def test_all_dead_stack_scores_zero(params):
     assert np.array_equal(payoffs, np.zeros((2, 3)))
 
 
-def test_payoff_tensor_over_several_blocks_matches_tabulation(params):
+def test_payoff_tensor_over_several_blocks_matches_tabulation(params, monkeypatch):
     rng = rs.substream(5, rs.CANDIDATE_STREAM)
     candidates = rs.sample_candidates(3, 20, rs.SamplerConfig(p_neg=0.3), rng)
     assert math.prod(len(pool) for pool in candidates) > 2 * PAYOFF_BLOCK
     previous = rs.profile_matrix(candidates, (0, 0, 0))
     sizes = np.array([0.4, 1.0, 0.7])
-    tensor = rs.payoff_tensor(candidates, previous, sizes, params)
     payoffs, _, _ = oracles.stage_tabulation(
         [pool.tolist() for pool in candidates], previous, sizes, params
     )
-    assert tensor.shape == (20, 20, 20, 3)
-    for profile, expected in payoffs.items():
-        assert tensor[profile].tolist() == expected
+    # the 8,000 profiles one per call, in blocks that end mid-row of the
+    # tensor, in the default blocks and in two uneven ones
+    for block in (1, 7, PAYOFF_BLOCK, 4096):
+        monkeypatch.setattr(equilibrium, "PAYOFF_BLOCK", block)
+        tensor = rs.payoff_tensor(candidates, previous, sizes, params)
+        assert tensor.shape == (20, 20, 20, 3)
+        for profile, expected in payoffs.items():
+            assert tensor[profile].tolist() == expected
 
 
 @pytest.mark.parametrize(
@@ -118,6 +122,8 @@ def test_payoff_tensor_over_several_blocks_matches_tabulation(params):
         pytest.param(4, (3, 7, 2, 5), 30, 0.5, 4, 0, id="uneven-30-0.5-4-0"),
         # 30**13 profiles: more than an int64 can index
         pytest.param(13, 30, 1564, 0.5, 3, 1, id="wide-1564-0.5-3-1"),
+        # no equilibrium, so the security levels draw from the same space
+        pytest.param(13, 30, 400, 0.5, 0, 0, id="wide-400-0.5-0-0"),
     ],
 )
 def test_sampled_game_matches_scalar_screen(
