@@ -111,9 +111,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_scenario(path_text: str) -> Scenario:
     path = Path(path_text)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as err:
         raise ScenarioError(f"cannot read {path}: {err}") from None
+    except UnicodeDecodeError as err:
+        raise ScenarioError(f"malformed scenario file: {err}") from None
     return parse_scenario(text)
 
 

@@ -108,13 +108,13 @@ class State:
         return np.array_equal(self.tactics, other.tactics) and np.array_equal(self.sizes, other.sizes)
 
 
-def validate_tactic_matrix(tactics: np.ndarray, eps_sum: float = EPS_SUM) -> None:
+def validate_tactic_matrix(tactics: np.ndarray) -> None:
     """Check the tactic-matrix constraints, raising TacticMatrixError otherwise.
 
     Accepts iff every entry lies in [-1, 1] and every column's absolute
-    values sum to 1 within ``eps_sum``. The error reports the first
-    offending column and its deviation. Non-square or non-finite input is
-    rejected outright.
+    values sum to 1 within EPS_SUM. Otherwise the error names the first
+    offending column and keeps it and its deviation as ``column`` and
+    ``deviation``. Non-square or non-finite input is rejected outright.
     """
     tactics = np.asarray(tactics, dtype=float)
     if tactics.ndim != 2 or tactics.shape[0] != tactics.shape[1]:
@@ -131,22 +131,13 @@ def validate_tactic_matrix(tactics: np.ndarray, eps_sum: float = EPS_SUM) -> Non
                 deviation=overshoot,
             )
         deviation = float(abs(np.sum(np.abs(column)) - 1.0))
-        if deviation > eps_sum:
+        if deviation > EPS_SUM:
             raise TacticMatrixError(
                 f"column {j} absolute values sum to {np.sum(np.abs(column)):.12g}, "
                 f"deviating from 1 by {deviation:.3g}",
                 column=j,
                 deviation=deviation,
             )
-
-
-def is_valid_tactic_matrix(tactics: np.ndarray, eps_sum: float = EPS_SUM) -> bool:
-    """True when validate_tactic_matrix accepts the matrix."""
-    try:
-        validate_tactic_matrix(tactics, eps_sum)
-    except TacticMatrixError:
-        return False
-    return True
 
 
 def build_multiplier_matrix(tactics: np.ndarray, params: ModelParams) -> np.ndarray:

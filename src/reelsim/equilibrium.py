@@ -32,13 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ModelParams, State, update_sizes
-from .sampling import (
-    CANDIDATE_STREAM,
-    PROFILE_STREAM,
-    SamplerConfig,
-    sample_tactic_vector,
-    substream,
-)
+from .sampling import CANDIDATE_STREAM, PROFILE_STREAM, SamplerConfig, sample_candidates, substream
 from .utility import expected_utility, positional_utility
 
 DEFAULT_CANDIDATES = 30
@@ -64,18 +58,6 @@ class StageGame:
     equilibria: tuple[np.ndarray, ...]
     minimax: np.ndarray
     exhaustive: bool
-
-
-def sample_candidates(
-    n: int, k: int, cfg: SamplerConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, ...]:
-    """Draw k candidate tactic columns per agent from a single stream."""
-    if k < 1:
-        raise ValueError(f"need at least one candidate per agent (got k={k})")
-    return tuple(
-        np.stack([sample_tactic_vector(n, agent, cfg, rng) for _ in range(k)])
-        for agent in range(n)
-    )
 
 
 def profile_matrix(candidates: tuple[np.ndarray, ...], profile) -> np.ndarray:

@@ -4,6 +4,12 @@ All randomness flows through numpy Generators derived from a master seed
 via SeedSequence spawn keys, so any unit of work (a candidate pool, one
 line of play, one tree node) gets its own substream and results never
 depend on the order the units run in.
+
+A tactic vector is drawn as n exponentials (its magnitudes, normalized
+onto the simplex) followed by n uniforms (its signs). _vector_draws is
+the one routine that draws them; the stage game's candidate pools and
+the fresh global draws of the line sampler both take their vectors from
+it and build them as one stack.
 """
 
 from __future__ import annotations
@@ -86,22 +92,23 @@ def derive_node_seed(master_seed: int, path: tuple[int, ...]) -> int:
     return (int(words[0]) << 32) | int(words[1])
 
 
-def sample_tactic_vector(
-    n: int, self_index: int, cfg: SamplerConfig, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw one valid tactic vector for the agent at self_index.
+def sample_candidates(
+    n: int, k: int, cfg: SamplerConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, ...]:
+    """Draw k candidate tactic columns per agent from a single stream.
 
-    Magnitudes are uniform on the unit simplex (normalized exponential
-    draws), so the abs-sum constraint holds by construction. Off-diagonal
-    signs flip negative with probability p_neg; the self entry stays
-    nonnegative unless the config allows self-harm.
+    Agent j's pool is a (k, n) array of tactic vectors whose own entry is
+    j: magnitudes uniform on the unit simplex, so the abs-sum constraint
+    holds by construction, and off-diagonal signs negative with
+    probability p_neg; the own entry stays nonnegative unless the config
+    allows self-harm. The n*k vectors are drawn agent by agent and built
+    as one stack.
     """
-    if n < 1:
-        raise ValueError(f"need at least one agent (got n={n})")
-    if not (0 <= self_index < n):
-        raise ValueError(f"self_index {self_index} out of range for n={n}")
-    exponentials = rng.exponential(1.0, n)
-    return _tactic_vectors(exponentials, rng.random(n), self_index, cfg)
+    if k < 1:
+        raise ValueError(f"need at least one candidate per agent (got k={k})")
+    owners = np.repeat(np.arange(n), k)
+    vectors = _tactic_vectors(*_vector_draws(rng, n * k, n), owners, cfg)
+    return tuple(vectors.reshape(n, k, n))
 
 
 def sample_tactic_matrices(
@@ -126,17 +133,14 @@ def sample_tactic_matrices(
     scale = noise_sigma / n
     local = np.zeros(count, dtype=bool)
     noise = np.empty((count, n, n))
-    # Global draws per member, one row per column of the matrix.
-    exponentials = np.empty((count, n, n))
-    uniforms = np.empty((count, n, n))
+    # Global draws per member, one vector per column of the matrix.
+    draws = np.empty((2, count, n, n))
     for member, rng in enumerate(rngs):
         if rng.random() < cfg.local_mix:
             local[member] = True
             noise[member] = rng.normal(0.0, scale, size=(n, n))
         else:
-            for column in range(n):
-                exponentials[member, column] = rng.exponential(1.0, n)
-                uniforms[member, column] = rng.random(n)
+            draws[:, member] = _vector_draws(rng, n, n)
     matrices = np.empty((count, n, n))
     if local.any():
         perturbed = previous[local] + noise[local]
@@ -146,9 +150,20 @@ def sample_tactic_matrices(
         matrices[local] = _renormalize_columns(perturbed)
     fresh = ~local
     if fresh.any():
-        columns = _tactic_vectors(exponentials[fresh], uniforms[fresh], np.arange(n), cfg)
+        columns = _tactic_vectors(*draws[:, fresh], np.arange(n), cfg)
         matrices[fresh] = columns.swapaxes(-1, -2)
     return matrices
+
+
+def _vector_draws(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """Draws (2, count, n) for count tactic vectors of n entries: each
+    vector's n exponentials, then its n uniforms, vector by vector. This
+    is the one place that fixes the draw order of a tactic vector."""
+    draws = np.empty((2, count, n))
+    for vector in range(count):
+        draws[0, vector] = rng.exponential(1.0, n)
+        draws[1, vector] = rng.random(n)
+    return draws
 
 
 def _tactic_vectors(

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ModelParams, State, TacticMatrixError, normalize_sizes, validate_tactic_matrix
+from .equilibrium import DEFAULT_CANDIDATES, DEFAULT_MAX_PROFILES
 from .sampling import SamplerConfig
 
 SCHEMA_VERSION = 1
@@ -43,8 +44,8 @@ class SimSettings:
     branch_k: int = 4
     p_min: float = 0.02
     seed: int = 0
-    candidates: int = 30
-    max_profiles: int = 200_000
+    candidates: int = DEFAULT_CANDIDATES
+    max_profiles: int = DEFAULT_MAX_PROFILES
 
     def __post_init__(self):
         if self.lines < 1:
@@ -112,7 +113,8 @@ def parse_scenario(text: str | bytes) -> Scenario:
     Sizes whose maximum is not 1 are normalized with a warning. All
     structural problems raise ScenarioError naming the offending field,
     non-finite numbers (NaN, Infinity, or a literal too large for a
-    float) included.
+    float) included; so do bytes that are not UTF-8 and nesting too
+    deep to decode.
     """
     try:
         raw = json.loads(
@@ -121,7 +123,7 @@ def parse_scenario(text: str | bytes) -> Scenario:
             parse_float=_finite_float,
             parse_int=_finite_int,
         )
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
         raise ScenarioError(f"malformed scenario file: {err}") from None
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")

@@ -36,6 +36,26 @@ def test_validate_malformed_json(tmp_path, capsys):
     assert "malformed scenario file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff", "can't decode byte 0xff"),
+        (b'{"schema": "\xff"}', "can't decode byte 0xff"),
+        (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth"),
+    ],
+    ids=["not-utf8", "not-utf8-string", "nested-too-deep"],
+)
+@pytest.mark.parametrize("command", ["validate", "frame"])
+def test_undecodable_file_exits_one_with_one_line(tmp_path, capsys, command, content, message):
+    path = tmp_path / "undecodable.json"
+    path.write_bytes(content)
+    assert main(["--out-dir", str(tmp_path / "out"), command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed scenario file: ") and message in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_duplicate_agent_names(scenario_payload, write_scenario, capsys):
     scenario_payload["agents"] = ["a", "a", "b"]
     path = write_scenario(scenario_payload, "duplicate.json")

@@ -89,7 +89,6 @@ def test_state_allows_zero_sizes(three_agent_tactics):
 
 def test_validator_accepts_worked_matrix(three_agent_tactics):
     rs.validate_tactic_matrix(three_agent_tactics)
-    assert rs.is_valid_tactic_matrix(three_agent_tactics)
 
 
 def test_validator_accepts_identity():
@@ -119,8 +118,11 @@ def test_validator_rejects_non_square_and_non_finite():
 
 def test_validator_tolerance_band():
     # abs-sum off by 5e-10 sits inside EPS_SUM, 5e-9 does not
-    assert rs.is_valid_tactic_matrix(np.array([[1.0, 0.0], [5e-10, 1.0]]))
-    assert not rs.is_valid_tactic_matrix(np.array([[1.0, 0.0], [5e-9, 1.0]]))
+    rs.validate_tactic_matrix(np.array([[1.0, 0.0], [5e-10, 1.0]]))
+    with pytest.raises(rs.TacticMatrixError) as excinfo:
+        rs.validate_tactic_matrix(np.array([[1.0, 0.0], [5e-9, 1.0]]))
+    assert excinfo.value.column == 0
+    assert excinfo.value.deviation == pytest.approx(5e-9, rel=1e-6)
 
 
 # --------------------------------------------------------------- multipliers

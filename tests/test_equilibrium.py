@@ -54,6 +54,27 @@ def test_sample_candidates_rejects_empty_pool():
         rs.sample_candidates(2, 0, rs.SamplerConfig(), rs.substream(0, 1))
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        rs.SamplerConfig(),
+        rs.SamplerConfig(p_neg=0.0),
+        rs.SamplerConfig(p_neg=0.9, allow_negative_diagonal=True),
+    ],
+)
+# n = 8 is where a row-by-row sum starts to differ from a lone column's
+@pytest.mark.parametrize("n, k", [(1, 1), (3, 12), (5, 12), (8, 30), (9, 4)])
+def test_pools_equal_the_frozen_vector_loop(n, k, cfg):
+    rng = rs.substream(n, rs.CANDIDATE_STREAM)
+    frozen = rs.substream(n, rs.CANDIDATE_STREAM)
+    candidates = rs.sample_candidates(n, k, cfg, rng)
+    assert len(candidates) == n
+    for agent, pool in enumerate(candidates):
+        expected = np.stack([oracles.tactic_vector(n, agent, cfg, frozen) for _ in range(k)])
+        assert np.array_equal(pool, expected)
+    assert rng.bit_generator.state == frozen.bit_generator.state
+
+
 def test_profile_matrix_assembles_columns():
     candidates = pools(2, 3, seed=2)
     matrix = rs.profile_matrix(candidates, (1, 2))

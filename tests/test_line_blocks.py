@@ -81,10 +81,10 @@ def test_stacked_sampler_equals_frozen_sampler(n):
                 previous[index : index + 1], cfg, [rs.substream(n, index)], sigma
             )
             assert np.array_equal(alone[0], expected)
-        for self_index in range(n):
-            vector = rs.sample_tactic_vector(n, self_index, cfg, rs.substream(n, 9))
-            expected = oracles.tactic_vector(n, self_index, cfg, rs.substream(n, 9))
-            assert np.array_equal(vector, expected)
+        pools = rs.sample_candidates(n, 1, cfg, rs.substream(n, 9))
+        frozen = rs.substream(n, 9)
+        for self_index, pool in enumerate(pools):
+            assert np.array_equal(pool[0], oracles.tactic_vector(n, self_index, cfg, frozen))
 
 
 # ------------------------------------------------------------- distribution

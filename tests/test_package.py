@@ -1,6 +1,12 @@
 """The package's public name list."""
 
+import ast
+import re
+from pathlib import Path
+
 import reelsim as rs
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_every_exported_name_resolves():
@@ -17,3 +23,22 @@ def test_star_import_gives_exactly_the_exported_names():
     exec("from reelsim import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(rs.__all__)
+
+
+def test_every_export_is_used_or_documented():
+    # A public name must be used in the package beyond its definition (a
+    # docstring mention does not count), or by the benchmark, or be
+    # documented in the README: no name is public only for the tests.
+    used = set()
+    for module in (ROOT / "src" / "reelsim").glob("*.py"):
+        if module.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    documents = [*(ROOT / "bench").glob("*.py"), ROOT / "README.md"]
+    text = "\n".join(path.read_text() for path in documents)
+    documented = {name for name in rs.__all__ if re.search(rf"\b{name}\b", text)}
+    assert [name for name in rs.__all__ if name not in used | documented] == []

@@ -80,53 +80,47 @@ def test_node_seed_properties():
 
 
 # ------------------------------------------------------------------- vectors
+# Candidate pools hold the tactic vectors: pool j is a (k, n) stack of
+# vectors whose own entry is j.
 
 
 def test_single_agent_vector_is_degenerate(cfg):
     rng = rs.substream(0, rs.CANDIDATE_STREAM)
-    for _ in range(5):
-        assert rs.sample_tactic_vector(1, 0, cfg, rng).tolist() == [1.0]
+    (pool,) = rs.sample_candidates(1, 5, cfg, rng)
+    assert pool.tolist() == [[1.0]] * 5
 
 
 def test_vector_satisfies_allocation_constraint(cfg):
     rng = rs.substream(1, rs.CANDIDATE_STREAM)
-    for _ in range(1000):
-        vector = rs.sample_tactic_vector(4, 2, cfg, rng)
-        assert abs(np.sum(np.abs(vector)) - 1.0) <= 1e-9
-        assert np.all(np.abs(vector) <= 1.0)
-        assert vector[2] >= 0.0
+    for agent, pool in enumerate(rs.sample_candidates(4, 1000, cfg, rng)):
+        assert np.all(np.abs(np.sum(np.abs(pool), axis=1) - 1.0) <= 1e-9)
+        assert np.all(np.abs(pool) <= 1.0)
+        assert np.all(pool[:, agent] >= 0.0)
 
 
 def test_vector_sign_controls(cfg):
     rng = rs.substream(2, rs.CANDIDATE_STREAM)
     all_pos = rs.SamplerConfig(p_neg=0.0)
     all_neg = rs.SamplerConfig(p_neg=1.0)
-    for _ in range(50):
-        assert np.all(rs.sample_tactic_vector(3, 0, all_pos, rng) >= 0.0)
-        vector = rs.sample_tactic_vector(3, 1, all_neg, rng)
-        assert vector[0] <= 0.0 and vector[2] <= 0.0 and vector[1] >= 0.0
+    for pool in rs.sample_candidates(3, 50, all_pos, rng):
+        assert np.all(pool >= 0.0)
+    for agent, pool in enumerate(rs.sample_candidates(3, 50, all_neg, rng)):
+        others = np.arange(3) != agent
+        assert np.all(pool[:, others] <= 0.0) and np.all(pool[:, agent] >= 0.0)
 
 
 def test_vector_self_harm_needs_opt_in():
     rng = rs.substream(3, rs.CANDIDATE_STREAM)
     permissive = rs.SamplerConfig(p_neg=0.9, allow_negative_diagonal=True)
-    draws = np.array([rs.sample_tactic_vector(3, 0, permissive, rng)[0] for _ in range(200)])
-    assert np.any(draws < 0.0)
+    pools = rs.sample_candidates(3, 200, permissive, rng)
+    assert all(np.any(pool[:, agent] < 0.0) for agent, pool in enumerate(pools))
 
 
 def test_vector_mean_magnitude_is_uniform_on_simplex(cfg):
     # uniform simplex sampling puts expected magnitude 1/n on every slot
     rng = rs.substream(4, rs.CANDIDATE_STREAM)
-    draws = np.abs([rs.sample_tactic_vector(3, 0, cfg, rng) for _ in range(10_000)])
-    assert np.max(np.abs(draws.mean(axis=0) - 1.0 / 3.0)) < 0.02
-
-
-def test_vector_rejects_bad_arguments(cfg):
-    rng = rs.substream(5, rs.CANDIDATE_STREAM)
-    with pytest.raises(ValueError, match="at least one agent"):
-        rs.sample_tactic_vector(0, 0, cfg, rng)
-    with pytest.raises(ValueError, match="out of range"):
-        rs.sample_tactic_vector(3, 3, cfg, rng)
+    draws = np.abs(rs.sample_candidates(3, 10_000, cfg, rng))
+    assert np.max(np.abs(draws.mean(axis=1) - 1.0 / 3.0)) < 0.02
 
 
 # ------------------------------------------------------------------ matrices
@@ -240,7 +234,7 @@ def test_round_tactic_matrix_output_is_valid():
     rng = np.random.default_rng(11)
     cfg = rs.SamplerConfig()
     for _ in range(100):
-        columns = [rs.sample_tactic_vector(3, j, cfg, rng) for j in range(3)]
+        columns = [oracles.tactic_vector(3, j, cfg, rng) for j in range(3)]
         rounded = rs.round_tactic_matrix(np.column_stack(columns), 0.25)
         rs.validate_tactic_matrix(rounded)
 

@@ -31,6 +31,13 @@ def test_parse_full_document(scenario_payload):
     assert scenario.sampler.rng_seed == scenario.sim.seed
 
 
+def test_stage_game_defaults_are_the_library_defaults(scenario_payload):
+    del scenario_payload["sim"]["candidates"]
+    for sim in (rs.SimSettings(), parse(scenario_payload).sim):
+        assert sim.candidates == rs.DEFAULT_CANDIDATES
+        assert sim.max_profiles == rs.DEFAULT_MAX_PROFILES
+
+
 def test_defaults_fill_missing_blocks(scenario_payload):
     del scenario_payload["params"]
     del scenario_payload["sim"]
@@ -57,6 +64,20 @@ def test_malformed_json_is_reported():
         rs.parse_scenario("{not json")
     with pytest.raises(rs.ScenarioError, match="JSON object"):
         rs.parse_scenario("[1, 2]")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b'{"schema": "\xff"}', "can't decode byte 0xff"),
+        (b"\xff", "can't decode byte 0xff"),
+        ("[" * 100_000 + "]" * 100_000, "maximum recursion depth"),
+    ],
+    ids=["not-utf8-string", "not-utf8", "nested-too-deep"],
+)
+def test_undecodable_documents_are_scenario_errors(text, message):
+    with pytest.raises(rs.ScenarioError, match=f"^malformed scenario file: .*{message}"):
+        rs.parse_scenario(text)
 
 
 def test_schema_is_checked(scenario_payload):
