@@ -20,6 +20,7 @@ from .equilibrium import DEFAULT_CANDIDATES, DEFAULT_MAX_PROFILES, stage_game
 from .sampling import (
     LINE_STREAM,
     SamplerConfig,
+    line_key,
     matrix_from_grid,
     round_to_grid,
     sample_tactic_matrices,
@@ -118,25 +119,29 @@ def generate_lines(
     horizon: int,
     cfg: SamplerConfig,
     params: ModelParams,
-    rngs: Sequence[np.random.Generator],
+    key: int,
+    lines: Sequence[int] | np.ndarray,
 ) -> LineBlock:
-    """Sample one line of play of `horizon` steps per generator, as a block.
+    """Sample the given lines of play of `horizon` steps, as a block.
 
-    Line b draws from rngs[b] alone, step by step in the order a single
-    line draws, so it does not depend on the other members. Each step
-    samples and rolls the whole block's tactics and sizes as stacks; the
-    finished block is then scored as one stack. Every member agrees bit
-    for bit with scoring its steps one by one.
+    Member b is line lines[b] of the counter-based stream keyed by key:
+    its draws at step t are a pure function of (key, lines[b], t, slot),
+    so it does not depend on the other members. Each step samples and
+    rolls the whole block's tactics and sizes as stacks; the finished
+    block is then scored as one stack. Every member agrees bit for bit
+    with a one-member block of its line.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1 (got {horizon})")
-    count, n = len(rngs), root.n
+    count, n = len(lines), root.n
     matrices = np.empty((count, horizon, n, n))
     sizes = np.empty((count, horizon, n))
     tactics = np.broadcast_to(root.tactics, (count, n, n))
     current = np.broadcast_to(root.sizes, (count, n))
     for step in range(horizon):
-        tactics = matrices[:, step] = sample_tactic_matrices(tactics, cfg, rngs, params.sigma)
+        tactics = matrices[:, step] = sample_tactic_matrices(
+            tactics, cfg, key, lines, step, params.sigma
+        )
         # Sizes as columns: a bare (B,n,n) @ (B,n) is a matrix product.
         current = sizes[:, step] = update_sizes(tactics, current[..., np.newaxis], params)[..., 0]
     previous = _previous_matrices(root.tactics, matrices)
@@ -161,8 +166,11 @@ def generate_line(
     rng: np.random.Generator,
 ) -> LineBlock:
     """Sample one line of play of `horizon` steps starting at the root, as
-    a one-member block (the n-sweep in bench/sweep.py times it)."""
-    return generate_lines(root, horizon, cfg, params, [rng])
+    a one-member block: line 0 of the stream keyed by one draw from rng
+    (the n-sweep in bench/sweep.py times it). With
+    substream(seed, LINE_STREAM) as rng it is line 0 of
+    transition_distribution at that seed."""
+    return generate_lines(root, horizon, cfg, params, line_key(rng), [0])
 
 
 def _previous_matrices(root_tactics: np.ndarray, matrices: np.ndarray) -> np.ndarray:
@@ -264,22 +272,21 @@ def transition_distribution(
 ) -> FrameDistribution:
     """Run the full pipeline at a root state.
 
-    Line k always draws from the substream keyed by k, so the result is
-    a pure function of (root, params, cfg, n_lines, horizon). Lines run
-    LINE_BLOCK at a time; the block size changes no output bit.
+    Line k is line k of the stream keyed by one draw from the seed's
+    LINE_STREAM substream, so the result is a pure function of (root,
+    params, cfg, n_lines, horizon). Lines run LINE_BLOCK at a time; the
+    block size changes no output bit.
     """
     if n_lines < 1:
         raise ValueError(f"need at least one line (got {n_lines})")
     game = stage_game(
         root, params, cfg, k_candidates=k_candidates, max_profiles=max_profiles
     )
+    key = line_key(substream(cfg.rng_seed, LINE_STREAM))
     first_moves, weights = [], []
     for start in range(0, n_lines, LINE_BLOCK):
-        rngs = [
-            substream(cfg.rng_seed, LINE_STREAM, index)
-            for index in range(start, min(start + LINE_BLOCK, n_lines))
-        ]
-        block = generate_lines(root, horizon, cfg, params, rngs)
+        lines = np.arange(start, min(start + LINE_BLOCK, n_lines))
+        block = generate_lines(root, horizon, cfg, params, key, lines)
         kept = folk_filter(block, game.minimax)
         first_moves.append(block.matrices[kept, 0])
         weights.append(block.weights[kept])

@@ -82,7 +82,7 @@ def build_reel_tree(
     """Expand states recursively until depth, death, or a dead end.
 
     Children are the transition frames with probability >= p_min, best
-    branch_k of them. Every node's expansion seeds its own substream from
+    branch_k of them. Every node's expansion seeds its own streams from
     the master seed and the node's path, so a subtree's content depends
     only on where it hangs, not on traversal order; the root node (empty
     path) uses the master seed itself and therefore matches a direct
@@ -152,15 +152,8 @@ def enumerate_reels(tree: ReelNode) -> list[Reel]:
     ) -> None:
         states = states + (node.state,)
         if node.is_leaf:
-            reels.append(
-                Reel(
-                    path=states,
-                    indices=indices,
-                    edge_probabilities=probabilities,
-                    probability=math.prod(probabilities),
-                    leaf_reason=node.leaf_reason,
-                )
-            )
+            reel = Reel(states, indices, probabilities, math.nan, node.leaf_reason)
+            reels.append(dataclasses.replace(reel, probability=reel_probability(reel)))
             return
         for index, edge in enumerate(node.children):
             walk(

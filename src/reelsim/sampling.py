@@ -1,15 +1,21 @@
 """Random tactic generation and grid-rounding for cluster identity.
 
-All randomness flows through numpy Generators derived from a master seed
-via SeedSequence spawn keys, so any unit of work (a candidate pool, one
-line of play, one tree node) gets its own substream and results never
-depend on the order the units run in.
+Lines of play draw from a counter-based stream: every draw is a pure
+function of (key, line, step, slot), a SplitMix64 hash evaluated in
+numpy over a block's whole grid of counters, so a line's draws do not
+depend on the other lines, the block size or the order lines run in.
+The key is one draw from the seed's LINE_STREAM substream. Each step of
+a line owns 1 + 2n**2 slots: a local/global coin, then 2n**2 uniforms
+that the local branch turns into n**2 Box-Muller normals and the global
+branch into n**2 exponentials and n**2 sign uniforms.
 
-A tactic vector is drawn as n exponentials (its magnitudes, normalized
-onto the simplex) followed by n uniforms (its signs). _vector_draws is
-the one routine that draws them; the stage game's candidate pools and
-the fresh global draws of the line sampler both take their vectors from
-it and build them as one stack.
+Everything else (a candidate pool, the profile screen, one tree node)
+draws from numpy Generators derived from the master seed via
+SeedSequence spawn keys. A candidate tactic vector is drawn as n
+exponentials (its magnitudes, normalized onto the simplex) followed by
+n uniforms (its signs); _vector_draws is the one routine that draws
+them. Candidate pools and the line sampler's global branch build their
+vectors with one routine, _tactic_vectors.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ class SamplerConfig:
     local_mix: fraction of matrix draws taken as perturbations of the
         previous matrix instead of fresh global draws. Pure sampling
         efficiency under strong inertia; it never changes definitions.
-    rng_seed: master seed all substreams derive from.
+    rng_seed: master seed every stream derives from.
     rounding: cluster granularity; entries are rounded to multiples of
         this, so 1/rounding must be an integer, at most 2**53 so that
         every grid key is exact and fits an int64.
@@ -111,54 +117,101 @@ def sample_candidates(
     return tuple(vectors.reshape(n, k, n))
 
 
+def line_key(rng: np.random.Generator) -> int:
+    """Key of a line stream: one 64-bit draw from rng."""
+    return int(rng.integers(2**64, dtype=np.uint64))
+
+
+def line_words(key: int, lines: Sequence[int] | np.ndarray, step: int, slots: int) -> np.ndarray:
+    """The stream's 64-bit words (B, slots) for the given lines at one step.
+
+    Word (line, step, slot) is output slot of the SplitMix64 stream
+    seeded by output step of the stream seeded by output line of the
+    stream seeded by key: a pure function of its four arguments. Every
+    operation runs on uint64 arrays, whose arithmetic wraps modulo
+    2**64; numpy uint64 scalar arithmetic would raise under
+    np.errstate(over="raise").
+    """
+    lines = np.asarray(lines, dtype=np.uint64).reshape(-1, 1)
+    base = _splitmix(np.full_like(lines, key), lines)
+    base = _splitmix(base, np.full_like(lines, step))
+    return _splitmix(base, np.arange(slots, dtype=np.uint64))
+
+
+def _splitmix(base: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Output counters + 1 of the SplitMix64 streams seeded by base
+    (Steele, Lea & Flood, OOPSLA 2014); uint64 arrays, broadcast."""
+    z = base + (counters + 1) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> 31)
+
+
+def line_draws(
+    key: int, lines: Sequence[int] | np.ndarray, step: int, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One step's draws per line: (coins, exponentials, normals, sign uniforms).
+
+    Each word w becomes the uniform u = ((w >> 11) + 1) * 2**-53 in
+    (0, 1]. Slot 0 is the coin; slots 1..n**2 hold uniforms a and the
+    next n**2 uniforms b, each read as (B, n, n). exponentials are
+    -log(a), normals the Box-Muller sqrt(-2 log a) cos(2 pi b), and the
+    sign uniforms 1 - b. The coins are 1 - u too: both lie in [0, 1),
+    so comparing them with < p is exact at p = 0 and p = 1.
+    """
+    words = line_words(key, lines, step, 1 + 2 * n * n)
+    uniforms = ((words >> 11) + 1) * 2.0**-53
+    count = uniforms.shape[0]
+    first = uniforms[:, 1 : 1 + n * n].reshape(count, n, n)
+    second = uniforms[:, 1 + n * n :].reshape(count, n, n)
+    exponentials = -np.log(first)
+    normals = np.sqrt(2.0 * exponentials) * np.cos(2.0 * np.pi * second)
+    return 1.0 - uniforms[:, 0], exponentials, normals, 1.0 - second
+
+
 def sample_tactic_matrices(
     previous: np.ndarray,
     cfg: SamplerConfig,
-    rngs: Sequence[np.random.Generator],
+    key: int,
+    lines: Sequence[int] | np.ndarray,
+    step: int,
     noise_sigma: float,
 ) -> np.ndarray:
     """Draw the next tactic matrix for each member of a stack (B, n, n).
 
-    Member b draws from rngs[b] alone. With probability (1 - local_mix)
-    every column is a fresh global draw, independent of previous[b];
-    otherwise previous[b] is perturbed with additive Gaussian noise of
-    scale noise_sigma / n per entry (callers pass the model's inertia
-    coefficient, so local proposals stay within reach of the inertia
-    kernel) and each column is renormalized by its abs-sum. The draws
-    are recorded member by member; the arithmetic on them runs once on
-    the whole stack, bit for bit what each member gets alone.
+    Member b is line lines[b] of the stream keyed by key, at this step;
+    its draws are line_draws' and depend on nothing else. When its coin
+    is at or above local_mix every column is a fresh global draw,
+    independent of previous[b]; otherwise previous[b] is perturbed with
+    additive Gaussian noise of scale noise_sigma / n per entry (callers
+    pass the model's inertia coefficient, so local proposals stay within
+    reach of the inertia kernel) and each column is renormalized by its
+    abs-sum. The arithmetic runs once on the whole stack, bit for bit
+    what each member gets alone.
     """
     previous = np.asarray(previous, dtype=float)
     count, n = previous.shape[0], previous.shape[-1]
-    scale = noise_sigma / n
-    local = np.zeros(count, dtype=bool)
-    noise = np.empty((count, n, n))
-    # Global draws per member, one vector per column of the matrix.
-    draws = np.empty((2, count, n, n))
-    for member, rng in enumerate(rngs):
-        if rng.random() < cfg.local_mix:
-            local[member] = True
-            noise[member] = rng.normal(0.0, scale, size=(n, n))
-        else:
-            draws[:, member] = _vector_draws(rng, n, n)
+    coins, exponentials, normals, sign_uniforms = line_draws(key, lines, step, n)
+    local = coins < cfg.local_mix
     matrices = np.empty((count, n, n))
     if local.any():
-        perturbed = previous[local] + noise[local]
+        perturbed = previous[local] + normals[local] * (noise_sigma / n)
         if not cfg.allow_negative_diagonal:
             idx = np.arange(n)
             perturbed[:, idx, idx] = np.abs(perturbed[:, idx, idx])
         matrices[local] = _renormalize_columns(perturbed)
     fresh = ~local
     if fresh.any():
-        columns = _tactic_vectors(*draws[:, fresh], np.arange(n), cfg)
+        # Row j of a member's draws is the vector of its column j.
+        columns = _tactic_vectors(exponentials[fresh], sign_uniforms[fresh], np.arange(n), cfg)
         matrices[fresh] = columns.swapaxes(-1, -2)
     return matrices
 
 
 def _vector_draws(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    """Draws (2, count, n) for count tactic vectors of n entries: each
-    vector's n exponentials, then its n uniforms, vector by vector. This
-    is the one place that fixes the draw order of a tactic vector."""
+    """Draws (2, count, n) for count candidate tactic vectors of n
+    entries: each vector's n exponentials, then its n uniforms, vector by
+    vector. This is the one place that fixes a candidate's draw order."""
     draws = np.empty((2, count, n))
     for vector in range(count):
         draws[0, vector] = rng.exponential(1.0, n)

@@ -2,11 +2,13 @@
 
 Everything here is written the slow, obvious way: plain Python loops and
 math-module scalars, so the engine has something genuinely separate to
-be compared against. The stage-game tabulation, the sampled stage game
-and the per-step line are the deliberate exceptions: they reuse the
-engine's primitives on one matrix at a time (pinned down elsewhere by
-hand values) but do their own profile enumeration, equilibrium test,
-max-min reduction, or tactic draws and step loop.
+be compared against. The line stream's hash is written in Python
+integers and its variates with math-module scalars. The stage-game
+tabulation, the sampled stage game and the per-step line are the
+deliberate exceptions: they reuse the engine's primitives on one matrix
+at a time (pinned down elsewhere by hand values) but do their own
+profile enumeration, equilibrium test, max-min reduction, or tactic
+construction and step loop.
 """
 
 import itertools
@@ -260,41 +262,92 @@ def scalar_line_weight(root_tactics, matrices, params):
     return inertia_probability((1.0 - params.delta) * total, params.sigma)
 
 
-def tactic_vector(n, self_index, cfg, rng):
-    """One tactic vector: the engine's earlier sample_tactic_vector, frozen."""
-    magnitudes = rng.exponential(1.0, n)
-    total = magnitudes.sum()
-    magnitudes = magnitudes / total if total > 0.0 else np.full(n, 1.0 / n)
-    signs = np.where(rng.random(n) < cfg.p_neg, -1.0, 1.0)
+MASK64 = 2**64 - 1
+
+
+def splitmix(base, counter):
+    """Output counter + 1 of the SplitMix64 stream seeded by base."""
+    z = (base + (counter + 1) * 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def line_word(key, line, step, slot):
+    """The line stream's word for (key, line, step, slot)."""
+    return splitmix(splitmix(splitmix(key, line), step), slot)
+
+
+def uniform(word):
+    """A word's uniform in (0, 1]."""
+    return ((word >> 11) + 1) * 2.0**-53
+
+
+def line_draws(key, line, step, n):
+    """One line's draws at one step, one scalar at a time: the coin
+    1 - u, then n*n exponentials -log(a), Box-Muller normals
+    sqrt(-2 log a) cos(2 pi b) and sign uniforms 1 - b as n-by-n nested
+    lists, a and b the step's next two runs of n*n uniforms."""
+    u = [uniform(line_word(key, line, step, slot)) for slot in range(1 + 2 * n * n)]
+    a, b = u[1 : 1 + n * n], u[1 + n * n :]
+    exponentials = [-math.log(x) for x in a]
+    normals = [math.sqrt(-2.0 * math.log(x)) * math.cos(2.0 * math.pi * y) for x, y in zip(a, b)]
+    signs = [1.0 - y for y in b]
+
+    def square(flat):
+        return [flat[row * n : (row + 1) * n] for row in range(n)]
+
+    return 1.0 - u[0], square(exponentials), square(normals), square(signs)
+
+
+def tactic_vector_from(exponentials, uniforms, self_index, cfg):
+    """One tactic vector from its n exponentials and n sign uniforms."""
+    exponentials = np.asarray(exponentials, dtype=float)
+    n = len(exponentials)
+    total = exponentials.sum()
+    magnitudes = exponentials / total if total > 0.0 else np.full(n, 1.0 / n)
+    signs = np.where(np.asarray(uniforms) < cfg.p_neg, -1.0, 1.0)
     if not cfg.allow_negative_diagonal:
         signs[self_index] = 1.0
     return magnitudes * signs
 
 
-def tactic_matrix(previous, cfg, rng, noise_sigma):
-    """One next tactic matrix, drawn and built on its own: the engine's
-    earlier sample_tactic_matrix, frozen. Its draws and their order are
-    the engine's, so the two must agree exactly."""
+def tactic_vector(n, self_index, cfg, rng):
+    """One candidate tactic vector: the engine's earlier
+    sample_tactic_vector, frozen, drawing n exponentials then n uniforms."""
+    exponentials = rng.exponential(1.0, n)
+    return tactic_vector_from(exponentials, rng.random(n), self_index, cfg)
+
+
+def tactic_matrix(previous, cfg, draws, noise_sigma):
+    """One next tactic matrix, built on its own from one line's draws
+    (coin, exponentials, normals, sign uniforms) as line_draws gives
+    them: a local perturbation of previous when the coin is below
+    local_mix, else one fresh vector per column (row j of the draws)."""
     previous = np.asarray(previous, dtype=float)
+    coin, exponentials, normals, signs = draws
     n = previous.shape[0]
-    if rng.random() < cfg.local_mix:
-        perturbed = previous + rng.normal(0.0, noise_sigma / n, size=(n, n))
+    if coin < cfg.local_mix:
+        perturbed = previous + np.asarray(normals, dtype=float) * (noise_sigma / n)
         if not cfg.allow_negative_diagonal:
             idx = np.arange(n)
             perturbed[idx, idx] = np.abs(perturbed[idx, idx])
         return renormalize_columns(perturbed)
-    return np.column_stack([tactic_vector(n, j, cfg, rng) for j in range(n)])
+    return np.column_stack(
+        [tactic_vector_from(exponentials[j], signs[j], j, cfg) for j in range(n)]
+    )
 
 
-def per_step_line(root, horizon, cfg, params, rng):
-    """One line of play, drawn, rolled and scored one step at a time: the
-    engine's earlier generate_line, frozen, with one update_sizes,
-    positional_utility and expected_utility call per step. It comes back
-    as a one-member block."""
+def per_step_line(root, horizon, cfg, params, draws):
+    """One line of play, built, rolled and scored one step at a time: the
+    engine's earlier generate_line, with one update_sizes,
+    positional_utility and expected_utility call per step. draws(step)
+    gives the line's draws at that step. It comes back as a one-member
+    block."""
     previous, current = root.tactics, root.sizes
     matrices, sizes, payoffs = [], [], []
-    for _ in range(horizon):
-        tactics = tactic_matrix(previous, cfg, rng, params.sigma)
+    for step in range(horizon):
+        tactics = tactic_matrix(previous, cfg, draws(step), params.sigma)
         current = update_sizes(tactics, current, params)
         utilities = positional_utility(current, params.alpha)
         payoffs.append(expected_utility(utilities, tactics, previous, params.sigma))

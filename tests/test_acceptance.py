@@ -116,13 +116,8 @@ def test_criterion_05_folk_filter_soundness():
     params = rs.ModelParams()
     cfg = rs.SamplerConfig(rng_seed=500, rounding=0.25, local_mix=0.6)
     game = rs.stage_game(state, params, cfg, k_candidates=8)
-    lines = rs.generate_lines(
-        state,
-        3,
-        cfg,
-        params,
-        [rs.substream(cfg.rng_seed, rs.LINE_STREAM, index) for index in range(10_000)],
-    )
+    key = rs.line_key(rs.substream(cfg.rng_seed, rs.LINE_STREAM))
+    lines = rs.generate_lines(state, 3, cfg, params, key, np.arange(10_000))
     retained = rs.folk_filter(lines, game.minimax)
     kept = set(retained.tolist())
     ok_kept = all(bool(np.all(lines.intertemporal[index] > game.minimax)) for index in kept)

@@ -4,6 +4,7 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +190,29 @@ def test_seed_flag_overrides_scenario(scenario_file, tmp_path):
     repeat = tmp_path / "repeat"
     assert main(["--seed", "99", "--out-dir", str(repeat), "frame", str(scenario_file)]) == 0
     assert (repeat / "frames.json").read_text() == (reseeded / "frames.json").read_text()
+
+
+@pytest.mark.parametrize("seed", [2**64 - 1, 2**80])
+def test_frame_at_wide_seeds(scenario_file, tmp_path, seed):
+    # the line stream hashes with uint64 arrays, which wrap; uint64
+    # scalars would raise under the CLI's errstate(over="raise")
+    out_dir = tmp_path / "out"
+    assert main(["--seed", str(seed), "--out-dir", str(out_dir), "frame", str(scenario_file)]) == 0
+    doc = json.loads((out_dir / "frames.json").read_text())
+    assert doc["diagnostics"]["lines_generated"] == 60
+    assert sum(frame["probability"] for frame in doc["frames"]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_reels_on_shipped_scenario(tmp_path):
+    # every node below the root seeds its expansion with a 64-bit seed
+    shipped = Path(__file__).resolve().parent.parent / "scenarios" / "three_agents.json"
+    out_dir = tmp_path / "out"
+    assert main(["--out-dir", str(out_dir), "reels", str(shipped)]) == 0
+    doc = json.loads((out_dir / "tree.json").read_text())
+    assert doc["tree"]["children"]
+    assert sum(reel["probability"] for reel in doc["reels"]) <= 1.0 + 1e-9
+    rows = list(csv.reader((out_dir / "reels.csv").open()))
+    assert len(rows) == len(doc["reels"]) + 1
 
 
 def test_out_dir_env_var(scenario_file, tmp_path, monkeypatch):

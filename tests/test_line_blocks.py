@@ -1,5 +1,5 @@
-"""Lines in blocks: every member equals the frozen per-step line bit for
-bit, and no output depends on the block size."""
+"""Lines in blocks: every member equals the per-step reference line and
+its one-member block bit for bit, and no output depends on the block size."""
 
 import itertools
 
@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 import reelsim as rs
-from reelsim import frames
+from reelsim import frames, sampling
 
 # (allow_negative_diagonal, local_mix, p_neg)
 CORNERS = list(itertools.product((False, True), (0.0, 0.5, 0.7, 1.0), (0.0, 1.0)))
@@ -20,6 +20,12 @@ def random_root(rng, n):
     sizes = rng.uniform(0.0, 1.0, n)
     sizes[rng.random(n) < 0.2] = 0.0
     return rs.State(tactics=tactics, sizes=sizes)
+
+
+def engine_draws(key, line, n):
+    """draws(step) for the per-step reference: line's own draws from the
+    engine, computed as a one-line stack."""
+    return lambda step: [draw[0] for draw in sampling.line_draws(key, [line], step, n)]
 
 
 def assert_line_equals(block, index, expected):
@@ -45,19 +51,20 @@ def test_block_equals_per_step_lines_bitwise(n):
             local_mix=local_mix,
             rng_seed=horizon,
         )
-        # n lines: a block as long as a side of its matrices
-        streams = range(n)
-        block = rs.generate_lines(
-            root, horizon, cfg, params, [rs.substream(n, 0, index) for index in streams]
-        )
+        key = int(rng.integers(2**64, dtype=np.uint64))
+        # n lines, a block as long as a side of its matrices, in no order
+        lines = [int(line) for line in rng.permutation(4 * n)[:n]]
+        block = rs.generate_lines(root, horizon, cfg, params, key, lines)
         assert len(block) == n
-        for index in streams:
-            expected = oracles.per_step_line(
-                root, horizon, cfg, params, rs.substream(n, 0, index)
-            )
+        for index, line in enumerate(lines):
+            expected = oracles.per_step_line(root, horizon, cfg, params, engine_draws(key, line, n))
             assert_line_equals(block, index, expected)
-        single = rs.generate_line(root, horizon, cfg, params, rs.substream(n, 0, 0))
-        expected = oracles.per_step_line(root, horizon, cfg, params, rs.substream(n, 0, 0))
+            alone = rs.generate_lines(root, horizon, cfg, params, key, [line])
+            assert_line_equals(alone, 0, expected)
+        # generate_line is line 0 of the stream keyed by one draw from rng
+        single = rs.generate_line(root, horizon, cfg, params, rs.substream(n, horizon))
+        key = rs.line_key(rs.substream(n, horizon))
+        expected = oracles.per_step_line(root, horizon, cfg, params, engine_draws(key, 0, n))
         assert len(single) == 1
         assert_line_equals(single, 0, expected)
 
@@ -71,16 +78,23 @@ def test_stacked_sampler_equals_frozen_sampler(n):
         )
         previous = np.stack([random_root(rng, n).tactics for _ in range(5)])
         sigma = rng.uniform(0.1, 2.0)
-        stacked = rs.sample_tactic_matrices(
-            previous, cfg, [rs.substream(n, index) for index in range(5)], sigma
-        )
-        for index in range(5):
-            expected = oracles.tactic_matrix(previous[index], cfg, rs.substream(n, index), sigma)
+        key, step = int(rng.integers(2**64, dtype=np.uint64)), int(rng.integers(10))
+        lines = [int(line) for line in rng.integers(0, 2**62, 5)]
+        stacked = rs.sample_tactic_matrices(previous, cfg, key, lines, step, sigma)
+        for index, line in enumerate(lines):
+            expected = oracles.tactic_matrix(
+                previous[index], cfg, engine_draws(key, line, n)(step), sigma
+            )
             assert np.array_equal(stacked[index], expected)
             alone = rs.sample_tactic_matrices(
-                previous[index : index + 1], cfg, [rs.substream(n, index)], sigma
+                previous[index : index + 1], cfg, key, [line], step, sigma
             )
             assert np.array_equal(alone[0], expected)
+            # the same matrix, up to rounding, from the math-module draws
+            reference = oracles.tactic_matrix(
+                previous[index], cfg, oracles.line_draws(key, line, step, n), sigma
+            )
+            assert np.allclose(stacked[index], reference, rtol=0.0, atol=1e-13)
         pools = rs.sample_candidates(n, 1, cfg, rs.substream(n, 9))
         frozen = rs.substream(n, 9)
         for self_index, pool in enumerate(pools):
@@ -91,12 +105,13 @@ def test_stacked_sampler_equals_frozen_sampler(n):
 
 
 def reference_distribution(root, params, cfg, n_lines, horizon, k_candidates):
-    """Frozen per-step lines, a per-line filter and the plain-loop cluster."""
+    """Per-step reference lines, a per-line filter and the plain-loop cluster."""
     game = rs.stage_game(root, params, cfg, k_candidates=k_candidates)
+    key = rs.line_key(rs.substream(cfg.rng_seed, rs.LINE_STREAM))
     retained = []
     for index in range(n_lines):
         line = oracles.per_step_line(
-            root, horizon, cfg, params, rs.substream(cfg.rng_seed, rs.LINE_STREAM, index)
+            root, horizon, cfg, params, engine_draws(key, index, root.n)
         )
         if np.all(line.intertemporal[0] > game.minimax):
             retained.append(line)

@@ -126,48 +126,37 @@ def test_vector_mean_magnitude_is_uniform_on_simplex(cfg):
 # ------------------------------------------------------------------ matrices
 
 
-def draw(previous, cfg, rng, noise_sigma):
-    """One next tactic matrix, drawn as a one-member stack."""
-    return rs.sample_tactic_matrices(previous[np.newaxis], cfg, [rng], noise_sigma)[0]
+def draw(previous, cfg, key, noise_sigma, count):
+    """Next tactic matrices (count, n, n) for lines 0..count-1 of the
+    stream keyed by key, each drawn from previous."""
+    stack = np.broadcast_to(previous, (count, *np.shape(previous)))
+    return rs.sample_tactic_matrices(stack, cfg, key, np.arange(count), 0, noise_sigma)
 
 
 def test_matrix_draws_are_always_valid(three_agent_tactics):
     cfg = rs.SamplerConfig(local_mix=0.5, p_neg=0.4)
-    rng = rs.substream(6, rs.LINE_STREAM, 0)
-    for _ in range(500):
-        matrix = draw(three_agent_tactics, cfg, rng, noise_sigma=0.5)
+    for matrix in draw(three_agent_tactics, cfg, 6, 0.5, 500):
         rs.validate_tactic_matrix(matrix)
         assert np.all(np.diag(matrix) >= 0.0)
 
 
 def test_global_draws_ignore_previous(three_agent_tactics):
     cfg = rs.SamplerConfig(local_mix=0.0)
-    a = draw(three_agent_tactics, cfg, rs.substream(7, 0), 0.5)
-    b = draw(np.eye(3), cfg, rs.substream(7, 0), 0.5)
+    a = draw(three_agent_tactics, cfg, 7, 0.5, 20)
+    b = draw(np.eye(3), cfg, 7, 0.5, 20)
     assert np.array_equal(a, b)
 
 
 def test_local_draws_with_tiny_noise_stay_put(three_agent_tactics):
     cfg = rs.SamplerConfig(local_mix=1.0)
-    matrix = draw(three_agent_tactics, cfg, rs.substream(8, 0), 1e-12)
-    assert np.allclose(matrix, three_agent_tactics, atol=1e-9)
+    matrices = draw(three_agent_tactics, cfg, 8, 1e-12, 20)
+    assert np.allclose(matrices, three_agent_tactics, atol=1e-9)
 
 
 def test_local_draws_follow_noise_scale(three_agent_tactics):
     cfg = rs.SamplerConfig(local_mix=1.0)
-    rng = rs.substream(9, 0)
-    narrow = [
-        rs.tactical_distance(
-            draw(three_agent_tactics, cfg, rng, 0.1), three_agent_tactics
-        )
-        for _ in range(200)
-    ]
-    wide = [
-        rs.tactical_distance(
-            draw(three_agent_tactics, cfg, rng, 1.0), three_agent_tactics
-        )
-        for _ in range(200)
-    ]
+    narrow = rs.tactical_distance(draw(three_agent_tactics, cfg, 9, 0.1, 200), three_agent_tactics)
+    wide = rs.tactical_distance(draw(three_agent_tactics, cfg, 10, 1.0, 200), three_agent_tactics)
     assert np.mean(narrow) < np.mean(wide)
 
 
