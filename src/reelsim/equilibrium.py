@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ModelParams, State, update_sizes
-from .sampling import CANDIDATE_STREAM, PROFILE_STREAM, SamplerConfig, sample_candidates, substream
+from .sampling import CANDIDATE_STREAM, PROFILE_STREAM, SamplerConfig, integer_draws
+from .sampling import sample_candidates, stream_key
 from .utility import expected_utility, positional_utility
 
 DEFAULT_CANDIDATES = 30
@@ -92,16 +93,16 @@ def stage_game(
 ) -> StageGame:
     """Draw candidate pools at a state and solve the resulting game.
 
-    Candidate draws come from one dedicated substream of the config seed
-    and profile subsampling from another, so the same config always
+    The pools read the stream keyed by stream_key(seed, CANDIDATE_STREAM)
+    and the profile screen and security levels the one keyed by
+    stream_key(seed, PROFILE_STREAM), so the same config always
     reproduces the same game.
     """
-    candidates = sample_candidates(
-        state.n, k_candidates, cfg, substream(cfg.rng_seed, CANDIDATE_STREAM)
-    )
-    rng = substream(cfg.rng_seed, PROFILE_STREAM)
+    seed = cfg.rng_seed
+    pools = sample_candidates(state.n, k_candidates, cfg, stream_key(seed, CANDIDATE_STREAM))
+    key = stream_key(seed, PROFILE_STREAM)
     return solve_stage_game(
-        candidates, state.tactics, state.sizes, params, max_profiles=max_profiles, rng=rng
+        pools, state.tactics, state.sizes, params, max_profiles=max_profiles, key=key
     )
 
 
@@ -112,16 +113,16 @@ def solve_stage_game(
     params: ModelParams,
     *,
     max_profiles: int = DEFAULT_MAX_PROFILES,
-    rng: np.random.Generator,
+    key: int,
 ) -> StageGame:
     """Solve the stage game on given candidate pools.
 
     Equilibria are the profiles where every agent's column attains its
     axis maximum, found exhaustively while the profile space fits
-    max_profiles, else by screening rng-drawn profiles, which can miss
-    some. The guarantee is each agent's worst equilibrium payoff or, with
-    none found, its security level: its best candidate under the worst
-    combination of the others' candidates.
+    max_profiles, else by screening profiles drawn from the stream keyed
+    by key, which can miss some. The guarantee is each agent's worst
+    equilibrium payoff or, with none found, its security level: its best
+    candidate under the worst combination of the others' candidates.
     """
     candidates = tuple(np.asarray(pool, dtype=float) for pool in candidates)
     previous = np.asarray(previous, dtype=float)
@@ -134,13 +135,13 @@ def solve_stage_game(
         profiles = _equilibrium_profiles(tensor)
         payoffs = tensor[tuple(profiles.T)]
     else:
-        profiles, payoffs = _sampled_equilibrium_profiles(*game, max_profiles, rng)
+        profiles, payoffs = _sampled_equilibrium_profiles(*game, max_profiles, key)
     if len(profiles):
         minimax = payoffs.min(axis=0)
     elif exhaustive:
         minimax = _security_from_tensor(tensor)
     else:
-        minimax = _sampled_security_levels(*game, max_profiles, rng)
+        minimax = _sampled_security_levels(*game, max_profiles, key)
     equilibria = tuple(profile_matrix(candidates, profiles.T))
     return StageGame(
         candidates=candidates, equilibria=equilibria, minimax=minimax, exhaustive=exhaustive
@@ -210,7 +211,7 @@ def _security_from_tensor(tensor: np.ndarray) -> np.ndarray:
 
 
 def _sampled_equilibrium_profiles(
-    candidates, previous, sizes, params, max_profiles: int, rng: np.random.Generator
+    candidates, previous, sizes, params, max_profiles: int, key: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Screen a random subset of profiles; each check itself is exact.
 
@@ -221,7 +222,7 @@ def _sampled_equilibrium_profiles(
     """
     ks = tuple(len(pool) for pool in candidates)
     n, width = len(ks), 1 + sum(ks)
-    draws = rng.integers(np.tile(ks, max(1, max_profiles // width))).reshape(-1, n)
+    draws = integer_draws(key, max(1, max_profiles // width), 0, ks)
     profiles = np.array(sorted(set(map(tuple, draws.tolist()))))
     # Row 1 + d of a slice replaces agent deviators[d]'s choice by alternatives[d].
     deviators = np.repeat(np.arange(n), ks)
@@ -237,24 +238,23 @@ def _sampled_equilibrium_profiles(
 
 
 def _sampled_security_levels(
-    candidates, previous, sizes, params, max_profiles: int, rng: np.random.Generator
+    candidates, previous, sizes, params, max_profiles: int, key: int
 ) -> np.ndarray:
     """Monte Carlo max-min: the worst case is taken over sampled others.
 
     An approximation from above (a wider scan could only lower the inner
-    minimum); used only when the profile space exceeds the budget. One rng
-    call draws the others' candidates for every (agent, own candidate,
-    combo) in turn, and the drawn rows are scored as they are.
+    minimum); used only when the profile space exceeds the budget. Row r
+    of integer_draws at step 1 is the profile of the r-th (agent, own
+    candidate, combo), agent-major, with the agent's column overwritten
+    by its own candidate.
     """
     ks = tuple(len(pool) for pool in candidates)
     n = len(ks)
     combos = max(1, max_profiles // max(1, sum(ks)))
     agents = np.repeat(np.arange(n), np.array(ks) * combos)
-    own = np.concatenate([np.repeat(np.arange(k), combos) for k in ks])
-    mine = agents[:, None] == np.arange(n)
-    drawn = np.where(mine, own[:, None], 0)
-    # A boolean assignment fills row by row, which is the draw order.
-    drawn[~mine] = rng.integers(np.broadcast_to(ks, mine.shape)[~mine])
+    rows = np.arange(len(agents))
+    drawn = integer_draws(key, len(rows), 1, ks)
+    drawn[rows, agents] = np.concatenate([np.repeat(np.arange(k), combos) for k in ks])
     payoffs = _score(candidates, drawn, previous, sizes, params)
-    worst = payoffs[np.arange(len(agents)), agents].reshape(-1, combos).min(axis=1)
+    worst = payoffs[rows, agents].reshape(-1, combos).min(axis=1)
     return np.maximum.reduceat(worst, np.cumsum((0,) + ks[:-1]))

@@ -20,11 +20,10 @@ from .equilibrium import DEFAULT_CANDIDATES, DEFAULT_MAX_PROFILES, stage_game
 from .sampling import (
     LINE_STREAM,
     SamplerConfig,
-    line_key,
     matrix_from_grid,
     round_to_grid,
     sample_tactic_matrices,
-    substream,
+    stream_key,
 )
 from .utility import (
     expected_utility,
@@ -166,11 +165,10 @@ def generate_line(
     rng: np.random.Generator,
 ) -> LineBlock:
     """Sample one line of play of `horizon` steps starting at the root, as
-    a one-member block: line 0 of the stream keyed by one draw from rng
-    (the n-sweep in bench/sweep.py times it). With
-    substream(seed, LINE_STREAM) as rng it is line 0 of
-    transition_distribution at that seed."""
-    return generate_lines(root, horizon, cfg, params, line_key(rng), [0])
+    a one-member block: line 0 of the stream keyed by one 64-bit draw
+    from rng. The engine never calls it; bench/sweep.py times it."""
+    key = int(rng.integers(2**64, dtype=np.uint64))
+    return generate_lines(root, horizon, cfg, params, key, [0])
 
 
 def _previous_matrices(root_tactics: np.ndarray, matrices: np.ndarray) -> np.ndarray:
@@ -272,17 +270,18 @@ def transition_distribution(
 ) -> FrameDistribution:
     """Run the full pipeline at a root state.
 
-    Line k is line k of the stream keyed by one draw from the seed's
-    LINE_STREAM substream, so the result is a pure function of (root,
-    params, cfg, n_lines, horizon). Lines run LINE_BLOCK at a time; the
-    block size changes no output bit.
+    Line k is line k of the stream keyed by stream_key(seed,
+    LINE_STREAM), and the stage game reads the seed's CANDIDATE_STREAM
+    and PROFILE_STREAM keys, so the result is a pure function of (root,
+    params, cfg, n_lines, horizon), drawn with no numpy generator. Lines
+    run LINE_BLOCK at a time; the block size changes no output bit.
     """
     if n_lines < 1:
         raise ValueError(f"need at least one line (got {n_lines})")
     game = stage_game(
         root, params, cfg, k_candidates=k_candidates, max_profiles=max_profiles
     )
-    key = line_key(substream(cfg.rng_seed, LINE_STREAM))
+    key = stream_key(cfg.rng_seed, LINE_STREAM)
     first_moves, weights = [], []
     for start in range(0, n_lines, LINE_BLOCK):
         lines = np.arange(start, min(start + LINE_BLOCK, n_lines))

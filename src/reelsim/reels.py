@@ -17,7 +17,7 @@ import numpy as np
 from .core import ModelParams, State
 from .equilibrium import DEFAULT_CANDIDATES, DEFAULT_MAX_PROFILES
 from .frames import transition_distribution
-from .sampling import SamplerConfig, derive_node_seed
+from .sampling import NODE_STREAM, SamplerConfig, stream_key
 
 LEAF_MAX_DEPTH = "max_depth"
 LEAF_ALL_DEAD = "all_dead"
@@ -82,11 +82,11 @@ def build_reel_tree(
     """Expand states recursively until depth, death, or a dead end.
 
     Children are the transition frames with probability >= p_min, best
-    branch_k of them. Every node's expansion seeds its own streams from
-    the master seed and the node's path, so a subtree's content depends
-    only on where it hangs, not on traversal order; the root node (empty
-    path) uses the master seed itself and therefore matches a direct
-    transition_distribution call at the root.
+    branch_k of them. A node below the root, at child-index path p, runs
+    its expansion with stream_key(master, NODE_STREAM, *p) as its seed,
+    so a subtree's content depends only on where it hangs, not on
+    traversal order; the root uses the master seed itself and therefore
+    matches a direct transition_distribution call at the root.
     """
     if depth_max < 0:
         raise ValueError(f"depth_max must be nonnegative (got {depth_max})")
@@ -101,7 +101,8 @@ def build_reel_tree(
             return ReelNode(state, depth, (), LEAF_ALL_DEAD, 0.0)
         if depth == depth_max:
             return ReelNode(state, depth, (), LEAF_MAX_DEPTH, 0.0)
-        node_cfg = dataclasses.replace(cfg, rng_seed=derive_node_seed(master, path))
+        seed = stream_key(master, NODE_STREAM, *path) if path else master
+        node_cfg = dataclasses.replace(cfg, rng_seed=seed)
         distribution = transition_distribution(
             state,
             params,

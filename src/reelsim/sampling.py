@@ -1,21 +1,16 @@
 """Random tactic generation and grid-rounding for cluster identity.
 
-Lines of play draw from a counter-based stream: every draw is a pure
-function of (key, line, step, slot), a SplitMix64 hash evaluated in
-numpy over a block's whole grid of counters, so a line's draws do not
-depend on the other lines, the block size or the order lines run in.
-The key is one draw from the seed's LINE_STREAM substream. Each step of
-a line owns 1 + 2n**2 slots: a local/global coin, then 2n**2 uniforms
-that the local branch turns into n**2 Box-Muller normals and the global
-branch into n**2 exponentials and n**2 sign uniforms.
-
-Everything else (a candidate pool, the profile screen, one tree node)
-draws from numpy Generators derived from the master seed via
-SeedSequence spawn keys. A candidate tactic vector is drawn as n
-exponentials (its magnitudes, normalized onto the simplex) followed by
-n uniforms (its signs); _vector_draws is the one routine that draws
-them. Candidate pools and the line sampler's global branch build their
-vectors with one routine, _tactic_vectors.
+Every draw is a word of one counter-based stream: word (line, step,
+slot) of the stream keyed by key is a SplitMix64 hash of the four,
+evaluated in numpy over a whole grid of counters, so no draw depends on
+generator state, block size or order. Keys are stream_key(seed, domain,
+*path). A line's step owns 1 + 2n**2 slots: a local/global coin, then
+uniforms for n**2 Box-Muller normals (local branch) or n**2 exponentials
+and n**2 sign uniforms (global branch). Candidate vector agent*k +
+candidate reads 2n slots at step 0, n exponentials and n sign uniforms;
+pools and the global branch build vectors with one routine,
+_tactic_vectors. integer_draws reads the stage game's profile rows, and
+a reel-tree node below the root takes a NODE_STREAM key as its seed.
 """
 
 from __future__ import annotations
@@ -28,11 +23,13 @@ import numpy as np
 
 from .core import TacticMatrixError
 
-# Substream namespace tags; keep disjoint so derived streams never collide.
+# Stream domain tags; keep disjoint so derived keys never collide.
 LINE_STREAM = 0
 CANDIDATE_STREAM = 1
 NODE_STREAM = 2
 PROFILE_STREAM = 3
+
+_MASK64 = 2**64 - 1
 
 
 @dataclass(frozen=True)
@@ -44,7 +41,7 @@ class SamplerConfig:
     local_mix: fraction of matrix draws taken as perturbations of the
         previous matrix instead of fresh global draws. Pure sampling
         efficiency under strong inertia; it never changes definitions.
-    rng_seed: master seed every stream derives from.
+    rng_seed: master seed; every key is a stream_key of it.
     rounding: cluster granularity; entries are rounded to multiples of
         this, so 1/rounding must be an integer, at most 2**53 so that
         every grid key is exact and fits an int64.
@@ -80,46 +77,55 @@ def _check_rounding(rounding: float) -> None:
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
-    """Generator for the substream identified by (seed, key).
-
-    Identical (seed, key) pairs yield byte-identical draw sequences
-    wherever they are drawn, which is what makes runs reproducible.
-    """
+    """numpy Generator for (seed, key). The engine never calls it; it
+    feeds generate_line, which bench/sweep.py times."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-def derive_node_seed(master_seed: int, path: tuple[int, ...]) -> int:
-    """64-bit seed for a tree node addressed by its child-index path."""
-    if not path:
-        return master_seed
-    words = np.random.SeedSequence(
-        entropy=master_seed, spawn_key=(NODE_STREAM, *path)
-    ).generate_state(2)
-    return (int(words[0]) << 32) | int(words[1])
+def stream_key(seed: int, domain: int, *path: int) -> int:
+    """64-bit key for (seed, domain, path): the count of the seed's
+    64-bit limbs, the limbs, the domain and the path, folded one word at
+    a time through _splitmix from 0. The count keeps seeds of 2**64 and
+    above apart from shorter ones."""
+    limbs = [seed >> shift & _MASK64 for shift in range(0, max(seed.bit_length(), 1), 64)]
+    key = np.zeros(1, dtype=np.uint64)
+    for word in (len(limbs), *limbs, domain, *path):
+        key = _splitmix(key, np.array([word], dtype=np.uint64))
+    return int(key[0])
 
 
-def sample_candidates(
-    n: int, k: int, cfg: SamplerConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, ...]:
-    """Draw k candidate tactic columns per agent from a single stream.
+def sample_candidates(n: int, k: int, cfg: SamplerConfig, key: int) -> tuple[np.ndarray, ...]:
+    """Draw k candidate tactic columns per agent from the stream keyed by key.
 
     Agent j's pool is a (k, n) array of tactic vectors whose own entry is
     j: magnitudes uniform on the unit simplex, so the abs-sum constraint
     holds by construction, and off-diagonal signs negative with
     probability p_neg; the own entry stays nonnegative unless the config
-    allows self-harm. The n*k vectors are drawn agent by agent and built
-    as one stack.
+    allows self-harm. Vector agent*k + candidate turns its line's 2n
+    uniforms u at step 0 into n exponentials -log(u) and n signs 1 - u.
     """
     if k < 1:
         raise ValueError(f"need at least one candidate per agent (got k={k})")
+    uniforms = _uniforms(line_words(key, np.arange(n * k), 0, 2 * n))
     owners = np.repeat(np.arange(n), k)
-    vectors = _tactic_vectors(*_vector_draws(rng, n * k, n), owners, cfg)
+    vectors = _tactic_vectors(-np.log(uniforms[:, :n]), 1.0 - uniforms[:, n:], owners, cfg)
     return tuple(vectors.reshape(n, k, n))
 
 
-def line_key(rng: np.random.Generator) -> int:
-    """Key of a line stream: one 64-bit draw from rng."""
-    return int(rng.integers(2**64, dtype=np.uint64))
+def integer_draws(key: int, rows: int, step: int, bounds: Sequence[int]) -> np.ndarray:
+    """Integers (rows, len(bounds)), column j uniform on [0, bounds[j]).
+
+    Row r reads line r of the stream keyed by key at this step; word w of
+    slot j becomes floor(w * bounds[j] / 2**64) (Lemire's multiply-shift),
+    exact on w's 32-bit halves for bounds below 2**32. With no rejection
+    step each value takes floor or ceil of 2**64 / bound words, so a
+    draw's total bias is below bound * 2**-64.
+    """
+    bounds = np.asarray(bounds, dtype=np.uint64)
+    words = line_words(key, np.arange(rows), step, len(bounds))
+    high = (words >> 32) * bounds
+    low = ((words & np.uint64(0xFFFFFFFF)) * bounds) >> 32
+    return ((high + low) >> 32).astype(np.int64)
 
 
 def line_words(key: int, lines: Sequence[int] | np.ndarray, step: int, slots: int) -> np.ndarray:
@@ -147,6 +153,11 @@ def _splitmix(base: np.ndarray, counters: np.ndarray) -> np.ndarray:
     return z ^ (z >> 31)
 
 
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """Each 64-bit word's uniform ((w >> 11) + 1) * 2**-53 in (0, 1]."""
+    return ((words >> 11) + 1) * 2.0**-53
+
+
 def line_draws(
     key: int, lines: Sequence[int] | np.ndarray, step: int, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -159,8 +170,7 @@ def line_draws(
     sign uniforms 1 - b. The coins are 1 - u too: both lie in [0, 1),
     so comparing them with < p is exact at p = 0 and p = 1.
     """
-    words = line_words(key, lines, step, 1 + 2 * n * n)
-    uniforms = ((words >> 11) + 1) * 2.0**-53
+    uniforms = _uniforms(line_words(key, lines, step, 1 + 2 * n * n))
     count = uniforms.shape[0]
     first = uniforms[:, 1 : 1 + n * n].reshape(count, n, n)
     second = uniforms[:, 1 + n * n :].reshape(count, n, n)
@@ -206,17 +216,6 @@ def sample_tactic_matrices(
         columns = _tactic_vectors(exponentials[fresh], sign_uniforms[fresh], np.arange(n), cfg)
         matrices[fresh] = columns.swapaxes(-1, -2)
     return matrices
-
-
-def _vector_draws(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
-    """Draws (2, count, n) for count candidate tactic vectors of n
-    entries: each vector's n exponentials, then its n uniforms, vector by
-    vector. This is the one place that fixes a candidate's draw order."""
-    draws = np.empty((2, count, n))
-    for vector in range(count):
-        draws[0, vector] = rng.exponential(1.0, n)
-        draws[1, vector] = rng.random(n)
-    return draws
 
 
 def _tactic_vectors(

@@ -52,8 +52,10 @@ class SimSettings:
             raise ValueError(f"lines must be at least 1 (got {self.lines})")
         if self.horizon < 1:
             raise ValueError(f"horizon must be at least 1 (got {self.horizon})")
-        if self.depth_max < 0:
-            raise ValueError(f"depth_max must be nonnegative (got {self.depth_max})")
+        # tree.json nests three encoder frames per level, so a deeper chain
+        # would exhaust Python's recursion limit after the whole expansion.
+        if not 0 <= self.depth_max <= 256:
+            raise ValueError(f"depth_max must lie in [0, 256] (got {self.depth_max})")
         if self.branch_k < 1:
             raise ValueError(f"branch_k must be at least 1 (got {self.branch_k})")
         if not 0.0 <= self.p_min <= 1.0:

@@ -94,10 +94,11 @@ def intertemporal_utility(payoffs: np.ndarray, delta: float) -> np.ndarray:
 
     ``payoffs`` holds one expected-utility vector per future step, the
     first row being one step ahead (the current state's payoff is never
-    counted). The sum is a finite-horizon truncation; the omitted tail is
-    bounded by delta**(H + 1) times the largest payoff, so a handful of
-    steps suffices for any delta well inside (0, 1). A stack of sequences
-    (..., H, n) gives one vector per member.
+    counted). The sum is a finite-horizon truncation: the kept weight is
+    (1 - delta) * sum_{t=1..H} delta**t = delta * (1 - delta**H), the
+    omitted tail's weight delta**(H + 1); at delta 0.9 and H 5 that is
+    0.369 kept against 0.531 omitted. A stack of sequences (..., H, n)
+    gives one vector per member.
     """
     payoffs = np.asarray(payoffs, dtype=float)
     if payoffs.ndim == 1:

@@ -2,8 +2,11 @@
 
 Everything here is written the slow, obvious way: plain Python loops and
 math-module scalars, so the engine has something genuinely separate to
-be compared against. The line stream's hash is written in Python
-integers and its variates with math-module scalars. The stage-game
+be compared against. The stream's hash, its keys and its integers are
+written in Python integers and the line variates with math-module
+scalars; candidate vectors take np.log of their uniforms, since math.log
+can differ from numpy's in the last bit and pools must match bit for
+bit. The stage-game
 tabulation, the sampled stage game and the per-step line are the
 deliberate exceptions: they reuse the engine's primitives on one matrix
 at a time (pinned down elsewhere by hand values) but do their own
@@ -180,13 +183,16 @@ def stage_tabulation(candidates, previous, sizes, params):
     return payoffs, equilibria, minimax
 
 
-def sampled_stage_game(candidates, previous, sizes, params, max_profiles, rng):
+def sampled_stage_game(candidates, previous, sizes, params, max_profiles, key):
     """Subsampled stage game, one profile and one payoff call at a time.
 
     A frozen copy of the engine's earlier scalar screen and security
     levels, memoized per profile: returns (equilibrium profiles sorted,
-    minimax). The random draws, their order and the budgets are the
-    engine's, so the two must agree exactly.
+    minimax). Each draw is one word of the stream keyed by key, taken
+    below its bound (below): the screen's profile r is line r at step 0,
+    the security levels' r-th (agent, own, combo) is line r at step 1,
+    and slot j is agent j's candidate. The budgets are the engine's, so
+    the two must agree exactly.
     """
     ks = tuple(len(pool) for pool in candidates)
     n = len(ks)
@@ -200,7 +206,10 @@ def sampled_stage_game(candidates, previous, sizes, params, max_profiles, rng):
         return cache[profile]
 
     budget = max(1, max_profiles // (sum(ks) + 1))
-    drawn = {tuple(int(rng.integers(k)) for k in ks) for _ in range(budget)}
+    drawn = {
+        tuple(below(line_word(key, row, 0, axis), ks[axis]) for axis in range(n))
+        for row in range(budget)
+    }
     found = []
     for profile in sorted(drawn):
         own = evaluate(profile)
@@ -218,13 +227,16 @@ def sampled_stage_game(candidates, previous, sizes, params, max_profiles, rng):
 
     combos = max(1, max_profiles // max(1, sum(ks)))
     levels = []
+    row = itertools.count()
     for agent in range(n):
         best = -math.inf
         for own in range(ks[agent]):
             worst = math.inf
             for _ in range(combos):
+                r = next(row)
                 profile = tuple(
-                    own if axis == agent else int(rng.integers(ks[axis])) for axis in range(n)
+                    own if axis == agent else below(line_word(key, r, 1, axis), ks[axis])
+                    for axis in range(n)
                 )
                 worst = min(worst, float(evaluate(profile)[agent]))
             best = max(best, worst)
@@ -274,8 +286,29 @@ def splitmix(base, counter):
 
 
 def line_word(key, line, step, slot):
-    """The line stream's word for (key, line, step, slot)."""
+    """The stream's word for (key, line, step, slot)."""
     return splitmix(splitmix(splitmix(key, line), step), slot)
+
+
+def stream_key(seed, domain, *path):
+    """Key for (seed, domain, path): fold the count of the seed's 64-bit
+    limbs (at least one), the limbs low first, the domain and the path
+    into splitmix, starting from 0."""
+    limbs = []
+    while True:
+        limbs.append(seed & MASK64)
+        seed >>= 64
+        if seed == 0:
+            break
+    key = 0
+    for word in [len(limbs), *limbs, domain, *path]:
+        key = splitmix(key, word)
+    return key
+
+
+def below(word, bound):
+    """A word's integer in [0, bound): floor(word * bound / 2**64)."""
+    return (word * bound) >> 64
 
 
 def uniform(word):
@@ -312,11 +345,12 @@ def tactic_vector_from(exponentials, uniforms, self_index, cfg):
     return magnitudes * signs
 
 
-def tactic_vector(n, self_index, cfg, rng):
-    """One candidate tactic vector: the engine's earlier
-    sample_tactic_vector, frozen, drawing n exponentials then n uniforms."""
-    exponentials = rng.exponential(1.0, n)
-    return tactic_vector_from(exponentials, rng.random(n), self_index, cfg)
+def candidate_vector(key, vector, n, self_index, cfg):
+    """Candidate tactic vector `vector` of the stream keyed by key: the
+    line's 2n words at step 0, n exponentials -log(u) and n sign uniforms
+    1 - u."""
+    u = [uniform(line_word(key, vector, 0, slot)) for slot in range(2 * n)]
+    return tactic_vector_from(-np.log(u[:n]), [1.0 - x for x in u[n:]], self_index, cfg)
 
 
 def tactic_matrix(previous, cfg, draws, noise_sigma):

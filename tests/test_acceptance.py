@@ -116,7 +116,7 @@ def test_criterion_05_folk_filter_soundness():
     params = rs.ModelParams()
     cfg = rs.SamplerConfig(rng_seed=500, rounding=0.25, local_mix=0.6)
     game = rs.stage_game(state, params, cfg, k_candidates=8)
-    key = rs.line_key(rs.substream(cfg.rng_seed, rs.LINE_STREAM))
+    key = rs.stream_key(cfg.rng_seed, rs.LINE_STREAM)
     lines = rs.generate_lines(state, 3, cfg, params, key, np.arange(10_000))
     retained = rs.folk_filter(lines, game.minimax)
     kept = set(retained.tolist())
@@ -161,9 +161,7 @@ def test_criterion_06_stage_game_matches_brute_force():
     previous = np.array([[0.75, 0.25], [-0.25, 0.75]])
     sizes = np.array([1.0, 0.6])
     params = rs.ModelParams(sigma=0.8)
-    game = rs.solve_stage_game(
-        candidates, previous, sizes, params, rng=np.random.default_rng(0)
-    )
+    game = rs.solve_stage_game(candidates, previous, sizes, params, key=0)
     fast, fast_minimax = game.equilibria, game.minimax
     _, slow_profiles, slow_minimax = oracles.stage_tabulation(
         [pool.tolist() for pool in candidates], previous, sizes, params

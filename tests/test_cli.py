@@ -173,6 +173,49 @@ def test_reels_writes_tree_and_table(scenario_file, tmp_path, capsys):
     assert len(rows) == len(doc["reels"]) + 1
 
 
+def chain_scenario(depth_max):
+    """Two agents whose tree is a one-child chain: one candidate each,
+    one child per node, every line a tiny perturbation of holding."""
+    return {
+        "schema": 1,
+        "agents": ["a", "b"],
+        "sizes": [1.0, 1.0],
+        "tactics": [[1.0, 0.0], [0.0, 1.0]],
+        "params": {"sigma": 0.01},
+        "sim": {
+            "lines": 50,
+            "horizon": 1,
+            "candidates": 1,
+            "branch_k": 1,
+            "p_min": 0.0,
+            "seed": 3,
+            "depth_max": depth_max,
+            "sampler": {"p_neg": 1.0, "local_mix": 1.0, "rounding": 1.0},
+        },
+    }
+
+
+def test_deepest_chain_writes_every_file(write_scenario, tmp_path):
+    # tree.json nests three encoder frames per level; 256 levels still fit
+    # the recursion limit under pytest's own frames
+    path = write_scenario(chain_scenario(256))
+    out_dir = tmp_path / "out"
+    assert main(["--out-dir", str(out_dir), "reels", str(path)]) == 0
+    rows = list(csv.reader((out_dir / "reels.csv").open()))
+    assert [row[2:4] for row in rows[1:]] == [["256", "max_depth"]]
+    assert json.loads((out_dir / "tree.json").read_text())["reels"][0]["steps"] == 256
+    assert (out_dir / "tree.dot").read_text().startswith("digraph reels {")
+
+
+def test_too_deep_chain_exits_one_before_expanding(write_scenario, tmp_path, capsys):
+    path = write_scenario(chain_scenario(257))
+    out_dir = tmp_path / "out"
+    assert main(["--out-dir", str(out_dir), "reels", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: sim: depth_max must lie in [0, 256] (got 257)\n"
+    assert not out_dir.exists()
+
+
 def test_reels_runs_are_reproducible(scenario_file, tmp_path):
     dirs = [tmp_path / "a", tmp_path / "b"]
     for out_dir in dirs:
@@ -283,17 +326,19 @@ def test_console_script_entry_point(scenario_file):
 
 
 def test_subsampled_frame_loads_no_extra_module(scenario_payload, write_scenario, tmp_path):
-    # A lazily imported module costs every run set-up time and memory.
+    # A lazily imported module costs every run set-up time and memory;
+    # every draw comes from the counter stream, so numpy.random is one.
     # 125 profiles over a budget of 60: the screen finds no equilibrium at
-    # seed 11, so the security levels run too.
-    scenario_payload["sim"]["max_profiles"] = 60
+    # seed 12, so the security levels run too.
+    scenario_payload["sim"].update({"max_profiles": 60, "seed": 12})
     path = write_scenario(scenario_payload)
     out_dir = tmp_path / "out"
     script = (
         "import sys\n"
         "from reelsim.cli import main\n"
-        f"assert main(['--out-dir', {str(out_dir)!r}, 'frame', {str(path)!r}]) == 0\n"
-        "print(sorted({'numpy.ma', 'scipy'} & set(sys.modules)))\n"
+        "for command in ('frame', 'reels'):\n"
+        f"    assert main(['--out-dir', {str(out_dir)!r}, command, {str(path)!r}]) == 0\n"
+        "print(sorted({'numpy.ma', 'numpy.random', 'scipy'} & set(sys.modules)))\n"
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

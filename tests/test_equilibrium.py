@@ -9,16 +9,13 @@ import reelsim as rs
 
 def pools(n, k, seed, p_neg=0.5):
     cfg = rs.SamplerConfig(p_neg=p_neg)
-    rng = rs.substream(seed, rs.CANDIDATE_STREAM)
-    return rs.sample_candidates(n, k, cfg, rng)
+    return rs.sample_candidates(n, k, cfg, rs.stream_key(seed, rs.CANDIDATE_STREAM))
 
 
 def exhaustive(candidates, previous, sizes, params):
     """solve_stage_game on a profile space that fits the budget, so the
     profile stream is never drawn from."""
-    game = rs.solve_stage_game(
-        candidates, previous, sizes, params, rng=np.random.default_rng(0)
-    )
+    game = rs.solve_stage_game(candidates, previous, sizes, params, key=0)
     assert game.exhaustive
     return game
 
@@ -51,7 +48,7 @@ def test_sample_candidates_shapes_and_validity():
 
 def test_sample_candidates_rejects_empty_pool():
     with pytest.raises(ValueError, match="at least one candidate"):
-        rs.sample_candidates(2, 0, rs.SamplerConfig(), rs.substream(0, 1))
+        rs.sample_candidates(2, 0, rs.SamplerConfig(), 0)
 
 
 @pytest.mark.parametrize(
@@ -65,14 +62,17 @@ def test_sample_candidates_rejects_empty_pool():
 # n = 8 is where a row-by-row sum starts to differ from a lone column's
 @pytest.mark.parametrize("n, k", [(1, 1), (3, 12), (5, 12), (8, 30), (9, 4)])
 def test_pools_equal_the_frozen_vector_loop(n, k, cfg):
-    rng = rs.substream(n, rs.CANDIDATE_STREAM)
-    frozen = rs.substream(n, rs.CANDIDATE_STREAM)
-    candidates = rs.sample_candidates(n, k, cfg, rng)
+    # the reference builds each vector alone from Python-integer words
+    key = rs.stream_key(n, rs.CANDIDATE_STREAM)
+    assert key == oracles.stream_key(n, rs.CANDIDATE_STREAM)
+    candidates = rs.sample_candidates(n, k, cfg, key)
     assert len(candidates) == n
     for agent, pool in enumerate(candidates):
-        expected = np.stack([oracles.tactic_vector(n, agent, cfg, frozen) for _ in range(k)])
-        assert np.array_equal(pool, expected)
-    assert rng.bit_generator.state == frozen.bit_generator.state
+        expected = [
+            oracles.candidate_vector(key, agent * k + candidate, n, agent, cfg)
+            for candidate in range(k)
+        ]
+        assert np.array_equal(pool, np.stack(expected))
 
 
 def test_profile_matrix_assembles_columns():
@@ -142,7 +142,7 @@ def test_single_agent_game_is_trivial(params):
 
 def test_security_fallback_matches_tabulation(params):
     # a game without a pure equilibrium falls back to the max-min value
-    candidates = pools(2, 3, seed=102)
+    candidates = pools(2, 3, seed=222)
     previous = rs.profile_matrix(candidates, (0, 0))
     sizes = np.array([1.0, 0.5])
     game = exhaustive(candidates, previous, sizes, params)
@@ -167,7 +167,7 @@ def test_empty_pool_is_rejected(params):
     candidates = (np.eye(2)[:1], np.empty((0, 2)))
     with pytest.raises(ValueError, match=r"pool 1 must be a nonempty \(k, 2\) array"):
         rs.solve_stage_game(
-            candidates, np.eye(2), np.ones(2), params, rng=np.random.default_rng(0)
+            candidates, np.eye(2), np.ones(2), params, key=0
         )
 
 
@@ -175,7 +175,7 @@ def test_one_pool_per_agent_is_required(params):
     candidates = pools(2, 3, seed=1)
     with pytest.raises(ValueError, match="one candidate pool per agent: got 2 for 3"):
         rs.solve_stage_game(
-            candidates, np.eye(3), np.ones(3), params, rng=np.random.default_rng(0)
+            candidates, np.eye(3), np.ones(3), params, key=0
         )
 
 
@@ -183,7 +183,7 @@ def test_pool_rows_must_have_one_entry_per_agent(params):
     candidates = pools(2, 3, seed=1) + (np.eye(2),)
     with pytest.raises(ValueError, match=r"pool 0 must be a nonempty \(k, 3\) array"):
         rs.solve_stage_game(
-            candidates, np.eye(3), np.ones(3), params, rng=np.random.default_rng(0)
+            candidates, np.eye(3), np.ones(3), params, key=0
         )
 
 
@@ -191,7 +191,7 @@ def test_previous_must_be_square_over_the_agents(params):
     candidates = pools(3, 2, seed=1)
     with pytest.raises(ValueError, match=r"previous must have shape \(3, 3\)"):
         rs.solve_stage_game(
-            candidates, np.eye(2), np.ones(3), params, rng=np.random.default_rng(0)
+            candidates, np.eye(2), np.ones(3), params, key=0
         )
 
 
@@ -204,7 +204,7 @@ def test_subsampled_scan_finds_only_true_equilibria(params):
     sizes = np.array([0.4, 1.0, 0.7])
     full = as_profiles(exhaustive(candidates, previous, sizes, params).equilibria, candidates)
     sampled = rs.solve_stage_game(
-        candidates, previous, sizes, params, max_profiles=100, rng=np.random.default_rng(5)
+        candidates, previous, sizes, params, max_profiles=100, key=5
     )
     assert not sampled.exhaustive
     sampled = as_profiles(sampled.equilibria, candidates)
@@ -217,7 +217,7 @@ def test_subsampled_scan_is_deterministic(params):
     sizes = np.array([0.4, 1.0, 0.7])
     runs = [
         rs.solve_stage_game(
-            candidates, previous, sizes, params, max_profiles=100, rng=np.random.default_rng(5)
+            candidates, previous, sizes, params, max_profiles=100, key=5
         ).equilibria
         for _ in range(2)
     ]

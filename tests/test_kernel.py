@@ -89,8 +89,8 @@ def test_all_dead_stack_scores_zero(params):
 
 
 def test_payoff_tensor_over_several_blocks_matches_tabulation(params, monkeypatch):
-    rng = rs.substream(5, rs.CANDIDATE_STREAM)
-    candidates = rs.sample_candidates(3, 20, rs.SamplerConfig(p_neg=0.3), rng)
+    key = rs.stream_key(5, rs.CANDIDATE_STREAM)
+    candidates = rs.sample_candidates(3, 20, rs.SamplerConfig(p_neg=0.3), key)
     assert math.prod(len(pool) for pool in candidates) > 2 * PAYOFF_BLOCK
     previous = rs.profile_matrix(candidates, (0, 0, 0))
     sizes = np.array([0.4, 1.0, 0.7])
@@ -110,18 +110,18 @@ def test_payoff_tensor_over_several_blocks_matches_tabulation(params, monkeypatc
 @pytest.mark.parametrize(
     "n, k, max_profiles, p_neg, seed, equilibria",
     [
-        (4, 6, 600, 0.5, 12, 9),
+        (4, 6, 600, 0.5, 12, 3),
         (4, 6, 600, 0.0, 0, 0),
-        (5, 4, 500, 0.5, 0, 3),
-        (5, 4, 500, 0.5, 1, 0),
+        (5, 4, 500, 0.5, 0, 0),
+        (5, 4, 500, 0.5, 1, 2),
         # k as a tuple gives each agent its own pool size; a max_profiles
         # of 30 // (1 + 3 + 7 + 2 + 5) screens a single profile
-        pytest.param(4, (3, 7, 2, 5), 120, 0.5, 7, 3, id="uneven-120-0.5-7-3"),
+        pytest.param(4, (3, 7, 2, 5), 120, 0.5, 7, 1, id="uneven-120-0.5-7-1"),
         pytest.param(4, (3, 7, 2, 5), 120, 0.0, 0, 0, id="uneven-120-0.0-0-0"),
-        pytest.param(4, (3, 7, 2, 5), 30, 0.5, 6, 1, id="uneven-30-0.5-6-1"),
+        pytest.param(4, (3, 7, 2, 5), 30, 0.5, 13, 1, id="uneven-30-0.5-13-1"),
         pytest.param(4, (3, 7, 2, 5), 30, 0.5, 4, 0, id="uneven-30-0.5-4-0"),
         # 30**13 profiles: more than an int64 can index
-        pytest.param(13, 30, 1564, 0.5, 3, 1, id="wide-1564-0.5-3-1"),
+        pytest.param(13, 30, 1564, 0.5, 28, 1, id="wide-1564-0.5-28-1"),
         # no equilibrium, so the security levels draw from the same space
         pytest.param(13, 30, 400, 0.5, 0, 0, id="wide-400-0.5-0-0"),
     ],
@@ -133,30 +133,27 @@ def test_sampled_game_matches_scalar_screen(
     cfg = rs.SamplerConfig(rng_seed=seed, p_neg=p_neg)
     sizes = np.random.default_rng(seed + 1000).uniform(0.0, 1.0, n)
     state = rs.State(tactics=np.eye(n), sizes=sizes / sizes.max())
-    pools = rs.sample_candidates(n, max(ks), cfg, rs.substream(seed, rs.CANDIDATE_STREAM))
+    pools = rs.sample_candidates(n, max(ks), cfg, rs.stream_key(seed, rs.CANDIDATE_STREAM))
     candidates = tuple(pool[:size] for pool, size in zip(pools, ks))
-    oracle_rng = rs.substream(seed, rs.PROFILE_STREAM)
+    key = oracles.stream_key(seed, rs.PROFILE_STREAM)
     profiles, minimax = oracles.sampled_stage_game(
-        candidates, state.tactics, state.sizes, params, max_profiles, oracle_rng
+        candidates, state.tactics, state.sizes, params, max_profiles, key
     )
     assert len(profiles) == equilibria
     expected = [rs.profile_matrix(candidates, profile) for profile in profiles]
     # 7 rows hold less than one deviation slice, 4,096 rows several
     for block in (1, 7, PAYOFF_BLOCK, 4096):
         monkeypatch.setattr(equilibrium, "PAYOFF_BLOCK", block)
-        rng = rs.substream(seed, rs.PROFILE_STREAM)
         game = rs.solve_stage_game(
-            candidates, state.tactics, state.sizes, params, max_profiles=max_profiles, rng=rng
+            candidates, state.tactics, state.sizes, params, max_profiles=max_profiles, key=key
         )
         assert not game.exhaustive
         assert len(game.equilibria) == len(expected)
         for matrix, reference in zip(game.equilibria, expected):
             assert np.array_equal(matrix, reference)
         assert np.array_equal(game.minimax, minimax)
-        # the security draws continue the screen's stream: both end in one state
-        assert rng.bit_generator.state == oracle_rng.bit_generator.state
     if len(set(ks)) == 1:
-        # stage_game draws these very pools from the same streams
+        # stage_game draws these very pools and profiles from the same keys
         drawn = rs.stage_game(state, params, cfg, k_candidates=k, max_profiles=max_profiles)
         assert all(np.array_equal(a, b) for a, b in zip(drawn.candidates, candidates))
         assert len(drawn.equilibria) == len(expected)

@@ -63,7 +63,7 @@ def test_block_equals_per_step_lines_bitwise(n):
             assert_line_equals(alone, 0, expected)
         # generate_line is line 0 of the stream keyed by one draw from rng
         single = rs.generate_line(root, horizon, cfg, params, rs.substream(n, horizon))
-        key = rs.line_key(rs.substream(n, horizon))
+        key = int(rs.substream(n, horizon).integers(2**64, dtype=np.uint64))
         expected = oracles.per_step_line(root, horizon, cfg, params, engine_draws(key, 0, n))
         assert len(single) == 1
         assert_line_equals(single, 0, expected)
@@ -95,10 +95,10 @@ def test_stacked_sampler_equals_frozen_sampler(n):
                 previous[index], cfg, oracles.line_draws(key, line, step, n), sigma
             )
             assert np.allclose(stacked[index], reference, rtol=0.0, atol=1e-13)
-        pools = rs.sample_candidates(n, 1, cfg, rs.substream(n, 9))
-        frozen = rs.substream(n, 9)
+        pools = rs.sample_candidates(n, 1, cfg, key)
         for self_index, pool in enumerate(pools):
-            assert np.array_equal(pool[0], oracles.tactic_vector(n, self_index, cfg, frozen))
+            expected = oracles.candidate_vector(key, self_index, n, self_index, cfg)
+            assert np.array_equal(pool[0], expected)
 
 
 # ------------------------------------------------------------- distribution
@@ -107,7 +107,7 @@ def test_stacked_sampler_equals_frozen_sampler(n):
 def reference_distribution(root, params, cfg, n_lines, horizon, k_candidates):
     """Per-step reference lines, a per-line filter and the plain-loop cluster."""
     game = rs.stage_game(root, params, cfg, k_candidates=k_candidates)
-    key = rs.line_key(rs.substream(cfg.rng_seed, rs.LINE_STREAM))
+    key = oracles.stream_key(cfg.rng_seed, rs.LINE_STREAM)
     retained = []
     for index in range(n_lines):
         line = oracles.per_step_line(

@@ -1,7 +1,7 @@
-"""The counter-based line stream: its words and uniforms against a
-Python-integer reference, its variates against the math module, the
-marginals of the draws it feeds the sampler, and the absence of
-per-line generators."""
+"""The counter-based stream: its words, keys, uniforms and integers
+against a Python-integer reference, its variates against the math
+module, the marginals of the draws it feeds the sampler and the stage
+game, and the absence of numpy generators from the engine."""
 
 import numpy as np
 import pytest
@@ -158,28 +158,78 @@ def test_neighbouring_lines_and_steps_are_uncorrelated():
     assert np.max(np.abs(across_steps)) < bound
 
 
+# -------------------------------------------------------------- integers
+
+
+BOUNDS = [1, 2, 3, 7, 12, 30, 2**31 + 1, 2**32 - 1]
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_integers_match_multiply_shift(key):
+    for step in (0, 1):
+        draws = sampling.integer_draws(key, 40, step, BOUNDS)
+        assert draws.shape == (40, len(BOUNDS))
+        for row, drawn in enumerate(draws.tolist()):
+            expected = [
+                oracles.below(oracles.line_word(key, row, step, slot), bound)
+                for slot, bound in enumerate(BOUNDS)
+            ]
+            assert drawn == expected
+
+
+def test_screen_integers_are_uniform():
+    # each value's share against 1/k, and the pairs of neighbouring
+    # columns against 1/(k1 k2); five standard errors, fixed in advance
+    rows, bounds = 60_000, [2, 5, 12]
+    draws = sampling.integer_draws(rs.stream_key(3, rs.PROFILE_STREAM), rows, 0, bounds)
+    for column, k in enumerate(bounds):
+        shares = np.bincount(draws[:, column], minlength=k) / rows
+        assert len(shares) == k
+        assert np.max(np.abs(shares - 1 / k)) < 5 * np.sqrt((1 / k) * (1 - 1 / k) / rows)
+    pairs = draws[:, 1] * 12 + draws[:, 2]
+    p = 1 / 60
+    shares = np.bincount(pairs, minlength=60) / rows
+    assert np.max(np.abs(shares - p)) < 5 * np.sqrt(p * (1 - p) / rows)
+
+
 # ------------------------------------------------------------ generators
 
 
-def test_line_count_builds_no_generators(monkeypatch, three_agent_state):
-    params = rs.ModelParams(sigma=0.25)
-    cfg = rs.SamplerConfig(rng_seed=5, local_mix=0.9, rounding=0.25)
-    counts = {}
+def count_generators(monkeypatch):
+    """Counts of the numpy SeedSequence and default_rng calls made from
+    now on, by name."""
+    counts = {"SeedSequence": 0, "default_rng": 0}
     real_sequence, real_generator = np.random.SeedSequence, np.random.default_rng
 
     def counting(name, real):
         def build(*args, **kwargs):
-            counts[name] = counts.get(name, 0) + 1
+            counts[name] += 1
             return real(*args, **kwargs)
 
         return build
 
     monkeypatch.setattr(np.random, "SeedSequence", counting("SeedSequence", real_sequence))
     monkeypatch.setattr(np.random, "default_rng", counting("default_rng", real_generator))
-    seen = []
+    return counts
+
+
+def test_line_count_builds_no_generators(monkeypatch, three_agent_state):
+    params = rs.ModelParams(sigma=0.25)
+    cfg = rs.SamplerConfig(rng_seed=5, local_mix=0.9, rounding=0.25)
+    counts = count_generators(monkeypatch)
     for n_lines in (1, 2000):
-        counts.clear()
         rs.transition_distribution(three_agent_state, params, cfg, n_lines, 2, k_candidates=4)
-        seen.append(dict(counts))
-    assert seen[0] == seen[1]
-    assert seen[0]["SeedSequence"] == seen[0]["default_rng"] == 3
+        # a subsampled game draws its screen and security levels too
+        rs.transition_distribution(
+            three_agent_state, params, cfg, n_lines, 2, k_candidates=5, max_profiles=20
+        )
+        assert counts == {"SeedSequence": 0, "default_rng": 0}
+
+
+def test_reel_tree_builds_no_generators(monkeypatch, three_agent_state):
+    params = rs.ModelParams(sigma=0.25)
+    cfg = rs.SamplerConfig(rng_seed=5, local_mix=0.9, rounding=0.25)
+    counts = count_generators(monkeypatch)
+    tree = rs.build_reel_tree(three_agent_state, 2, 2, 0.0, params, cfg, 40, 2, k_candidates=4)
+    assert tree.children and tree.children[0].child.children
+    assert counts == {"SeedSequence": 0, "default_rng": 0}

@@ -166,7 +166,7 @@ def test_child_expansion_matches_its_node_seed(tiny_state, params):
     )
     child = tree.children[0].child
     assert not child.is_leaf
-    node_cfg = dataclasses.replace(cfg, rng_seed=rs.derive_node_seed(11, (0,)))
+    node_cfg = dataclasses.replace(cfg, rng_seed=rs.stream_key(11, rs.NODE_STREAM, 0))
     replay = rs.transition_distribution(child.state, params, node_cfg, 50, 2, k_candidates=4)
     for edge, frame in zip(child.children, replay.frames):
         assert edge.probability == frame.probability

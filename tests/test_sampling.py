@@ -1,4 +1,4 @@
-"""Tactic sampling, substream derivation, and grid rounding."""
+"""Tactic sampling, stream keys, and grid rounding."""
 
 import numpy as np
 import pytest
@@ -66,17 +66,34 @@ def test_substreams_differ_by_key_and_seed():
     assert not np.array_equal(base, rs.substream(7, rs.CANDIDATE_STREAM, 3).random(8))
 
 
-def test_node_seed_root_is_master():
-    assert rs.derive_node_seed(123, ()) == 123
+# --------------------------------------------------------------- stream keys
 
 
 def test_node_seed_properties():
-    seeds = {rs.derive_node_seed(5, path) for path in [(0,), (1,), (0, 0), (0, 1), (1, 0)]}
+    paths = [(0,), (1,), (0, 0), (0, 1), (1, 0)]
+    seeds = {rs.stream_key(5, rs.NODE_STREAM, *path) for path in paths}
     assert len(seeds) == 5
     for seed in seeds:
         assert 0 <= seed < 2**64
-    assert rs.derive_node_seed(5, (0, 1)) == rs.derive_node_seed(5, (0, 1))
-    assert rs.derive_node_seed(6, (0, 1)) != rs.derive_node_seed(5, (0, 1))
+    assert rs.stream_key(5, rs.NODE_STREAM, 0, 1) == rs.stream_key(5, rs.NODE_STREAM, 0, 1)
+    assert rs.stream_key(6, rs.NODE_STREAM, 0, 1) != rs.stream_key(5, rs.NODE_STREAM, 0, 1)
+
+
+WIDE_SEEDS = [0, 1, 2**63, 2**64 - 1, 2**64, 2**80, 2**80 + 2**64, 3**100]
+
+
+@pytest.mark.parametrize("seed", WIDE_SEEDS)
+def test_stream_key_matches_integer_reference(seed):
+    cases = ((rs.LINE_STREAM, ()), (rs.PROFILE_STREAM, ()), (rs.NODE_STREAM, (3, 0, 2)))
+    for domain, path in cases:
+        assert rs.stream_key(seed, domain, *path) == oracles.stream_key(seed, domain, *path)
+
+
+def test_stream_keys_of_wide_seeds_are_distinct():
+    # the limb count keeps 2**64 apart from 0 and 2**80 from 2**16
+    seeds = [0, 2**64 - 1, 2**64, 2**80, 2**80 + 2**64, 2**16]
+    keys = {rs.stream_key(seed, domain) for seed in seeds for domain in range(4)}
+    assert len(keys) == 4 * len(seeds)
 
 
 # ------------------------------------------------------------------- vectors
@@ -85,41 +102,36 @@ def test_node_seed_properties():
 
 
 def test_single_agent_vector_is_degenerate(cfg):
-    rng = rs.substream(0, rs.CANDIDATE_STREAM)
-    (pool,) = rs.sample_candidates(1, 5, cfg, rng)
+    (pool,) = rs.sample_candidates(1, 5, cfg, 0)
     assert pool.tolist() == [[1.0]] * 5
 
 
 def test_vector_satisfies_allocation_constraint(cfg):
-    rng = rs.substream(1, rs.CANDIDATE_STREAM)
-    for agent, pool in enumerate(rs.sample_candidates(4, 1000, cfg, rng)):
+    for agent, pool in enumerate(rs.sample_candidates(4, 1000, cfg, 1)):
         assert np.all(np.abs(np.sum(np.abs(pool), axis=1) - 1.0) <= 1e-9)
         assert np.all(np.abs(pool) <= 1.0)
         assert np.all(pool[:, agent] >= 0.0)
 
 
 def test_vector_sign_controls(cfg):
-    rng = rs.substream(2, rs.CANDIDATE_STREAM)
     all_pos = rs.SamplerConfig(p_neg=0.0)
     all_neg = rs.SamplerConfig(p_neg=1.0)
-    for pool in rs.sample_candidates(3, 50, all_pos, rng):
+    for pool in rs.sample_candidates(3, 50, all_pos, 2):
         assert np.all(pool >= 0.0)
-    for agent, pool in enumerate(rs.sample_candidates(3, 50, all_neg, rng)):
+    for agent, pool in enumerate(rs.sample_candidates(3, 50, all_neg, 2)):
         others = np.arange(3) != agent
         assert np.all(pool[:, others] <= 0.0) and np.all(pool[:, agent] >= 0.0)
 
 
 def test_vector_self_harm_needs_opt_in():
-    rng = rs.substream(3, rs.CANDIDATE_STREAM)
     permissive = rs.SamplerConfig(p_neg=0.9, allow_negative_diagonal=True)
-    pools = rs.sample_candidates(3, 200, permissive, rng)
+    pools = rs.sample_candidates(3, 200, permissive, 3)
     assert all(np.any(pool[:, agent] < 0.0) for agent, pool in enumerate(pools))
 
 
 def test_vector_mean_magnitude_is_uniform_on_simplex(cfg):
     # uniform simplex sampling puts expected magnitude 1/n on every slot
-    rng = rs.substream(4, rs.CANDIDATE_STREAM)
-    draws = np.abs(rs.sample_candidates(3, 10_000, cfg, rng))
+    draws = np.abs(rs.sample_candidates(3, 10_000, cfg, 4))
     assert np.max(np.abs(draws.mean(axis=1) - 1.0 / 3.0)) < 0.02
 
 
@@ -220,10 +232,9 @@ def test_round_tactic_matrix_keeps_grid_points(three_agent_tactics):
 
 
 def test_round_tactic_matrix_output_is_valid():
-    rng = np.random.default_rng(11)
     cfg = rs.SamplerConfig()
-    for _ in range(100):
-        columns = [oracles.tactic_vector(3, j, cfg, rng) for j in range(3)]
+    for key in range(100):
+        columns = [oracles.candidate_vector(key, j, 3, j, cfg) for j in range(3)]
         rounded = rs.round_tactic_matrix(np.column_stack(columns), 0.25)
         rs.validate_tactic_matrix(rounded)
 
