@@ -11,7 +11,8 @@ no equilibrium at all, the security level (best worst case) stands in.
 The profile space is enumerated exhaustively while it fits a budget and
 Monte Carlo subsampled beyond it. A subsampled sweep checks each drawn
 profile exactly (full deviation scan per agent) but can miss equilibria
-that were never drawn. One solver, solve_stage_game, does both;
+that were never drawn; its security levels come from the deviation
+slices it already scored. One solver, solve_stage_game, does both;
 stage_game draws the candidate pools and calls it.
 
 Every payoff comes from one batched kernel, stage_payoffs, built from the
@@ -94,9 +95,9 @@ def stage_game(
     """Draw candidate pools at a state and solve the resulting game.
 
     The pools read the stream keyed by stream_key(seed, CANDIDATE_STREAM)
-    and the profile screen and security levels the one keyed by
-    stream_key(seed, PROFILE_STREAM), so the same config always
-    reproduces the same game.
+    and the profile screen, whose scored slices also give the security
+    levels, the one keyed by stream_key(seed, PROFILE_STREAM), so the
+    same config always reproduces the same game.
     """
     seed = cfg.rng_seed
     pools = sample_candidates(state.n, k_candidates, cfg, stream_key(seed, CANDIDATE_STREAM))
@@ -122,7 +123,8 @@ def solve_stage_game(
     max_profiles, else by screening profiles drawn from the stream keyed
     by key, which can miss some. The guarantee is each agent's worst
     equilibrium payoff or, with none found, its security level: its best
-    candidate under the worst combination of the others' candidates.
+    candidate under the worst combination of the others' candidates, or
+    of the screened profiles' others when subsampled (an upper bound).
     """
     candidates = tuple(np.asarray(pool, dtype=float) for pool in candidates)
     previous = np.asarray(previous, dtype=float)
@@ -131,17 +133,10 @@ def solve_stage_game(
     game = (candidates, previous, sizes, params)
     exhaustive = math.prod(len(pool) for pool in candidates) <= max_profiles
     if exhaustive:
-        tensor = payoff_tensor(*game)
-        profiles = _equilibrium_profiles(tensor)
-        payoffs = tensor[tuple(profiles.T)]
+        profiles, payoffs, security = _solve_tensor(payoff_tensor(*game))
     else:
-        profiles, payoffs = _sampled_equilibrium_profiles(*game, max_profiles, key)
-    if len(profiles):
-        minimax = payoffs.min(axis=0)
-    elif exhaustive:
-        minimax = _security_from_tensor(tensor)
-    else:
-        minimax = _sampled_security_levels(*game, max_profiles, key)
+        profiles, payoffs, security = _screen(*game, max_profiles, key)
+    minimax = payoffs.min(axis=0) if len(profiles) else security
     equilibria = tuple(profile_matrix(candidates, profiles.T))
     return StageGame(
         candidates=candidates, equilibria=equilibria, minimax=minimax, exhaustive=exhaustive
@@ -188,41 +183,36 @@ def _score(candidates, profiles, previous, sizes, params) -> np.ndarray:
     return payoffs
 
 
-def _equilibrium_profiles(tensor: np.ndarray) -> np.ndarray:
-    """Rows (E, n), in index order, of profiles where each agent's payoff is its axis max."""
+def _solve_tensor(tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Equilibrium rows (E, n) in index order, where each agent's payoff is
+    its axis max, their payoffs (E, n), and each agent's security level:
+    its best candidate under the worst combination of the others'."""
     n = tensor.shape[-1]
     mask = np.ones(tensor.shape[:-1], dtype=bool)
+    security = np.empty(n)
     for agent in range(n):
         payoffs = tensor[..., agent]
         mask &= payoffs == payoffs.max(axis=agent, keepdims=True)
-    return np.argwhere(mask)
+        security[agent] = payoffs.min(axis=tuple(a for a in range(n) if a != agent)).max()
+    rows = np.argwhere(mask)
+    return rows, tensor[tuple(rows.T)], security
 
 
-def _security_from_tensor(tensor: np.ndarray) -> np.ndarray:
-    """Max-min value per agent: best candidate under worst others."""
-    n = tensor.shape[-1]
-    levels = np.empty(n)
-    for agent in range(n):
-        payoffs = tensor[..., agent]
-        others = tuple(axis for axis in range(n) if axis != agent)
-        worst = payoffs.min(axis=others) if others else payoffs
-        levels[agent] = worst.max()
-    return levels
-
-
-def _sampled_equilibrium_profiles(
+def _screen(
     candidates, previous, sizes, params, max_profiles: int, key: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Screen a random subset of profiles; each check itself is exact.
 
     Checking one profile scores its deviation slice, the profile and its
     sum(ks) unilateral deviations, so the number of screened profiles is
-    budgeted accordingly. Returns the stable rows (E, n), sorted, and
-    their payoffs (E, n), taken from the slices already scored.
+    budgeted accordingly. Returns the stable rows (E, n), sorted, their
+    payoffs (E, n) and each agent's security level, all read from the
+    slices already scored: its best candidate under the worst screened
+    others, an upper bound on the exact max-min.
     """
     ks = tuple(len(pool) for pool in candidates)
     n, width = len(ks), 1 + sum(ks)
-    draws = integer_draws(key, max(1, max_profiles // width), 0, ks)
+    draws = integer_draws(key, max(1, max_profiles // width), ks)
     profiles = np.array(sorted(set(map(tuple, draws.tolist()))))
     # Row 1 + d of a slice replaces agent deviators[d]'s choice by alternatives[d].
     deviators = np.repeat(np.arange(n), ks)
@@ -232,29 +222,8 @@ def _sampled_equilibrium_profiles(
     rows[:, deviations, deviators] = alternatives
     payoffs = _score(candidates, rows.reshape(-1, n), previous, sizes, params).reshape(rows.shape)
     firsts = np.cumsum((0,) + ks[:-1])
-    best = np.maximum.reduceat(payoffs[:, deviations, deviators], firsts, axis=1)
+    deviated = payoffs[:, deviations, deviators]
+    best = np.maximum.reduceat(deviated, firsts, axis=1)
     stable = np.all(payoffs[:, 0] >= best, axis=1)
-    return profiles[stable], payoffs[stable, 0]
-
-
-def _sampled_security_levels(
-    candidates, previous, sizes, params, max_profiles: int, key: int
-) -> np.ndarray:
-    """Monte Carlo max-min: the worst case is taken over sampled others.
-
-    An approximation from above (a wider scan could only lower the inner
-    minimum); used only when the profile space exceeds the budget. Row r
-    of integer_draws at step 1 is the profile of the r-th (agent, own
-    candidate, combo), agent-major, with the agent's column overwritten
-    by its own candidate.
-    """
-    ks = tuple(len(pool) for pool in candidates)
-    n = len(ks)
-    combos = max(1, max_profiles // max(1, sum(ks)))
-    agents = np.repeat(np.arange(n), np.array(ks) * combos)
-    rows = np.arange(len(agents))
-    drawn = integer_draws(key, len(rows), 1, ks)
-    drawn[rows, agents] = np.concatenate([np.repeat(np.arange(k), combos) for k in ks])
-    payoffs = _score(candidates, drawn, previous, sizes, params)
-    worst = payoffs[rows, agents].reshape(-1, combos).min(axis=1)
-    return np.maximum.reduceat(worst, np.cumsum((0,) + ks[:-1]))
+    security = np.maximum.reduceat(deviated.min(axis=0), firsts)
+    return profiles[stable], payoffs[stable, 0], security

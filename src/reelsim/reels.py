@@ -23,6 +23,9 @@ LEAF_MAX_DEPTH = "max_depth"
 LEAF_ALL_DEAD = "all_dead"
 LEAF_EMPTY = "empty_distribution"
 LEAF_PRUNED = "pruned_out"
+# tree.json nests three encoder frames per level, so a deeper chain would
+# exhaust Python's recursion limit after the whole expansion.
+MAX_DEPTH = 256
 
 
 @dataclass(frozen=True)
@@ -88,8 +91,8 @@ def build_reel_tree(
     traversal order; the root uses the master seed itself and therefore
     matches a direct transition_distribution call at the root.
     """
-    if depth_max < 0:
-        raise ValueError(f"depth_max must be nonnegative (got {depth_max})")
+    if not 0 <= depth_max <= MAX_DEPTH:
+        raise ValueError(f"depth_max must lie in [0, {MAX_DEPTH}] (got {depth_max})")
     if branch_k < 1:
         raise ValueError(f"branch_k must be at least 1 (got {branch_k})")
     if not 0.0 <= p_min <= 1.0:

@@ -86,7 +86,10 @@ def stream_key(seed: int, domain: int, *path: int) -> int:
     """64-bit key for (seed, domain, path): the count of the seed's
     64-bit limbs, the limbs, the domain and the path, folded one word at
     a time through _splitmix from 0. The count keeps seeds of 2**64 and
-    above apart from shorter ones."""
+    above apart from shorter ones. A negative seed is rejected, since
+    its masked limbs would alias a nonnegative one (-1 with 2**64 - 1)."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative (got {seed})")
     limbs = [seed >> shift & _MASK64 for shift in range(0, max(seed.bit_length(), 1), 64)]
     key = np.zeros(1, dtype=np.uint64)
     for word in (len(limbs), *limbs, domain, *path):
@@ -112,17 +115,17 @@ def sample_candidates(n: int, k: int, cfg: SamplerConfig, key: int) -> tuple[np.
     return tuple(vectors.reshape(n, k, n))
 
 
-def integer_draws(key: int, rows: int, step: int, bounds: Sequence[int]) -> np.ndarray:
+def integer_draws(key: int, rows: int, bounds: Sequence[int]) -> np.ndarray:
     """Integers (rows, len(bounds)), column j uniform on [0, bounds[j]).
 
-    Row r reads line r of the stream keyed by key at this step; word w of
+    Row r reads line r of the stream keyed by key at step 0; word w of
     slot j becomes floor(w * bounds[j] / 2**64) (Lemire's multiply-shift),
     exact on w's 32-bit halves for bounds below 2**32. With no rejection
     step each value takes floor or ceil of 2**64 / bound words, so a
     draw's total bias is below bound * 2**-64.
     """
     bounds = np.asarray(bounds, dtype=np.uint64)
-    words = line_words(key, np.arange(rows), step, len(bounds))
+    words = line_words(key, np.arange(rows), 0, len(bounds))
     high = (words >> 32) * bounds
     low = ((words & np.uint64(0xFFFFFFFF)) * bounds) >> 32
     return ((high + low) >> 32).astype(np.int64)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import ModelParams, State, TacticMatrixError, normalize_sizes, validate_tactic_matrix
 from .equilibrium import DEFAULT_CANDIDATES, DEFAULT_MAX_PROFILES
+from .reels import MAX_DEPTH
 from .sampling import SamplerConfig
 
 SCHEMA_VERSION = 1
@@ -52,10 +53,8 @@ class SimSettings:
             raise ValueError(f"lines must be at least 1 (got {self.lines})")
         if self.horizon < 1:
             raise ValueError(f"horizon must be at least 1 (got {self.horizon})")
-        # tree.json nests three encoder frames per level, so a deeper chain
-        # would exhaust Python's recursion limit after the whole expansion.
-        if not 0 <= self.depth_max <= 256:
-            raise ValueError(f"depth_max must lie in [0, 256] (got {self.depth_max})")
+        if not 0 <= self.depth_max <= MAX_DEPTH:
+            raise ValueError(f"depth_max must lie in [0, {MAX_DEPTH}] (got {self.depth_max})")
         if self.branch_k < 1:
             raise ValueError(f"branch_k must be at least 1 (got {self.branch_k})")
         if not 0.0 <= self.p_min <= 1.0:

@@ -186,13 +186,13 @@ def stage_tabulation(candidates, previous, sizes, params):
 def sampled_stage_game(candidates, previous, sizes, params, max_profiles, key):
     """Subsampled stage game, one profile and one payoff call at a time.
 
-    A frozen copy of the engine's earlier scalar screen and security
-    levels, memoized per profile: returns (equilibrium profiles sorted,
-    minimax). Each draw is one word of the stream keyed by key, taken
-    below its bound (below): the screen's profile r is line r at step 0,
-    the security levels' r-th (agent, own, combo) is line r at step 1,
-    and slot j is agent j's candidate. The budgets are the engine's, so
-    the two must agree exactly.
+    A scalar copy of the engine's screen, memoized per profile: returns
+    (equilibrium profiles sorted, minimax). The screen's profile r is
+    line r of the stream keyed by key at step 0, slot j taken below
+    agent j's pool size (below); the budget is the engine's, so the two
+    must agree exactly. With no equilibrium, agent a's security level is
+    the max over its own candidates of the min of its payoff over the
+    screened profiles with its choice replaced by that candidate.
     """
     ks = tuple(len(pool) for pool in candidates)
     n = len(ks)
@@ -205,42 +205,35 @@ def sampled_stage_game(candidates, previous, sizes, params, max_profiles, key):
             )
         return cache[profile]
 
+    def replaced(profile, agent, choice):
+        return profile[:agent] + (choice,) + profile[agent + 1 :]
+
     budget = max(1, max_profiles // (sum(ks) + 1))
-    drawn = {
-        tuple(below(line_word(key, row, 0, axis), ks[axis]) for axis in range(n))
-        for row in range(budget)
-    }
+    screened = sorted(
+        {
+            tuple(below(line_word(key, row, 0, axis), ks[axis]) for axis in range(n))
+            for row in range(budget)
+        }
+    )
     found = []
-    for profile in sorted(drawn):
+    for profile in screened:
         own = evaluate(profile)
         if all(
             own[agent]
-            >= max(
-                evaluate(profile[:agent] + (alt,) + profile[agent + 1 :])[agent]
-                for alt in range(ks[agent])
-            )
+            >= max(evaluate(replaced(profile, agent, alt))[agent] for alt in range(ks[agent]))
             for agent in range(n)
         ):
             found.append(profile)
     if found:
         return found, [min(float(evaluate(p)[agent]) for p in found) for agent in range(n)]
 
-    combos = max(1, max_profiles // max(1, sum(ks)))
-    levels = []
-    row = itertools.count()
-    for agent in range(n):
-        best = -math.inf
-        for own in range(ks[agent]):
-            worst = math.inf
-            for _ in range(combos):
-                r = next(row)
-                profile = tuple(
-                    own if axis == agent else below(line_word(key, r, 1, axis), ks[axis])
-                    for axis in range(n)
-                )
-                worst = min(worst, float(evaluate(profile)[agent]))
-            best = max(best, worst)
-        levels.append(best)
+    levels = [
+        max(
+            min(float(evaluate(replaced(p, agent, choice))[agent]) for p in screened)
+            for choice in range(ks[agent])
+        )
+        for agent in range(n)
+    ]
     return found, levels
 
 

@@ -329,7 +329,7 @@ def test_subsampled_frame_loads_no_extra_module(scenario_payload, write_scenario
     # A lazily imported module costs every run set-up time and memory;
     # every draw comes from the counter stream, so numpy.random is one.
     # 125 profiles over a budget of 60: the screen finds no equilibrium at
-    # seed 12, so the security levels run too.
+    # seed 12, so its slices give the security levels too.
     scenario_payload["sim"].update({"max_profiles": 60, "seed": 12})
     path = write_scenario(scenario_payload)
     out_dir = tmp_path / "out"
@@ -350,7 +350,7 @@ def test_subsampled_frame_loads_no_extra_module(scenario_payload, write_scenario
 
 def test_frame_beyond_int64_profile_space(scenario_payload, write_scenario, tmp_path):
     # 30**13 profiles exceed an int64; with no equilibrium in the screen the
-    # security levels are drawn from that space too.
+    # security levels come from its profiles in that space too.
     n = 13
     scenario_payload["agents"] = [f"a{agent}" for agent in range(n)]
     scenario_payload["sizes"] = [1.0] * n

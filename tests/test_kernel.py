@@ -107,6 +107,12 @@ def test_payoff_tensor_over_several_blocks_matches_tabulation(params, monkeypatc
             assert tensor[profile].tolist() == expected
 
 
+def identity_state(n, seed):
+    """n agents on identity tactics, sizes drawn from the seed, largest 1."""
+    sizes = np.random.default_rng(seed + 1000).uniform(0.0, 1.0, n)
+    return rs.State(tactics=np.eye(n), sizes=sizes / sizes.max())
+
+
 @pytest.mark.parametrize(
     "n, k, max_profiles, p_neg, seed, equilibria",
     [
@@ -122,7 +128,8 @@ def test_payoff_tensor_over_several_blocks_matches_tabulation(params, monkeypatc
         pytest.param(4, (3, 7, 2, 5), 30, 0.5, 4, 0, id="uneven-30-0.5-4-0"),
         # 30**13 profiles: more than an int64 can index
         pytest.param(13, 30, 1564, 0.5, 28, 1, id="wide-1564-0.5-28-1"),
-        # no equilibrium, so the security levels draw from the same space
+        # no equilibrium, so the security levels come from screened
+        # profiles in that same space
         pytest.param(13, 30, 400, 0.5, 0, 0, id="wide-400-0.5-0-0"),
     ],
 )
@@ -131,8 +138,7 @@ def test_sampled_game_matches_scalar_screen(
 ):
     ks = k if isinstance(k, tuple) else (k,) * n
     cfg = rs.SamplerConfig(rng_seed=seed, p_neg=p_neg)
-    sizes = np.random.default_rng(seed + 1000).uniform(0.0, 1.0, n)
-    state = rs.State(tactics=np.eye(n), sizes=sizes / sizes.max())
+    state = identity_state(n, seed)
     pools = rs.sample_candidates(n, max(ks), cfg, rs.stream_key(seed, rs.CANDIDATE_STREAM))
     candidates = tuple(pool[:size] for pool, size in zip(pools, ks))
     key = oracles.stream_key(seed, rs.PROFILE_STREAM)
@@ -163,3 +169,48 @@ def test_sampled_game_matches_scalar_screen(
     if p_neg == 0.0:
         # nobody can be killed, so the security levels are not all zero
         assert np.all(game.minimax > 0.0)
+
+
+def test_fallback_game_draws_once_and_scores_once(params, monkeypatch):
+    # 12**5 profiles over a budget of 20,000 and no screened equilibrium:
+    # the security levels come from the screen's own deviation slices
+    calls, scored = [], [0]
+    real_draws, real_payoffs = equilibrium.integer_draws, equilibrium.stage_payoffs
+
+    def draws(*args):
+        calls.append(real_draws(*args))
+        return calls[-1]
+
+    def payoffs(tactics, *args):
+        scored[0] += len(tactics)
+        return real_payoffs(tactics, *args)
+
+    monkeypatch.setattr(equilibrium, "integer_draws", draws)
+    monkeypatch.setattr(equilibrium, "stage_payoffs", payoffs)
+    cfg = rs.SamplerConfig(rng_seed=0, p_neg=0.0)
+    game = rs.stage_game(identity_state(5, 0), params, cfg, k_candidates=12, max_profiles=20_000)
+    assert not game.exhaustive and game.equilibria == ()
+    assert np.all(game.minimax > 0.0)
+    assert len(calls) == 1
+    screened = len(set(map(tuple, calls[0].tolist())))
+    assert scored[0] == screened * (1 + 5 * 12)
+
+
+def test_sampled_security_levels_bound_the_exact_ones(params):
+    # 6**4 = 1,296 profiles screened under a budget of 600, so the exact
+    # max-min can still be read off the whole tensor
+    for seed in range(40):
+        cfg = rs.SamplerConfig(rng_seed=seed, p_neg=0.0)
+        state = identity_state(4, seed)
+        candidates = rs.sample_candidates(4, 6, cfg, rs.stream_key(seed, rs.CANDIDATE_STREAM))
+        key = rs.stream_key(seed, rs.PROFILE_STREAM)
+        game = rs.solve_stage_game(
+            candidates, state.tactics, state.sizes, params, max_profiles=600, key=key
+        )
+        assert game.equilibria == (), seed
+        tensor = rs.payoff_tensor(candidates, state.tactics, state.sizes, params)
+        exact = [
+            tensor[..., agent].min(axis=tuple(a for a in range(4) if a != agent)).max()
+            for agent in range(4)
+        ]
+        assert np.all(game.minimax >= exact), seed

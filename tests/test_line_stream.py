@@ -166,22 +166,21 @@ BOUNDS = [1, 2, 3, 7, 12, 30, 2**31 + 1, 2**32 - 1]
 
 @pytest.mark.parametrize("key", KEYS)
 def test_integers_match_multiply_shift(key):
-    for step in (0, 1):
-        draws = sampling.integer_draws(key, 40, step, BOUNDS)
-        assert draws.shape == (40, len(BOUNDS))
-        for row, drawn in enumerate(draws.tolist()):
-            expected = [
-                oracles.below(oracles.line_word(key, row, step, slot), bound)
-                for slot, bound in enumerate(BOUNDS)
-            ]
-            assert drawn == expected
+    draws = sampling.integer_draws(key, 40, BOUNDS)
+    assert draws.shape == (40, len(BOUNDS))
+    for row, drawn in enumerate(draws.tolist()):
+        expected = [
+            oracles.below(oracles.line_word(key, row, 0, slot), bound)
+            for slot, bound in enumerate(BOUNDS)
+        ]
+        assert drawn == expected
 
 
 def test_screen_integers_are_uniform():
     # each value's share against 1/k, and the pairs of neighbouring
     # columns against 1/(k1 k2); five standard errors, fixed in advance
     rows, bounds = 60_000, [2, 5, 12]
-    draws = sampling.integer_draws(rs.stream_key(3, rs.PROFILE_STREAM), rows, 0, bounds)
+    draws = sampling.integer_draws(rs.stream_key(3, rs.PROFILE_STREAM), rows, bounds)
     for column, k in enumerate(bounds):
         shares = np.bincount(draws[:, column], minlength=k) / rows
         assert len(shares) == k
@@ -219,7 +218,7 @@ def test_line_count_builds_no_generators(monkeypatch, three_agent_state):
     counts = count_generators(monkeypatch)
     for n_lines in (1, 2000):
         rs.transition_distribution(three_agent_state, params, cfg, n_lines, 2, k_candidates=4)
-        # a subsampled game draws its screen and security levels too
+        # a subsampled game draws its profile screen too
         rs.transition_distribution(
             three_agent_state, params, cfg, n_lines, 2, k_candidates=5, max_profiles=20
         )

@@ -186,10 +186,16 @@ def test_tree_is_deterministic(tiny_state, params):
     assert signature(small_tree(tiny_state, params)) == signature(small_tree(tiny_state, params))
 
 
-def test_build_reel_tree_rejects_bad_arguments(tiny_state, params):
+def test_build_reel_tree_rejects_bad_arguments(tiny_state, params, monkeypatch):
+    # each is rejected before any state is expanded
+    def expand(*args, **kwargs):
+        raise AssertionError("transition_distribution ran")
+
+    monkeypatch.setattr("reelsim.reels.transition_distribution", expand)
     cfg = rs.SamplerConfig()
-    with pytest.raises(ValueError, match="depth_max"):
-        rs.build_reel_tree(tiny_state, -1, 2, 0.0, params, cfg, 10, 2)
+    for depth_max in (-1, 257):
+        with pytest.raises(ValueError, match=r"depth_max must lie in \[0, 256\]"):
+            rs.build_reel_tree(tiny_state, depth_max, 2, 0.0, params, cfg, 10, 2)
     with pytest.raises(ValueError, match="branch_k"):
         rs.build_reel_tree(tiny_state, 1, 0, 0.0, params, cfg, 10, 2)
     with pytest.raises(ValueError, match="p_min"):

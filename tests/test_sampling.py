@@ -96,6 +96,13 @@ def test_stream_keys_of_wide_seeds_are_distinct():
     assert len(keys) == 4 * len(seeds)
 
 
+@pytest.mark.parametrize("seed", [-1, -5, -(2**64)])
+def test_stream_key_rejects_negative_seeds(seed):
+    # masked into limbs, -1 would alias 2**64 - 1 and -5 alias 2**64 - 5
+    with pytest.raises(ValueError, match=f"seed must be nonnegative \\(got {seed}\\)"):
+        rs.stream_key(seed, rs.PROFILE_STREAM)
+
+
 # ------------------------------------------------------------------- vectors
 # Candidate pools hold the tactic vectors: pool j is a (k, n) stack of
 # vectors whose own entry is j.
