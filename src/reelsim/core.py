@@ -158,15 +158,14 @@ def build_multiplier_matrix(tactics: np.ndarray, params: ModelParams) -> np.ndar
 def update_sizes(tactics: np.ndarray, sizes: np.ndarray, params: ModelParams) -> np.ndarray:
     """One power-transfer step on raw arrays: (T * M) @ s with death clamping.
 
-    tactics may be a stack (..., n, n), giving one size vector per member.
-    The stack shares one size vector (n,), or takes one per member as
-    columns (..., n, 1) and returns columns: a bare (..., n) stack would
-    be read as a matrix. The stacked matmul reduces each row in the same
-    order as a single matrix does, so a stack and its members one at a
-    time agree bit for bit (an explicit sum over T * M * s does not).
+    tactics (..., n, n) and sizes (..., n) broadcast against each other,
+    so a stack can share one size vector (n,) or take one per member
+    (B, n); the result is (..., n). The stacked matmul reduces each row in
+    the same order as a single matrix does, so a stack and its members one
+    at a time agree bit for bit (an explicit sum over T * M * s does not).
     """
     effective = tactics * build_multiplier_matrix(tactics, params)
-    updated = effective @ np.asarray(sizes, dtype=float)
+    updated = (effective @ np.asarray(sizes, dtype=float)[..., np.newaxis])[..., 0]
     # Dead agents are pinned at exactly 0; no epsilon band, tiny positive
     # sizes survive.
     return np.where(updated > 0.0, updated, 0.0)

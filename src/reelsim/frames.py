@@ -97,9 +97,10 @@ class LineBlock:
     sizes[b, t] (B, H, n) the power vector it produces, payoffs[b, t]
     (B, H, n) the per-agent expected utility of that step (positional
     utility discounted by the inertia kernel between consecutive
-    matrices, root_tactics anchoring step one). intertemporal (B, n)
-    aggregates the payoffs with the discount factor; weights (B,) are
-    the lines' line_weights.
+    matrices, root_tactics anchoring step one). intertemporal (B, n) is
+    the discounted sum of the payoffs; weights (B,) are the lines'
+    line_weights, the inertia kernel of the same discounted sum taken
+    over the step distances.
     """
 
     root_tactics: np.ndarray
@@ -141,8 +142,7 @@ def generate_lines(
         tactics = matrices[:, step] = sample_tactic_matrices(
             tactics, cfg, key, lines, step, params.sigma
         )
-        # Sizes as columns: a bare (B,n,n) @ (B,n) is a matrix product.
-        current = sizes[:, step] = update_sizes(tactics, current[..., np.newaxis], params)[..., 0]
+        current = sizes[:, step] = update_sizes(tactics, current, params)
     previous = _previous_matrices(root.tactics, matrices)
     payoffs = expected_utility(
         positional_utility(sizes, params.alpha), matrices, previous, params.sigma
@@ -184,17 +184,12 @@ def line_weights(
 ) -> np.ndarray:
     """Inertia score of each line: q of its discounted total movement.
 
-    matrices is one line (H, n, n), giving a 0-d array, or a block
+    matrices is one line (H, n, n), giving a numpy float, or a block
     (B, H, n, n), giving (B,); step one moves away from root_tactics.
     """
     distances = tactical_distance(matrices, _previous_matrices(root_tactics, matrices))
-    # A running discount, not delta**t: the weights keep their exact bits.
-    total = np.zeros(distances.shape[:-1])
-    discount = 1.0
-    for step in range(distances.shape[-1]):
-        discount *= params.delta
-        total += discount * distances[..., step]
-    return inertia_probability((1.0 - params.delta) * total, params.sigma)
+    movement = intertemporal_utility(distances[..., np.newaxis], params.delta)[..., 0]
+    return inertia_probability(movement, params.sigma)
 
 
 def folk_filter(block: LineBlock, minimax: np.ndarray) -> np.ndarray:
@@ -225,22 +220,16 @@ def cluster_first_moves(
     Frames come out sorted by probability, ties keeping first-seen order.
     """
     grids = round_to_grid(first_moves, cfg.rounding)
-    clusters: dict[bytes, int] = {}
-    first_lines: list[int] = []
-    supports: list[int] = []
-    sums: list[float] = []
-    for line, (grid, weight) in enumerate(zip(grids, np.asarray(weights).tolist())):
-        cluster = clusters.setdefault(grid.tobytes(), len(first_lines))
-        if cluster == len(first_lines):
-            first_lines.append(line)
-            supports.append(0)
-            sums.append(0.0)
-        supports[cluster] += 1
-        sums[cluster] += weight
+    # Cell bytes to member weights, first-seen order (line ints cost memory).
+    clusters: dict[bytes, list[float]] = {}
+    for grid, weight in zip(grids, np.asarray(weights).tolist()):
+        clusters.setdefault(grid.tobytes(), []).append(weight)
+    members = list(clusters.values())
+    sums = [sum(cluster) for cluster in members]
     total = sum(sums)
     if total <= 0.0:
         return ()
-    keys = grids[first_lines]
+    keys = np.frombuffer(b"".join(clusters), grids.dtype).reshape(-1, *grids.shape[1:])
     tactics = matrix_from_grid(keys, cfg.rounding)
     sizes = update_sizes(tactics, root.sizes, params)
     frames = [
@@ -249,7 +238,7 @@ def cluster_first_moves(
             tactics=tactics[cluster],
             sizes=sizes[cluster],
             probability=sums[cluster] / total,
-            support=supports[cluster],
+            support=len(members[cluster]),
             weight=sums[cluster],
         )
         for cluster in range(len(keys))

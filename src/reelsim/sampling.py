@@ -16,6 +16,7 @@ a reel-tree node below the root takes a NODE_STREAM key as its seed.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -58,7 +59,7 @@ class SamplerConfig:
             raise ValueError(f"p_neg must lie in [0, 1] (got {self.p_neg})")
         if not (0.0 <= self.local_mix <= 1.0):
             raise ValueError(f"local_mix must lie in [0, 1] (got {self.local_mix})")
-        if self.rng_seed < 0:
+        if operator.index(self.rng_seed) < 0:
             raise ValueError(f"rng_seed must be nonnegative (got {self.rng_seed})")
         _check_rounding(self.rounding)
 
@@ -88,6 +89,7 @@ def stream_key(seed: int, domain: int, *path: int) -> int:
     a time through _splitmix from 0. The count keeps seeds of 2**64 and
     above apart from shorter ones. A negative seed is rejected, since
     its masked limbs would alias a nonnegative one (-1 with 2**64 - 1)."""
+    seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be nonnegative (got {seed})")
     limbs = [seed >> shift & _MASK64 for shift in range(0, max(seed.bit_length(), 1), 64)]

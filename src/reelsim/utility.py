@@ -5,10 +5,11 @@ expected utility discounts it by the social-inertia probability of the
 tactical move that produced it, and intertemporal utility folds a sequence
 of expected payoffs into one discounted number per agent.
 
-Positional and expected utility, and the distance and inertia kernels
-under them, also take stacks: sizes (..., n) and tactic matrices
-(..., n, n) are scored member by member with the same operations as a
-single vector or matrix, so a batch agrees with its members bit for bit.
+Every function takes stacks: sizes (..., n), tactic matrices (..., n, n)
+and payoff sequences (..., H, n), a single vector, matrix or sequence
+being a stack with no leading axes. Members are scored with the same
+operations through one path, so a batch agrees with its members bit for
+bit; a single distance or probability comes back as a numpy float.
 """
 
 from __future__ import annotations
@@ -49,8 +50,7 @@ def tactical_distance(tactics_a: np.ndarray, tactics_b: np.ndarray) -> float | n
     tactics_b = np.asarray(tactics_b, dtype=float)
     if tactics_a.shape[-2:] != tactics_b.shape[-2:]:
         raise ValueError(f"shape mismatch: {tactics_a.shape} vs {tactics_b.shape}")
-    distance = np.sqrt(((tactics_a - tactics_b) ** 2).sum(axis=(-2, -1)))
-    return float(distance) if distance.ndim == 0 else distance
+    return np.sqrt(((tactics_a - tactics_b) ** 2).sum(axis=(-2, -1)))
 
 
 def inertia_probability(distance: float | np.ndarray, sigma: float) -> float | np.ndarray:
@@ -61,13 +61,12 @@ def inertia_probability(distance: float | np.ndarray, sigma: float) -> float | n
     (weaker inertia) at any fixed positive distance. An array of
     distances gives an array of probabilities.
     """
-    stacked = isinstance(distance, np.ndarray)
-    if (distance < 0).any() if stacked else distance < 0:
+    distance = np.asarray(distance, dtype=float)
+    if (distance < 0).any():
         raise ValueError(f"tactical distance cannot be negative (got {distance})")
     if sigma <= 0:
         raise ValueError(f"sigma must be positive (got {sigma})")
-    scaled = distance / (sigma * _SQRT2)
-    return np.asarray(_erfc(scaled), dtype=float) if stacked else math.erfc(scaled)
+    return np.asarray(_erfc(distance / (sigma * _SQRT2)), dtype=float)[()]
 
 
 def expected_utility(
@@ -84,27 +83,29 @@ def expected_utility(
     utilities (..., n), each member gets its own probability.
     """
     q = inertia_probability(tactical_distance(tactics_now, tactics_previous), sigma)
-    if isinstance(q, np.ndarray):
-        q = q[..., np.newaxis]
-    return np.asarray(utilities, dtype=float) * q
+    return np.asarray(utilities, dtype=float) * q[..., np.newaxis]
 
 
 def intertemporal_utility(payoffs: np.ndarray, delta: float) -> np.ndarray:
     """Normalized discounted sum (1 - delta) * sum_t delta**t * p(t).
 
-    ``payoffs`` holds one expected-utility vector per future step, the
-    first row being one step ahead (the current state's payoff is never
-    counted). The sum is a finite-horizon truncation: the kept weight is
-    (1 - delta) * sum_{t=1..H} delta**t = delta * (1 - delta**H), the
-    omitted tail's weight delta**(H + 1); at delta 0.9 and H 5 that is
-    0.369 kept against 0.531 omitted. A stack of sequences (..., H, n)
-    gives one vector per member.
+    payoffs (..., H, n) holds one expected-utility vector per future step,
+    the first row being one step ahead (the current state's payoff is
+    never counted), and gives (..., n). The discount is a running product
+    taken step by step, delta**t = delta**(t-1) * delta. The sum is a
+    finite-horizon truncation: the kept weight is (1 - delta) *
+    sum_{t=1..H} delta**t = delta * (1 - delta**H), the omitted tail's
+    weight delta**(H + 1); at delta 0.9 and H 5 that is 0.369 kept
+    against 0.531 omitted.
     """
     payoffs = np.asarray(payoffs, dtype=float)
-    if payoffs.ndim == 1:
-        payoffs = payoffs[:, np.newaxis] if payoffs.size else payoffs.reshape(0, 1)
-    horizon = payoffs.shape[-2]
-    if horizon == 0:
+    if payoffs.ndim < 2:
+        raise ValueError(f"payoffs must be a (..., H, n) stack (got shape {payoffs.shape})")
+    if payoffs.shape[-2] == 0:
         raise ValueError("payoff sequence must contain at least one step")
-    discounts = delta ** np.arange(1, horizon + 1)
-    return (1.0 - delta) * (discounts @ payoffs)
+    total = np.zeros(payoffs.shape[:-2] + payoffs.shape[-1:])
+    discount = 1.0
+    for step in range(payoffs.shape[-2]):
+        discount *= delta
+        total += discount * payoffs[..., step, :]
+    return (1.0 - delta) * total

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,14 @@ import pytest
 
 from reelsim import equilibrium
 from reelsim.cli import main
+
+
+# A child interpreter imports reelsim from this checkout's src, as pytest does.
+SRC = Path(__file__).resolve().parent.parent / "src"
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
+}
 
 
 @pytest.fixture
@@ -320,6 +329,7 @@ def test_console_script_entry_point(scenario_file):
         [sys.executable, "-m", "reelsim.cli", "validate", str(scenario_file)],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert result.returncode == 0
     assert "scenario OK" in result.stdout
@@ -340,7 +350,9 @@ def test_subsampled_frame_loads_no_extra_module(scenario_payload, write_scenario
         f"    assert main(['--out-dir', {str(out_dir)!r}, command, {str(path)!r}]) == 0\n"
         "print(sorted({'numpy.ma', 'numpy.random', 'scipy'} & set(sys.modules)))\n"
     )
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV
+    )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
     diagnostics = json.loads((out_dir / "frames.json").read_text())["diagnostics"]

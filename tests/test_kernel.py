@@ -74,7 +74,8 @@ def update_problems(draw):
 @given(update_problems())
 def test_stacked_update_equals_per_member_calls(problem):
     tactics, sizes, params = problem
-    stacked = rs.update_sizes(tactics, sizes[..., np.newaxis], params)[..., 0]
+    # bare (B, n) sizes, one row per member, also when B == n
+    stacked = rs.update_sizes(tactics, sizes, params)
     assert stacked.shape == sizes.shape
     for member, member_sizes, updated in zip(tactics, sizes, stacked):
         assert np.array_equal(updated, rs.update_sizes(member, member_sizes, params))

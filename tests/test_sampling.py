@@ -103,6 +103,23 @@ def test_stream_key_rejects_negative_seeds(seed):
         rs.stream_key(seed, rs.PROFILE_STREAM)
 
 
+def test_numpy_integer_seed_matches_python_int(three_agent_state):
+    params = rs.ModelParams()
+    names = ["minor", "major", "middle"]
+    runs = []
+    for seed in (7, np.int64(7)):
+        cfg = rs.SamplerConfig(rng_seed=seed, rounding=0.25)
+        distribution = rs.transition_distribution(three_agent_state, params, cfg, 60, 2)
+        tree = rs.build_reel_tree(three_agent_state, 2, 2, 0.0, params, cfg, 30, 2, k_candidates=4)
+        reels = rs.enumerate_reels(tree)
+        runs.append(
+            (rs.export_frames_json(distribution, names), rs.export_reels_json(tree, reels, names))
+        )
+    assert runs[0] == runs[1]
+    with pytest.raises(TypeError):
+        rs.SamplerConfig(rng_seed=7.5)
+
+
 # ------------------------------------------------------------------- vectors
 # Candidate pools hold the tactic vectors: pool j is a (k, n) stack of
 # vectors whose own entry is j.

@@ -159,6 +159,11 @@ def test_inertia_rejects_bad_arguments():
         rs.inertia_probability(0.5, 0.0)
 
 
+def test_single_distance_and_probability_are_floats(three_agent_tactics):
+    assert isinstance(rs.inertia_probability(0.5, 0.5), float)
+    assert isinstance(rs.tactical_distance(three_agent_tactics, np.eye(3)), float)
+
+
 # ------------------------------------------------------------------ expected
 
 
@@ -229,9 +234,9 @@ def test_intertemporal_truncation_tail_is_bounded():
 
 
 def test_intertemporal_one_dimensional_sequence():
-    out = rs.intertemporal_utility(np.array([0.5, 0.5]), delta=0.5)
-    assert out.shape == (1,)
-    assert out[0] == pytest.approx(0.5 * 0.5 * (1 - 0.25), abs=1e-15)
+    # a sequence is (..., H, n); one agent's payoffs are (H, 1)
+    with pytest.raises(ValueError, match=r"\(\.\.\., H, n\)"):
+        rs.intertemporal_utility(np.array([0.5, 0.5]), delta=0.5)
 
 
 def test_intertemporal_empty_raises():
