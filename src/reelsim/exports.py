@@ -101,7 +101,6 @@ def export_frames_json(distribution: FrameDistribution, names: list[str]) -> str
                 "probability": frame.probability,
                 "support": frame.support,
                 "weight": frame.weight,
-                "grid": [[int(value) for value in row] for row in np.asarray(frame.key).T],
                 "tactics": _matrix_rows(frame.tactics),
                 "sizes": [float(value) for value in frame.sizes],
             }

@@ -3,9 +3,10 @@
 The pipeline: draw many lines of play (random tactic sequences played
 out for a fixed horizon), keep only the lines every agent strictly
 prefers to its stage-game guarantee, weight the survivors by how little
-total tactical movement they demand, then cluster their first moves on
-the rounding grid. Each cluster's share of the surviving weight is the
-probability of transitioning to that next frame.
+total tactical movement they demand, then group them by the next state
+their first move reaches once rounded to the grid. Each group's share of
+the surviving weight is the probability of that next frame, so every
+frame is a distinct state and no state's probability is split.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from .equilibrium import DEFAULT_CANDIDATES, DEFAULT_MAX_PROFILES, stage_game
 from .sampling import (
     LINE_STREAM,
     SamplerConfig,
-    matrix_from_grid,
-    round_to_grid,
+    round_tactic_matrix,
     sample_tactic_matrices,
     stream_key,
 )
@@ -40,15 +40,14 @@ LINE_BLOCK = 256
 
 @dataclass(frozen=True)
 class Frame:
-    """One clustered next move.
+    """One next state and the lines that reach it.
 
-    key is the integer grid cell of the first-move matrices, tactics the
-    renormalized representative matrix for that cell, sizes the power
-    vector it produces from the root. weight is the summed weight of the
-    contributing lines and probability its share of the total.
+    tactics is the rounded first move its lines share (round_tactic_matrix
+    of each line's first move), which is the frame's identity; sizes the
+    power vector it produces from the root. weight is the summed weight
+    of the contributing lines and probability its share of the total.
     """
 
-    key: np.ndarray
     tactics: np.ndarray
     sizes: np.ndarray
     probability: float
@@ -210,39 +209,33 @@ def cluster_first_moves(
     params: ModelParams,
     cfg: SamplerConfig,
 ) -> tuple[Frame, ...]:
-    """Group lines by the grid cell of their first move and share out weight.
+    """Group lines by the next state their first move rounds to.
 
     first_moves (L, n, n) and weights (L,) hold one line each, in line
-    order. Cluster identity is exact integer equality of grid keys, and a
-    cluster's weight is summed in line order. The emitted frame carries
-    the renormalized grid matrix as representative and the sizes that
-    matrix produces from the root, so each frame is itself a valid state.
-    Frames come out sorted by probability, ties keeping first-seen order.
+    order. A line's frame is round_tactic_matrix of its first move, and
+    lines group by exact equality of its bytes; grid cells that
+    renormalize to one matrix therefore share a frame. A frame's weight
+    is summed in line order, and its probability is that weight over the
+    line-order sum of all the weights. Its sizes are what the
+    representative produces from the root, so each frame is itself a
+    valid state. Frames come out sorted by probability, ties keeping
+    first-seen order.
     """
-    grids = round_to_grid(first_moves, cfg.rounding)
-    # Cell bytes to member weights, first-seen order (line ints cost memory).
-    clusters: dict[bytes, list[float]] = {}
-    for grid, weight in zip(grids, np.asarray(weights).tolist()):
-        clusters.setdefault(grid.tobytes(), []).append(weight)
-    members = list(clusters.values())
-    sums = [sum(cluster) for cluster in members]
-    total = sum(sums)
+    weights = np.asarray(weights).tolist()
+    total = sum(weights)
     if total <= 0.0:
         return ()
-    keys = np.frombuffer(b"".join(clusters), grids.dtype).reshape(-1, *grids.shape[1:])
-    tactics = matrix_from_grid(keys, cfg.rounding)
+    representatives = round_tactic_matrix(first_moves, cfg.rounding)
+    # Representative bytes to member weights, first-seen order.
+    clusters: dict[bytes, list[float]] = {}
+    for representative, weight in zip(representatives, weights):
+        clusters.setdefault(representative.tobytes(), []).append(weight)
+    tactics = np.frombuffer(b"".join(clusters), float).reshape(-1, *representatives.shape[1:])
     sizes = update_sizes(tactics, root.sizes, params)
-    frames = [
-        Frame(
-            key=keys[cluster],
-            tactics=tactics[cluster],
-            sizes=sizes[cluster],
-            probability=sums[cluster] / total,
-            support=len(members[cluster]),
-            weight=sums[cluster],
-        )
-        for cluster in range(len(keys))
-    ]
+    frames = []
+    for state_tactics, state_sizes, members in zip(tactics, sizes, clusters.values()):
+        weight = sum(members)
+        frames.append(Frame(state_tactics, state_sizes, weight / total, len(members), weight))
     frames.sort(key=lambda frame: -frame.probability)
     return tuple(frames)
 

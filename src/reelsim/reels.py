@@ -69,6 +69,16 @@ class Reel:
     leaf_reason: str | None
 
 
+def check_tree_shape(depth_max: int, branch_k: int, p_min: float) -> None:
+    """Raise ValueError unless the three settings describe a tree."""
+    if not 0 <= depth_max <= MAX_DEPTH:
+        raise ValueError(f"depth_max must lie in [0, {MAX_DEPTH}] (got {depth_max})")
+    if branch_k < 1:
+        raise ValueError(f"branch_k must be at least 1 (got {branch_k})")
+    if not 0.0 <= p_min <= 1.0:
+        raise ValueError(f"p_min must lie in [0, 1] (got {p_min})")
+
+
 def build_reel_tree(
     root: State,
     depth_max: int,
@@ -91,12 +101,7 @@ def build_reel_tree(
     traversal order; the root uses the master seed itself and therefore
     matches a direct transition_distribution call at the root.
     """
-    if not 0 <= depth_max <= MAX_DEPTH:
-        raise ValueError(f"depth_max must lie in [0, {MAX_DEPTH}] (got {depth_max})")
-    if branch_k < 1:
-        raise ValueError(f"branch_k must be at least 1 (got {branch_k})")
-    if not 0.0 <= p_min <= 1.0:
-        raise ValueError(f"p_min must lie in [0, 1] (got {p_min})")
+    check_tree_shape(depth_max, branch_k, p_min)
     master = cfg.rng_seed
 
     def expand(state: State, depth: int, path: tuple[int, ...]) -> ReelNode:
@@ -156,8 +161,9 @@ def enumerate_reels(tree: ReelNode) -> list[Reel]:
     ) -> None:
         states = states + (node.state,)
         if node.is_leaf:
-            reel = Reel(states, indices, probabilities, math.nan, node.leaf_reason)
-            reels.append(dataclasses.replace(reel, probability=reel_probability(reel)))
+            reels.append(
+                Reel(states, indices, probabilities, math.prod(probabilities), node.leaf_reason)
+            )
             return
         for index, edge in enumerate(node.children):
             walk(

@@ -258,9 +258,8 @@ def _renormalize_columns(matrix: np.ndarray) -> np.ndarray:
 def round_to_grid(tactics: np.ndarray, rounding: float) -> np.ndarray:
     """Integer grid coordinates of each entry, rounding ties away from zero.
 
-    The result is the cluster key: exact integer equality groups matrices
-    that land on the same grid point, with none of the float fuzz that
-    comparing renormalized matrices would reintroduce.
+    Exact integers, so rounding never depends on float fuzz; several
+    cells can still scale back to one matrix (matrix_from_grid).
     """
     _check_rounding(rounding)
     tactics = np.asarray(tactics, dtype=float)
@@ -276,9 +275,12 @@ def matrix_from_grid(grid: np.ndarray, rounding: float) -> np.ndarray:
 def round_tactic_matrix(tactics: np.ndarray, rounding: float) -> np.ndarray:
     """Snap entries to the rounding grid, then restore column abs-sums.
 
-    A column that rounds to all zeros becomes pure self-allocation.
+    tactics is one matrix (n, n) or a stack (..., n, n), rounded member
+    by member. A column that rounds to all zeros becomes pure
+    self-allocation. The result is the representative of a line's frame:
+    lines whose first moves round to the same bytes share one frame.
     """
     tactics = np.asarray(tactics, dtype=float)
-    if tactics.ndim != 2 or tactics.shape[0] != tactics.shape[1]:
+    if tactics.ndim < 2 or tactics.shape[-1] != tactics.shape[-2]:
         raise TacticMatrixError(f"tactic matrix must be square (got shape {tactics.shape})")
     return matrix_from_grid(round_to_grid(tactics, rounding), rounding)

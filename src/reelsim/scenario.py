@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import ModelParams, State, TacticMatrixError, normalize_sizes, validate_tactic_matrix
 from .equilibrium import DEFAULT_CANDIDATES, DEFAULT_MAX_PROFILES
-from .reels import MAX_DEPTH
+from .reels import check_tree_shape
 from .sampling import SamplerConfig
 
 SCHEMA_VERSION = 1
@@ -53,12 +53,7 @@ class SimSettings:
             raise ValueError(f"lines must be at least 1 (got {self.lines})")
         if self.horizon < 1:
             raise ValueError(f"horizon must be at least 1 (got {self.horizon})")
-        if not 0 <= self.depth_max <= MAX_DEPTH:
-            raise ValueError(f"depth_max must lie in [0, {MAX_DEPTH}] (got {self.depth_max})")
-        if self.branch_k < 1:
-            raise ValueError(f"branch_k must be at least 1 (got {self.branch_k})")
-        if not 0.0 <= self.p_min <= 1.0:
-            raise ValueError(f"p_min must lie in [0, 1] (got {self.p_min})")
+        check_tree_shape(self.depth_max, self.branch_k, self.p_min)
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative (got {self.seed})")
         if self.candidates < 1:

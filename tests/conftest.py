@@ -1,9 +1,18 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import reelsim as rs
+
+SHIPPED = Path(__file__).resolve().parent.parent / "scenarios" / "three_agents.json"
+
+
+@pytest.fixture(scope="session")
+def shipped():
+    """The shipped scenario, parsed."""
+    return rs.parse_scenario(SHIPPED.read_text())
 
 
 @pytest.fixture

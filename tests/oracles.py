@@ -106,11 +106,18 @@ def grid_key(matrix, rounding):
     return tuple(key)
 
 
+def representative(matrix, rounding):
+    """The next state a first move reaches: its grid key scaled back and
+    renormalized column by column."""
+    return renormalize_columns(np.array(grid_key(matrix, rounding), dtype=float) * rounding)
+
+
 def cluster(first_moves, weights, rounding):
-    """Map grid key -> (support, total weight) in first-seen order."""
+    """Map representative bytes -> (support, total weight), first-seen
+    order, weights added one line at a time."""
     out = {}
     for matrix, weight in zip(first_moves, weights):
-        key = grid_key(matrix, rounding)
+        key = representative(matrix, rounding).tobytes()
         support, total = out.get(key, (0, 0.0))
         out[key] = (support + 1, total + weight)
     return out

@@ -257,7 +257,7 @@ def test_criterion_10_frame_distribution_converges():
             rs.transition_distribution(state, params, cfg, 10_000, 3, k_candidates=8)
         )
     maps = [
-        {frame.key.tobytes(): frame.probability for frame in run.frames} for run in runs
+        {frame.tactics.tobytes(): frame.probability for frame in run.frames} for run in runs
     ]
     tv = oracles.tv_distance(maps[0], maps[1])
     elapsed = time.perf_counter() - start

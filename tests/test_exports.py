@@ -159,7 +159,8 @@ def test_frames_json_document(small_distribution):
     assert first["probability"] == frame.probability
     # agent-major rows mirror the scenario convention
     assert first["tactics"][0] == [float(v) for v in frame.tactics[:, 0]]
-    assert first["grid"][0] == [int(v) for v in frame.key[:, 0]]
+    # one frame per next state: its tactics are its identity, no grid key
+    assert list(first) == ["probability", "support", "weight", "tactics", "sizes"]
     diag = doc["diagnostics"]
     assert diag["lines_generated"] == 60
     assert diag["clusters"] == len(small_distribution.frames)

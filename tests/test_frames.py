@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 import reelsim as rs
+from reelsim import frames as frames_module
 
 
 def make_line(root_tactics, matrices, weight, intertemporal=None):
@@ -214,7 +215,7 @@ def test_cluster_representative_is_valid_state(three_agent_state, params):
     frames = cluster(lines, three_agent_state, params, cfg)
     frame = frames[0]
     rs.validate_tactic_matrix(frame.tactics)
-    assert np.array_equal(frame.key, rs.round_to_grid(first, 0.25))
+    assert frame.tactics.tobytes() == rs.round_tactic_matrix(first, 0.25).tobytes()
     assert np.array_equal(
         frame.sizes, rs.update_sizes(frame.tactics, three_agent_state.sizes, params)
     )
@@ -242,8 +243,7 @@ def test_cluster_matches_slow_reference(three_agent_state, params):
     assert len(frames) == len(slow)
     total = sum(weight for _, weight in slow.values())
     for frame in frames:
-        key = tuple(map(tuple, frame.key.tolist()))
-        support, weight = slow[key]
+        support, weight = slow[frame.tactics.tobytes()]
         assert frame.support == support
         assert frame.weight == pytest.approx(weight, abs=1e-12)
         assert frame.probability == pytest.approx(weight / total, abs=1e-12)
@@ -260,6 +260,58 @@ def test_cluster_sorts_by_probability(three_agent_state, params):
     ]
     frames = cluster(lines, three_agent_state, params, cfg)
     assert [frame.probability for frame in frames] == [0.5, 0.4, 0.1]
+
+
+def shipped_distribution(scenario):
+    return rs.transition_distribution(
+        scenario.state,
+        scenario.params,
+        scenario.sampler,
+        scenario.sim.lines,
+        scenario.sim.horizon,
+        k_candidates=scenario.sim.candidates,
+        max_profiles=scenario.sim.max_profiles,
+    )
+
+
+def test_shipped_frames_are_merged_grid_cells(shipped, monkeypatch):
+    # several grid cells renormalize to one state; that state is one frame
+    calls = []
+    cluster_first_moves = frames_module.cluster_first_moves
+
+    def recording(first_moves, weights, *rest):
+        calls.append((first_moves.tolist(), weights.tolist()))
+        return cluster_first_moves(first_moves, weights, *rest)
+
+    monkeypatch.setattr(frames_module, "cluster_first_moves", recording)
+    dist = shipped_distribution(shipped)
+    [(first_moves, weights)] = calls
+    rounding = shipped.sampler.rounding
+    tactics = [frame.tactics.tobytes() for frame in dist.frames]
+    assert len(set(tactics)) == len(tactics) == dist.diagnostics.clusters
+    # exact against the line-by-line oracle, sorted by probability, ties first-seen
+    slow = oracles.cluster(first_moves, weights, rounding)
+    total = dist.diagnostics.total_weight
+    assert tactics == sorted(slow, key=lambda key: -slow[key][1] / total)
+    assert [slow[key] for key in tactics] == [(f.support, f.weight) for f in dist.frames]
+    # the grid cells a frame was split into before, grouped by the state they reach
+    cells = {}
+    for matrix, weight in zip(first_moves, weights):
+        support, total = cells.get(oracles.grid_key(matrix, rounding), (0, 0.0))
+        cells[oracles.grid_key(matrix, rounding)] = (support + 1, total + weight)
+    merged = {}
+    for cell, (support, weight) in cells.items():
+        state = oracles.representative(np.array(cell) * rounding, rounding).tobytes()
+        count, total = merged.get(state, (0, 0.0))
+        merged[state] = (count + support, total + weight)
+    assert len(cells) > len(merged) == len(dist.frames)
+    for frame in dist.frames:
+        support, weight = merged[frame.tactics.tobytes()]
+        assert frame.support == support
+        assert frame.weight == pytest.approx(weight, rel=1e-12, abs=0.0)
+        assert np.array_equal(
+            frame.sizes, rs.update_sizes(frame.tactics, shipped.state.sizes, shipped.params)
+        )
 
 
 # ------------------------------------------------------------- distribution
@@ -291,12 +343,22 @@ def test_distribution_diagnostics_are_consistent(three_agent_state, params):
     assert diag.exhaustive_game
 
 
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_probability_is_weight_over_reported_total(shipped, three_agent_state, params, seed):
+    for dist in (shipped_distribution(rs.with_seed(shipped, seed)),
+                 small_distribution(three_agent_state, params, seed=seed)):
+        total = dist.diagnostics.total_weight
+        assert dist.frames
+        for frame in dist.frames:
+            assert frame.probability == frame.weight / total
+
+
 def test_distribution_is_deterministic(three_agent_state, params):
     first = small_distribution(three_agent_state, params)
     second = small_distribution(three_agent_state, params)
     assert len(first.frames) == len(second.frames)
     for a, b in zip(first.frames, second.frames):
-        assert np.array_equal(a.key, b.key)
+        assert a.tactics.tobytes() == b.tactics.tobytes()
         assert a.probability == b.probability
         assert a.weight == b.weight
         assert a.support == b.support

@@ -186,6 +186,29 @@ def test_tree_is_deterministic(tiny_state, params):
     assert signature(small_tree(tiny_state, params)) == signature(small_tree(tiny_state, params))
 
 
+@pytest.mark.parametrize("depth_max", [2, 3])
+def test_shipped_siblings_are_distinct_states(shipped, depth_max):
+    tree = rs.build_reel_tree(
+        shipped.state,
+        depth_max,
+        shipped.sim.branch_k,
+        shipped.sim.p_min,
+        shipped.params,
+        shipped.sampler,
+        shipped.sim.lines,
+        shipped.sim.horizon,
+        k_candidates=shipped.sim.candidates,
+        max_profiles=shipped.sim.max_profiles,
+    )
+    expanded = [tree]
+    for node in expanded:
+        children = [edge.child for edge in node.children]
+        states = {(c.state.tactics.tobytes(), c.state.sizes.tobytes()) for c in children}
+        assert len(states) == len(children)
+        expanded.extend(child for child in children if child.children)
+    assert len(expanded) > 1
+
+
 def test_build_reel_tree_rejects_bad_arguments(tiny_state, params, monkeypatch):
     # each is rejected before any state is expanded
     def expand(*args, **kwargs):
