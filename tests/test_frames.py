@@ -297,13 +297,14 @@ def test_shipped_frames_are_merged_grid_cells(shipped, monkeypatch):
     # the grid cells a frame was split into before, grouped by the state they reach
     cells = {}
     for matrix, weight in zip(first_moves, weights):
-        support, total = cells.get(oracles.grid_key(matrix, rounding), (0, 0.0))
-        cells[oracles.grid_key(matrix, rounding)] = (support + 1, total + weight)
+        cell = oracles.grid_key(matrix, rounding)
+        support, summed = cells.get(cell, (0, 0.0))
+        cells[cell] = (support + 1, summed + weight)
     merged = {}
     for cell, (support, weight) in cells.items():
-        state = oracles.representative(np.array(cell) * rounding, rounding).tobytes()
-        count, total = merged.get(state, (0, 0.0))
-        merged[state] = (count + support, total + weight)
+        state = oracles.renormalize_columns(np.array(cell, dtype=float) * rounding).tobytes()
+        count, summed = merged.get(state, (0, 0.0))
+        merged[state] = (count + support, summed + weight)
     assert len(cells) > len(merged) == len(dist.frames)
     for frame in dist.frames:
         support, weight = merged[frame.tactics.tobytes()]
@@ -345,8 +346,10 @@ def test_distribution_diagnostics_are_consistent(three_agent_state, params):
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_probability_is_weight_over_reported_total(shipped, three_agent_state, params, seed):
-    for dist in (shipped_distribution(rs.with_seed(shipped, seed)),
-                 small_distribution(three_agent_state, params, seed=seed)):
+    for dist in (
+        shipped_distribution(rs.with_seed(shipped, seed)),
+        small_distribution(three_agent_state, params, seed=seed),
+    ):
         total = dist.diagnostics.total_weight
         assert dist.frames
         for frame in dist.frames:
