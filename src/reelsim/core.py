@@ -14,6 +14,7 @@ zero is dead and pinned at exactly zero from that step on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -155,20 +156,38 @@ def build_multiplier_matrix(tactics: np.ndarray, params: ModelParams) -> np.ndar
     return multipliers
 
 
-def update_sizes(tactics: np.ndarray, sizes: np.ndarray, params: ModelParams) -> np.ndarray:
-    """One power-transfer step on raw arrays: (T * M) @ s with death clamping.
+def transfers(tactics: np.ndarray, sizes: np.ndarray, params: ModelParams) -> list[np.ndarray]:
+    """Each agent's transfer column, in agent order: T[..., :, j] * M * s_j.
 
+    Entry i of agent j's column, (T_ij * M_ij) * s_j, is what j sends i.
     tactics (..., n, n) and sizes (..., n) broadcast against each other,
     so a stack can share one size vector (n,) or take one per member
-    (B, n); the result is (..., n). The stacked matmul reduces each row in
-    the same order as a single matrix does, so a stack and its members one
-    at a time agree bit for bit (an explicit sum over T * M * s does not).
+    (B, n); each column is (..., n).
     """
+    tactics = np.asarray(tactics, dtype=float)
+    sizes = np.asarray(sizes, dtype=float)
     effective = tactics * build_multiplier_matrix(tactics, params)
-    updated = (effective @ np.asarray(sizes, dtype=float)[..., np.newaxis])[..., 0]
-    # Dead agents are pinned at exactly 0; no epsilon band, tiny positive
-    # sizes survive.
+    return [effective[..., :, j] * sizes[..., j, np.newaxis] for j in range(tactics.shape[-1])]
+
+
+def sizes_from_transfers(columns) -> np.ndarray:
+    """Updated sizes from the agents' transfer columns, added left to right
+    in agent order. Dead agents are pinned at exactly 0; no epsilon band,
+    tiny positive sizes survive."""
+    updated = reduce(np.add, columns)
     return np.where(updated > 0.0, updated, 0.0)
+
+
+def update_sizes(tactics: np.ndarray, sizes: np.ndarray, params: ModelParams) -> np.ndarray:
+    """One power-transfer step on raw arrays, with death clamping.
+
+    The agent-ordered sum T[..., :, 0] * M * s_0 + T[..., :, 1] * M * s_1
+    + ..., clamped at zero, (..., n); tactics and sizes broadcast as in
+    transfers. There is no matrix product, so a stack, its members one at
+    a time and a plain loop over the agents agree bit for bit, whatever
+    BLAS numpy links.
+    """
+    return sizes_from_transfers(transfers(tactics, sizes, params))
 
 
 def step_update(state: State, params: ModelParams) -> np.ndarray:

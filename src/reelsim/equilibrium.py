@@ -15,14 +15,17 @@ that were never drawn; its security levels come from the deviation
 slices it already scored. One solver, solve_stage_game, does both;
 stage_game draws the candidate pools and calls it.
 
-Every payoff comes from one batched kernel, stage_payoffs, built from the
-stack-aware update and utility primitives that line generation also
-calls. A stack and its members scored one at a time agree bit for bit,
-so exact payoff ties, and the comparison with plain re-implementations
-in the tests, do not depend on how profiles are grouped. A profile is a
-row of candidate indices, never a flat index (a profile space can exceed
-an int64), and one loop scores rows PAYOFF_BLOCK at a time, whether they
-enumerate the tensor, stack a screen's deviation slices or are drawn.
+Every payoff comes from one kernel, _score; stage_payoffs is a view of
+it. A profile's payoff is separable by column, so the kernel tables each
+candidate's transfer column and squared move once per game and adds a
+profile's chosen columns in agent order, as update_sizes and
+tactical_distance add a profile matrix's. A payoff is therefore bit for
+bit what the line-of-play primitives give the assembled matrix, however
+profiles are grouped, so exact payoff ties and the tests' plain
+re-implementations hold. A profile is a row of candidate indices, never
+a flat index (a profile space can exceed an int64), and one loop scores
+rows PAYOFF_BLOCK at a time, whether they enumerate the tensor, stack a
+screen's deviation slices or are drawn.
 """
 
 from __future__ import annotations
@@ -32,16 +35,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, State, update_sizes
+from .core import ModelParams, State, sizes_from_transfers, transfers
 from .sampling import CANDIDATE_STREAM, PROFILE_STREAM, SamplerConfig, integer_draws
 from .sampling import sample_candidates, stream_key
-from .utility import expected_utility, positional_utility
+from .utility import column_moves, distance_from_moves, inertia_probability, positional_utility
 
 DEFAULT_CANDIDATES = 30
 DEFAULT_MAX_PROFILES = 200_000
-# Profile rows per kernel call in _score, the one scoring loop: large
-# enough to amortize the per-call overhead, small enough that the
-# (block, n, n) temporaries stay a few hundred kilobytes.
+# Profile rows per pass of _score's loop: large enough to amortize the
+# per-pass overhead, small enough that its (block, n) temporaries stay a
+# few tens of kilobytes.
 PAYOFF_BLOCK = 1024
 
 
@@ -77,11 +80,14 @@ def stage_payoffs(
     """Expected utilities of playing tactics from (previous, sizes).
 
     tactics is one matrix (n, n), giving shape (n,), or a stack (P, n, n),
-    giving (P, n), through the same code.
+    giving (P, n). It is the stage game's own kernel on pools that hold
+    column j of every member, member p being the profile (p, ..., p).
     """
-    updated = update_sizes(tactics, sizes, params)
-    utilities = positional_utility(updated, params.alpha)
-    return expected_utility(utilities, tactics, previous, params.sigma)
+    tactics = np.asarray(tactics, dtype=float)
+    stack = tactics.reshape(-1, *tactics.shape[-2:])
+    rows = np.repeat(np.arange(len(stack))[:, np.newaxis], stack.shape[-1], axis=1)
+    payoffs = _score(tuple(np.moveaxis(stack, -1, 0)), rows, previous, sizes, params)
+    return payoffs.reshape(tactics.shape[:-1])
 
 
 def stage_game(
@@ -172,13 +178,29 @@ def payoff_tensor(
 
 def _score(candidates, profiles, previous, sizes, params) -> np.ndarray:
     """Payoffs (P, n) of profiles given as (P, n) candidate-index rows, not
-    flat indices, since a profile space can exceed an int64. This is the
-    one kernel call site: PAYOFF_BLOCK rows per call."""
+    flat indices, since a profile space can exceed an int64.
+
+    The transfer columns and squared moves are tabled once, from the
+    stack whose member k holds candidate k of every pool (zeros past a
+    short pool's end); each PAYOFF_BLOCK of rows gathers its chosen
+    columns and adds them in agent order.
+    """
+    n = len(candidates)
+    stack = np.zeros((max(len(pool) for pool in candidates), n, n))
+    for agent, pool in enumerate(candidates):
+        stack[: len(pool), :, agent] = pool
+    # Row k of gains[j] (n values) and of moves[j] (one) is agent j's candidate k.
+    gains = transfers(stack, sizes, params)
+    moves = column_moves(stack, previous)
     payoffs = np.empty(profiles.shape)
     for start in range(0, len(profiles), PAYOFF_BLOCK):
         block = profiles[start : start + PAYOFF_BLOCK].T
-        payoffs[start : start + PAYOFF_BLOCK] = stage_payoffs(
-            profile_matrix(candidates, block), previous, sizes, params
+        # take, not fancy indexing: the same rows, about 3x faster on (k, n) tables
+        updated = sizes_from_transfers(table.take(rows, 0) for table, rows in zip(gains, block))
+        distance = distance_from_moves(table.take(rows) for table, rows in zip(moves, block))
+        q = inertia_probability(distance, params.sigma)
+        payoffs[start : start + PAYOFF_BLOCK] = (
+            positional_utility(updated, params.alpha) * q[:, np.newaxis]
         )
     return payoffs
 

@@ -15,6 +15,7 @@ bit; a single distance or probability comes back as a numpy float.
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 
@@ -40,17 +41,34 @@ def positional_utility(sizes: np.ndarray, alpha: float) -> np.ndarray:
     return sizes**alpha / np.where(concentration > 0.0, concentration, 1.0)
 
 
+def column_moves(tactics_a: np.ndarray, tactics_b: np.ndarray) -> np.ndarray:
+    """Squared move of each column, agent-major: (..., n, n) to (n, ...).
+    Row j is column j's squared entry differences added down its rows in
+    order."""
+    squares = tactics_a - tactics_b
+    squares *= squares
+    return reduce(np.add, np.ascontiguousarray(np.moveaxis(squares, (-2, -1), (0, 1))))
+
+
+def distance_from_moves(moves) -> np.ndarray:
+    """Distance from each column's squared move, given in agent order: the
+    square root of their sum, added left to right."""
+    return np.sqrt(reduce(np.add, moves))
+
+
 def tactical_distance(tactics_a: np.ndarray, tactics_b: np.ndarray) -> float | np.ndarray:
     """Entrywise Euclidean (Frobenius) distance between two tactic matrices.
 
-    Either side may be a stack (..., n, n); the distances then come back
-    as an array, one per member.
+    Each column is summed over its rows in order, then the columns in
+    agent order, as a plain column-then-agent loop sums. Either side may
+    be a stack (..., n, n); the distances then come back as an array,
+    one per member.
     """
     tactics_a = np.asarray(tactics_a, dtype=float)
     tactics_b = np.asarray(tactics_b, dtype=float)
     if tactics_a.shape[-2:] != tactics_b.shape[-2:]:
         raise ValueError(f"shape mismatch: {tactics_a.shape} vs {tactics_b.shape}")
-    return np.sqrt(((tactics_a - tactics_b) ** 2).sum(axis=(-2, -1)))
+    return distance_from_moves(column_moves(tactics_a, tactics_b))
 
 
 def inertia_probability(distance: float | np.ndarray, sigma: float) -> float | np.ndarray:

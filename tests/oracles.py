@@ -26,7 +26,6 @@ from reelsim import (
     intertemporal_utility,
     positional_utility,
     profile_matrix,
-    stage_payoffs,
     tactical_distance,
     update_sizes,
 )
@@ -59,13 +58,17 @@ def positional(sizes, alpha):
 
 
 def distance(a, b):
-    return math.sqrt(
-        sum(
-            (x - y) ** 2
-            for row_a, row_b in zip(a, b)
-            for x, y in zip(row_a, row_b)
-        )
-    )
+    """Frobenius distance, plain loops: each column's squared differences
+    added down its rows, then the column sums in agent order."""
+    n = len(a)
+    total = 0.0
+    for j in range(n):
+        column = 0.0
+        for i in range(n):
+            difference = a[i][j] - b[i][j]
+            column += difference * difference
+        total += column
+    return math.sqrt(total)
 
 
 def inertia(x, sigma):
@@ -193,8 +196,10 @@ def stage_tabulation(candidates, previous, sizes, params):
 def sampled_stage_game(candidates, previous, sizes, params, max_profiles, key):
     """Subsampled stage game, one profile and one payoff call at a time.
 
-    A scalar copy of the engine's screen, memoized per profile: returns
-    (equilibrium profiles sorted, minimax). The screen's profile r is
+    A scalar copy of the engine's screen, memoized per profile and
+    scored through the line-of-play primitives, not the stage game's
+    kernel: returns (equilibrium profiles sorted, minimax). The screen's
+    profile r is
     line r of the stream keyed by key at step 0, slot j taken below
     agent j's pool size (below); the budget is the engine's, so the two
     must agree exactly. With no equilibrium, agent a's security level is
@@ -207,9 +212,9 @@ def sampled_stage_game(candidates, previous, sizes, params, max_profiles, key):
 
     def evaluate(profile):
         if profile not in cache:
-            cache[profile] = stage_payoffs(
-                profile_matrix(candidates, profile), previous, sizes, params
-            )
+            tactics = profile_matrix(candidates, profile)
+            utilities = positional_utility(update_sizes(tactics, sizes, params), params.alpha)
+            cache[profile] = expected_utility(utilities, tactics, previous, params.sigma)
         return cache[profile]
 
     def replaced(profile, agent, choice):

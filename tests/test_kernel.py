@@ -1,4 +1,5 @@
-"""The batched payoff kernel: stacks agree with their members bit for bit."""
+"""The batched payoff kernel: stacks agree with their members bit for bit,
+and the stage game's column tables with the line-of-play primitives."""
 
 import math
 
@@ -80,7 +81,90 @@ def test_stacked_update_equals_per_member_calls(problem):
     for member, member_sizes, updated in zip(tactics, sizes, stacked):
         assert np.array_equal(updated, rs.update_sizes(member, member_sizes, params))
         expected = oracles.update(member.tolist(), member_sizes.tolist(), params.beta, params.mu)
-        assert np.max(np.abs(updated - expected)) <= 1e-12
+        assert updated.tolist() == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(update_problems(), st.booleans())
+def test_stacked_distance_equals_column_then_agent_loop(problem, shared):
+    tactics, _, _ = problem
+    # against one shared matrix, or member by member against a reversed stack
+    other = tactics[0] if shared else tactics[::-1]
+    distances = rs.tactical_distance(tactics, other)
+    assert distances.shape == (len(tactics),)
+    others = [other] * len(tactics) if shared else other
+    for distance, member, previous in zip(distances, tactics, others):
+        assert distance == oracles.distance(member.tolist(), previous.tolist())
+
+
+@st.composite
+def stage_problems(draw):
+    """Candidate pools for 1-10 agents with uneven sizes, drawn with or
+    without self-harm; sizes with zeros (sometimes all of them) and agents
+    that die; a previous matrix that is one of the profiles (zero
+    distance) or a random tactic matrix. The profile space stays within
+    2,048 profiles so the whole tensor can be checked."""
+    n = draw(st.integers(1, 10))
+    cap = min(8, int(2048 ** (1.0 / n)))
+    ks = tuple(draw(st.lists(st.integers(1, cap), min_size=n, max_size=n)))
+    cfg = rs.SamplerConfig(
+        p_neg=draw(st.sampled_from([0.0, 0.3, 0.9])),
+        allow_negative_diagonal=draw(st.booleans()),
+    )
+    key = rs.stream_key(draw(st.integers(0, 2**32)), rs.CANDIDATE_STREAM)
+    pools = rs.sample_candidates(n, max(ks), cfg, key)
+    candidates = tuple(pool[:k] for pool, k in zip(pools, ks))
+    sizes = draw(hnp.arrays(float, n, elements=st.floats(0.0, 1.0)))
+    sizes[draw(hnp.arrays(bool, n))] = 0.0
+    if draw(st.booleans()):
+        previous = rs.profile_matrix(candidates, [draw(st.integers(0, k - 1)) for k in ks])
+    else:
+        previous = draw(hnp.arrays(float, (n, n), elements=st.floats(-1.0, 1.0)))
+        previous /= np.maximum(np.abs(previous).sum(axis=0), 1e-12)
+    params = rs.ModelParams(
+        alpha=draw(st.floats(2.0, 3.0)),
+        beta=draw(st.floats(1.01, 2.0)),
+        mu=draw(st.sampled_from([2.5, 3.0, 8.0])),
+        sigma=draw(st.floats(0.05, 5.0)),
+    )
+    screen_key = rs.stream_key(draw(st.integers(0, 2**32)), rs.PROFILE_STREAM)
+    return candidates, previous, sizes, params, draw(st.integers(1, 400)), screen_key
+
+
+def primitive_payoffs(candidates, rows, previous, sizes, params):
+    """Payoffs of profile rows (P, n) through the line-of-play primitives
+    on assembled profile matrices."""
+    tactics = rs.profile_matrix(candidates, rows.T)
+    utilities = rs.positional_utility(rs.update_sizes(tactics, sizes, params), params.alpha)
+    return rs.expected_utility(utilities, tactics, previous, params.sigma)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stage_problems())
+def test_table_kernel_equals_primitives_on_profile_matrices(problem):
+    candidates, previous, sizes, params, max_profiles, key = problem
+    ks = tuple(len(pool) for pool in candidates)
+    profiles = np.indices(ks).reshape(len(ks), -1).T
+    expected = primitive_payoffs(candidates, profiles, previous, sizes, params)
+    stacked = rs.stage_payoffs(rs.profile_matrix(candidates, profiles.T), previous, sizes, params)
+    assert stacked.tobytes() == expected.tobytes()
+    real_score = equilibrium._score
+    for block in (1, 7, 4096):
+        scored = []
+
+        def score(candidates, rows, *args):
+            scored.append((rows, real_score(candidates, rows, *args)))
+            return scored[-1][1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(equilibrium, "PAYOFF_BLOCK", block)
+            tensor = rs.payoff_tensor(candidates, previous, sizes, params)
+            assert tensor.reshape(-1, len(ks)).tobytes() == expected.tobytes()
+            patch.setattr(equilibrium, "_score", score)
+            equilibrium._screen(candidates, previous, sizes, params, max_profiles, key)
+        [(rows, payoffs)] = scored
+        reference = primitive_payoffs(candidates, rows, previous, sizes, params)
+        assert payoffs.tobytes() == reference.tobytes()
 
 
 def test_all_dead_stack_scores_zero(params):
@@ -176,18 +260,18 @@ def test_fallback_game_draws_once_and_scores_once(params, monkeypatch):
     # 12**5 profiles over a budget of 20,000 and no screened equilibrium:
     # the security levels come from the screen's own deviation slices
     calls, scored = [], [0]
-    real_draws, real_payoffs = equilibrium.integer_draws, equilibrium.stage_payoffs
+    real_draws, real_score = equilibrium.integer_draws, equilibrium._score
 
     def draws(*args):
         calls.append(real_draws(*args))
         return calls[-1]
 
-    def payoffs(tactics, *args):
-        scored[0] += len(tactics)
-        return real_payoffs(tactics, *args)
+    def score(candidates, profiles, *args):
+        scored[0] += len(profiles)
+        return real_score(candidates, profiles, *args)
 
     monkeypatch.setattr(equilibrium, "integer_draws", draws)
-    monkeypatch.setattr(equilibrium, "stage_payoffs", payoffs)
+    monkeypatch.setattr(equilibrium, "_score", score)
     cfg = rs.SamplerConfig(rng_seed=0, p_neg=0.0)
     game = rs.stage_game(identity_state(5, 0), params, cfg, k_candidates=12, max_profiles=20_000)
     assert not game.exhaustive and game.equilibria == ()
