@@ -15,16 +15,16 @@ that were never drawn; its security levels come from the deviation
 slices it already scored. One solver, solve_stage_game, does both;
 stage_game draws the candidate pools and calls it.
 
-Every payoff comes from one kernel, _score; stage_payoffs is a view of
-it. A profile's payoff is separable by column, so the kernel tables each
-candidate's transfer column and squared move once per game and adds a
-profile's chosen columns in agent order, as update_sizes and
-tactical_distance add a profile matrix's. A payoff is therefore bit for
-bit what the line-of-play primitives give the assembled matrix, however
-profiles are grouped, so exact payoff ties and the tests' plain
-re-implementations hold. A profile is a row of candidate indices, never
-a flat index (a profile space can exceed an int64), and one loop scores
-rows PAYOFF_BLOCK at a time, whether they enumerate the tensor, stack a
+Every payoff comes from one kernel, _score. A profile's payoff is
+separable by column, so the kernel tables each candidate's transfer
+column and squared move once per game and adds a profile's chosen
+columns in agent order, as update_sizes and tactical_distance add a
+profile matrix's. A payoff is therefore bit for bit what the
+line-of-play primitives give the assembled matrix, however profiles are
+grouped, so exact payoff ties and the tests' plain re-implementations
+hold. A profile is a row of candidate indices, never a flat index (a
+profile space can exceed an int64), and one loop scores rows
+PAYOFF_BLOCK at a time, whether they enumerate the tensor, stack a
 screen's deviation slices or are drawn.
 """
 
@@ -72,22 +72,6 @@ def profile_matrix(candidates: tuple[np.ndarray, ...], profile) -> np.ndarray:
     agent instead, the result is the stack (P, n, n) of those profiles.
     """
     return np.stack([pool[index] for pool, index in zip(candidates, profile)], axis=-1)
-
-
-def stage_payoffs(
-    tactics: np.ndarray, previous: np.ndarray, sizes: np.ndarray, params: ModelParams
-) -> np.ndarray:
-    """Expected utilities of playing tactics from (previous, sizes).
-
-    tactics is one matrix (n, n), giving shape (n,), or a stack (P, n, n),
-    giving (P, n). It is the stage game's own kernel on pools that hold
-    column j of every member, member p being the profile (p, ..., p).
-    """
-    tactics = np.asarray(tactics, dtype=float)
-    stack = tactics.reshape(-1, *tactics.shape[-2:])
-    rows = np.repeat(np.arange(len(stack))[:, np.newaxis], stack.shape[-1], axis=1)
-    payoffs = _score(tuple(np.moveaxis(stack, -1, 0)), rows, previous, sizes, params)
-    return payoffs.reshape(tactics.shape[:-1])
 
 
 def stage_game(

@@ -221,23 +221,33 @@ def cluster_first_moves(
     valid state. Frames come out sorted by probability, ties keeping
     first-seen order.
     """
-    weights = np.asarray(weights).tolist()
-    total = sum(weights)
+    weights = np.asarray(weights, dtype=float)
+    total = ordered_sum(weights)
     if total <= 0.0:
         return ()
     representatives = round_tactic_matrix(first_moves, cfg.rounding)
-    # Representative bytes to member weights, first-seen order.
-    clusters: dict[bytes, list[float]] = {}
-    for representative, weight in zip(representatives, weights):
-        clusters.setdefault(representative.tobytes(), []).append(weight)
-    tactics = np.frombuffer(b"".join(clusters), float).reshape(-1, *representatives.shape[1:])
+    # Representative bytes to frame index, first-seen order.
+    index: dict[bytes, int] = {}
+    ids = [index.setdefault(member.tobytes(), len(index)) for member in representatives]
+    tactics = np.frombuffer(b"".join(index), float).reshape(-1, *representatives.shape[1:])
     sizes = update_sizes(tactics, root.sizes, params)
+    # bincount adds each frame's weights one at a time in line order.
+    supports = np.bincount(ids).tolist()
+    summed = np.bincount(ids, weights).tolist()
     frames = []
-    for state_tactics, state_sizes, members in zip(tactics, sizes, clusters.values()):
-        weight = sum(members)
-        frames.append(Frame(state_tactics, state_sizes, weight / total, len(members), weight))
+    for state_tactics, state_sizes, support, weight in zip(tactics, sizes, supports, summed):
+        frames.append(Frame(state_tactics, state_sizes, weight / total, support, weight))
     frames.sort(key=lambda frame: -frame.probability)
     return tuple(frames)
+
+
+def ordered_sum(values) -> float:
+    """values added one at a time in order, starting from 0.0.
+
+    The built-in sum of floats is compensated from Python 3.12 on and
+    np.sum adds pairwise; a running sum gives the same bits everywhere.
+    """
+    return float(np.cumsum(np.append(0.0, values))[-1])
 
 
 def transition_distribution(
@@ -277,7 +287,7 @@ def transition_distribution(
         lines_generated=n_lines,
         lines_retained=len(weights),
         clusters=len(frames),
-        total_weight=float(sum(weights.tolist())),
+        total_weight=ordered_sum(weights),
         equilibria=len(game.equilibria),
         minimax=game.minimax,
         exhaustive_game=game.exhaustive,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import ModelParams, State
 from .equilibrium import DEFAULT_CANDIDATES, DEFAULT_MAX_PROFILES
-from .frames import transition_distribution
+from .frames import ordered_sum, transition_distribution
 from .sampling import NODE_STREAM, SamplerConfig, stream_key
 
 LEAF_MAX_DEPTH = "max_depth"
@@ -127,7 +127,7 @@ def build_reel_tree(
         ][:branch_k]
         if not kept:
             return ReelNode(state, depth, (), LEAF_PRUNED, 1.0)
-        dropped = max(0.0, 1.0 - sum(frame.probability for frame in kept))
+        dropped = max(0.0, 1.0 - ordered_sum([frame.probability for frame in kept]))
         edges = tuple(
             ReelEdge(
                 frame.probability,

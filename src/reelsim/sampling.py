@@ -44,8 +44,9 @@ class SamplerConfig:
         efficiency under strong inertia; it never changes definitions.
     rng_seed: master seed; every key is a stream_key of it.
     rounding: cluster granularity; entries are rounded to multiples of
-        this, so 1/rounding must be an integer, at most 2**53 so that
-        every grid key is exact and fits an int64.
+        this, so 1/rounding must be an integer, at most 2**53: past
+        2**53 steps per unit, grid coordinates are no longer exact
+        doubles.
     """
 
     p_neg: float = 0.5
@@ -70,10 +71,11 @@ def _check_rounding(rounding: float) -> None:
     steps = 1.0 / rounding
     if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
         raise ValueError(f"1/rounding must be an integer (got rounding={rounding})")
-    # Up to 2**53 steps per unit, every key is an exact integer.
+    # Up to 2**53 steps per unit, every grid coordinate is an exact double.
     if steps > 2**53:
         raise ValueError(
-            f"1/rounding must be at most 2**53, so grid keys stay exact (got rounding={rounding})"
+            "1/rounding must be at most 2**53, so grid coordinates stay exact doubles "
+            f"(got rounding={rounding})"
         )
 
 
@@ -255,32 +257,21 @@ def _renormalize_columns(matrix: np.ndarray) -> np.ndarray:
     return np.where(zero, np.eye(matrix.shape[-1]), matrix / np.where(zero, 1.0, scale))
 
 
-def round_to_grid(tactics: np.ndarray, rounding: float) -> np.ndarray:
-    """Integer grid coordinates of each entry, rounding ties away from zero.
-
-    Exact integers, so rounding never depends on float fuzz; several
-    cells can still scale back to one matrix (matrix_from_grid).
-    """
-    _check_rounding(rounding)
-    tactics = np.asarray(tactics, dtype=float)
-    steps = np.floor(np.abs(tactics) / rounding + 0.5)
-    return (np.sign(tactics) * steps).astype(np.int64)
-
-
-def matrix_from_grid(grid: np.ndarray, rounding: float) -> np.ndarray:
-    """Valid tactic matrix for a grid key: scale back and renormalize."""
-    return _renormalize_columns(np.asarray(grid, dtype=float) * rounding)
-
-
 def round_tactic_matrix(tactics: np.ndarray, rounding: float) -> np.ndarray:
     """Snap entries to the rounding grid, then restore column abs-sums.
 
     tactics is one matrix (n, n) or a stack (..., n, n), rounded member
-    by member. A column that rounds to all zeros becomes pure
-    self-allocation. The result is the representative of a line's frame:
+    by member. Each entry goes to the nearest multiple of rounding, ties
+    away from zero, and an entry that snaps to zero is +0.0, never -0.0,
+    so equal matrices have equal bytes. A column that rounds to all
+    zeros becomes pure self-allocation. A rounding outside (0, 1], or
+    one whose 1/rounding is not an integer of at most 2**53, raises
+    ValueError. The result is the representative of a line's frame:
     lines whose first moves round to the same bytes share one frame.
     """
     tactics = np.asarray(tactics, dtype=float)
     if tactics.ndim < 2 or tactics.shape[-1] != tactics.shape[-2]:
         raise TacticMatrixError(f"tactic matrix must be square (got shape {tactics.shape})")
-    return matrix_from_grid(round_to_grid(tactics, rounding), rounding)
+    _check_rounding(rounding)
+    steps = np.floor(np.abs(tactics) / rounding + 0.5)
+    return _renormalize_columns(np.sign(tactics) * steps * rounding + 0.0)

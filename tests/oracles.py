@@ -96,8 +96,9 @@ def line_weight(root_tactics, matrices, delta, sigma):
     return inertia((1.0 - delta) * total, sigma)
 
 
-def grid_key(matrix, rounding):
-    """Nearest-multiple coordinates, ties away from zero."""
+def grid_coordinates(matrix, rounding):
+    """Nearest-multiple coordinates as Python integers, ties away from
+    zero; exact while 1/rounding is at most 2**53."""
     key = []
     for row in matrix:
         key_row = []
@@ -110,9 +111,11 @@ def grid_key(matrix, rounding):
 
 
 def representative(matrix, rounding):
-    """The next state a first move reaches: its grid key scaled back and
-    renormalized column by column."""
-    return renormalize_columns(np.array(grid_key(matrix, rounding), dtype=float) * rounding)
+    """The next state a first move reaches: its grid coordinates scaled
+    back and renormalized column by column. A coordinate of 0 scales back
+    to +0.0, never -0.0. Past 2**53 steps per unit the coordinates are no
+    longer exact doubles, which is why 1/rounding is capped there."""
+    return renormalize_columns(np.array(grid_coordinates(matrix, rounding), dtype=float) * rounding)
 
 
 def cluster(first_moves, weights, rounding):

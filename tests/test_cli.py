@@ -110,7 +110,7 @@ def test_rounding_too_fine_for_exact_keys_exits_one(
     assert main(["--out-dir", str(tmp_path / "out"), "frame", str(path)]) == 1
     err = capsys.readouterr().err
     assert err == (
-        "error: sampler: 1/rounding must be at most 2**53, so grid keys stay exact "
+        "error: sampler: 1/rounding must be at most 2**53, so grid coordinates stay exact doubles "
         f"(got rounding={rounding})\n"
     )
     assert not (tmp_path / "out").exists()

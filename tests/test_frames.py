@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 import reelsim as rs
+from reelsim.frames import ordered_sum
 from reelsim import frames as frames_module
 
 
@@ -195,7 +196,7 @@ def test_folk_filter_zero_guarantee_keeps_positive_lines(three_agent_tactics):
 def test_cluster_shares_weight_by_grid_cell(three_agent_state, params):
     cfg = rs.SamplerConfig(rounding=0.25)
     a = rs.round_tactic_matrix(three_agent_state.tactics, 0.25)
-    b = rs.matrix_from_grid(np.array([[4, 0, 0], [0, 4, 0], [0, 0, 4]]), 0.25)
+    b = np.eye(3)
     lines = [
         make_line(three_agent_state.tactics, [a], 0.5),
         make_line(three_agent_state.tactics, [a], 0.3),
@@ -251,15 +252,27 @@ def test_cluster_matches_slow_reference(three_agent_state, params):
 
 def test_cluster_sorts_by_probability(three_agent_state, params):
     cfg = rs.SamplerConfig(rounding=0.25)
-    a = rs.matrix_from_grid(np.eye(3, dtype=int) * 4, 0.25)
+    a = np.eye(3)
     b = rs.round_tactic_matrix(three_agent_state.tactics, 0.25)
-    c = rs.matrix_from_grid(np.array([[0, 0, 4], [4, 0, 0], [0, 4, 0]]), 0.25)
+    c = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     lines = [
         make_line(three_agent_state.tactics, [m], w)
         for m, w in [(a, 0.1), (b, 0.5), (c, 0.4)]
     ]
     frames = cluster(lines, three_agent_state, params, cfg)
     assert [frame.probability for frame in frames] == [0.5, 0.4, 0.1]
+
+
+def test_cluster_sums_weights_one_at_a_time_in_line_order(three_agent_state, params):
+    # added in line order each 1e-16 is lost against 1.0; a compensated
+    # sum (the built-in sum from Python 3.12) would give 1.000000000000001
+    group = [1.0] + [1e-16] * 10
+    assert ordered_sum(group) == 1.0
+    cfg = rs.SamplerConfig(rounding=0.25)
+    lines = [make_line(three_agent_state.tactics, [np.eye(3)], w) for w in group]
+    lines.append(make_line(three_agent_state.tactics, [np.ones((3, 3)) / 3.0], 1.0))
+    frames = cluster(lines, three_agent_state, params, cfg)
+    assert [(frame.weight, frame.probability) for frame in frames] == [(1.0, 0.5), (1.0, 0.5)]
 
 
 def shipped_distribution(scenario):
@@ -297,7 +310,7 @@ def test_shipped_frames_are_merged_grid_cells(shipped, monkeypatch):
     # the grid cells a frame was split into before, grouped by the state they reach
     cells = {}
     for matrix, weight in zip(first_moves, weights):
-        cell = oracles.grid_key(matrix, rounding)
+        cell = oracles.grid_coordinates(matrix, rounding)
         support, summed = cells.get(cell, (0, 0.0))
         cells[cell] = (support + 1, summed + weight)
     merged = {}

@@ -48,10 +48,17 @@ def payoff_problems(draw):
 @given(payoff_problems())
 def test_stacked_payoffs_equal_per_matrix_calls(problem):
     tactics, previous, sizes, params = problem
-    stacked = rs.stage_payoffs(tactics, previous, sizes, params)
-    one_by_one = np.stack([rs.stage_payoffs(m, previous, sizes, params) for m in tactics])
-    assert stacked.shape == (len(tactics), len(sizes))
-    assert np.array_equal(stacked, one_by_one)
+    count, n = len(tactics), len(sizes)
+    # pool j holds column j of every member, so member p is the profile (p, ..., p)
+    pools = tuple(np.moveaxis(tactics, -1, 0))
+    diagonal = np.repeat(np.arange(count)[:, np.newaxis], n, axis=1)
+    stacked = equilibrium._score(pools, diagonal, previous, sizes, params)
+    assert stacked.shape == (count, n)
+    for member, payoffs in zip(tactics, stacked):
+        # one candidate per agent: the member's own columns
+        alone = rs.payoff_tensor(tuple(member.T[:, np.newaxis]), previous, sizes, params)
+        assert alone.shape == (1,) * n + (n,)
+        assert alone.reshape(n).tobytes() == payoffs.tobytes()
 
 
 @st.composite
@@ -146,8 +153,6 @@ def test_table_kernel_equals_primitives_on_profile_matrices(problem):
     ks = tuple(len(pool) for pool in candidates)
     profiles = np.indices(ks).reshape(len(ks), -1).T
     expected = primitive_payoffs(candidates, profiles, previous, sizes, params)
-    stacked = rs.stage_payoffs(rs.profile_matrix(candidates, profiles.T), previous, sizes, params)
-    assert stacked.tobytes() == expected.tobytes()
     real_score = equilibrium._score
     for block in (1, 7, 4096):
         scored = []
@@ -168,9 +173,11 @@ def test_table_kernel_equals_primitives_on_profile_matrices(problem):
 
 
 def test_all_dead_stack_scores_zero(params):
+    # two candidates per agent: its column of the identity and of the uniform matrix
     tactics = np.stack([np.eye(3), np.full((3, 3), 1.0 / 3.0)])
-    payoffs = rs.stage_payoffs(tactics, np.eye(3), np.zeros(3), params)
-    assert np.array_equal(payoffs, np.zeros((2, 3)))
+    pools = tuple(np.moveaxis(tactics, -1, 0))
+    payoffs = rs.payoff_tensor(pools, np.eye(3), np.zeros(3), params)
+    assert np.array_equal(payoffs, np.zeros((2, 2, 2, 3)))
 
 
 def test_payoff_tensor_over_several_blocks_matches_tabulation(params, monkeypatch):

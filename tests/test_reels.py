@@ -225,6 +225,19 @@ def test_build_reel_tree_rejects_bad_arguments(tiny_state, params, monkeypatch):
         rs.build_reel_tree(tiny_state, 1, 2, 1.5, params, cfg, 10, 2)
 
 
+def test_dropped_mass_adds_kept_probabilities_in_order(tiny_state, params, monkeypatch):
+    # added in order each 2**-54 is lost against 0.5, so 0.5 is dropped; a
+    # compensated sum would keep 0.5 + 5 * 2**-53 and drop less
+    probabilities = [0.5] + [2.0**-54] * 10
+    frames = tuple(rs.Frame(tiny_state.tactics, tiny_state.sizes, p, 1, p) for p in probabilities)
+    diagnostics = rs.TransitionDiagnostics(11, 11, 11, 1.0, 0, np.zeros(3), True)
+    distribution = rs.FrameDistribution(frames, diagnostics)
+    monkeypatch.setattr("reelsim.reels.transition_distribution", lambda *a, **k: distribution)
+    tree = rs.build_reel_tree(tiny_state, 1, 11, 0.0, params, rs.SamplerConfig(), 10, 2)
+    assert len(tree.children) == 11
+    assert tree.dropped_mass == 0.5
+
+
 # ------------------------------------------------------------ enumeration
 
 

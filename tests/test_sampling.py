@@ -45,9 +45,9 @@ def test_finest_accepted_grid_keys_are_exact():
     rounding = 2.0**-53
     rs.SamplerConfig(rounding=rounding)
     tactics = np.array([[1.0, -0.25], [0.0, 0.75]])
-    grid = rs.round_to_grid(tactics, rounding)
-    assert grid.tolist() == [[2**53, -(2**51)], [0, 3 * 2**51]]
-    assert np.array_equal(rs.matrix_from_grid(grid, rounding), tactics)
+    coordinates = oracles.grid_coordinates(tactics.tolist(), rounding)
+    assert coordinates == ((2**53, -(2**51)), (0, 3 * 2**51))
+    assert rs.round_tactic_matrix(tactics, rounding).tobytes() == tactics.tobytes()
 
 
 # ---------------------------------------------------------------- substreams
@@ -201,19 +201,29 @@ def test_local_draws_follow_noise_scale(three_agent_tactics):
 
 def test_round_to_grid_hand_values():
     tactics = np.array([[0.7, -0.1], [-0.26, 0.9]])
-    grid = rs.round_to_grid(tactics, 0.1)
-    assert grid.tolist() == [[7, -1], [-3, 9]]
-    assert grid.dtype == np.int64
+    rounded = rs.round_tactic_matrix(tactics, 0.1)
+    # grid coordinates [[7, -1], [-3, 9]], scaled back and renormalized
+    expected = np.array([[7, -1], [-3, 9]]) * 0.1
+    expected /= np.abs(expected).sum(axis=0)
+    assert rounded.tobytes() == expected.tobytes()
+    assert np.allclose(rounded, [[0.7, -0.1], [-0.3, 0.9]], atol=1e-15)
 
 
 def test_round_to_grid_ties_go_away_from_zero():
-    # 0.125 sits exactly between 0 and 0.25 on a dyadic grid
-    tactics = np.array([[0.125, -0.125], [0.375, -0.375]])
-    assert rs.round_to_grid(tactics, 0.25).tolist() == [[1, -1], [2, -2]]
+    # 0.125 and 0.375 sit exactly between two points of a dyadic grid; the
+    # other entries round down, so every column keeps abs-sum 1
+    tactics = np.array([[0.125, -0.125, -0.375], [0.3, 0.575, 0.1], [0.575, -0.3, 0.525]])
+    rounded = rs.round_tactic_matrix(tactics, 0.25)
+    assert rounded.tolist() == [[0.25, -0.25, -0.5], [0.25, 0.5, 0.0], [0.5, -0.25, 0.5]]
 
 
 def test_round_to_grid_zero_stays_zero():
-    assert rs.round_to_grid(np.array([[0.0, -0.0]]), 0.1).tolist() == [[0, 0]]
+    # -0.0 and the small negative -0.01 both round to +0.0, so equal
+    # states have equal bytes
+    tactics = np.array([[1.0, 0.0, -0.01], [0.0, -0.0, 0.0], [0.0, 1.0, 0.99]])
+    rounded = rs.round_tactic_matrix(tactics, 0.1)
+    assert rounded.tolist() == [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 1.0]]
+    assert not np.signbit(rounded).any()
 
 
 def test_round_to_grid_matches_slow_reference():
@@ -222,26 +232,33 @@ def test_round_to_grid_matches_slow_reference():
         for _ in range(100):
             tactics = rng.uniform(-1.0, 1.0, (3, 3))
             assert (
-                tuple(map(tuple, rs.round_to_grid(tactics, rounding).tolist()))
-                == oracles.grid_key(tactics.tolist(), rounding)
+                rs.round_tactic_matrix(tactics, rounding).tobytes()
+                == oracles.representative(tactics.tolist(), rounding).tobytes()
             )
 
 
 def test_round_to_grid_rejects_bad_rounding():
-    with pytest.raises(ValueError, match="1/rounding"):
-        rs.round_to_grid(np.eye(2), 0.4)
+    for rounding, message in [
+        (0.4, "1/rounding must be an integer"),
+        (0.0, r"rounding must lie in \(0, 1\]"),
+        (1.5, r"rounding must lie in \(0, 1\]"),
+        (1e-19, r"1/rounding must be at most 2\*\*53"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            rs.round_tactic_matrix(np.eye(2), rounding)
 
 
 def test_matrix_from_grid_renormalizes():
-    grid = np.array([[3, 0], [-1, 4]])
-    matrix = rs.matrix_from_grid(grid, 0.25)
-    assert np.array_equal(matrix, np.array([[0.75, 0.0], [-0.25, 1.0]]))
+    # ties away from zero give grid coordinates [[3, 0], [-2, 4]]: the
+    # first column's abs-sum 1.25 is scaled back to 1
+    matrix = rs.round_tactic_matrix(np.array([[0.625, 0.0], [-0.375, 1.0]]), 0.25)
+    assert np.array_equal(matrix, np.array([[0.75, 0.0], [-0.5, 1.0]]) / [1.25, 1.0])
     rs.validate_tactic_matrix(matrix)
 
 
 def test_matrix_from_grid_zero_column_falls_back_to_self():
-    matrix = rs.matrix_from_grid(np.array([[0, 0], [0, 2]]), 0.25)
-    assert matrix[:, 0].tolist() == [1.0, 0.0]
+    matrix = rs.round_tactic_matrix(np.array([[0.1, 0.0], [-0.1, 0.5]]), 0.25)
+    assert matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 def test_round_tactic_matrix_dyadic_grid_is_exact():
@@ -266,7 +283,7 @@ def test_round_tactic_matrix_output_is_valid():
 def test_round_tactic_matrix_fixed_point_on_unit_sum_grid():
     # column magnitudes already summing to 1/rounding renormalize by 1,
     # so the representative is a fixed point of another rounding pass
-    matrix = rs.matrix_from_grid(np.array([[3, -1], [-1, 3]]), 0.25)
+    matrix = np.array([[0.75, -0.25], [-0.25, 0.75]])
     assert np.array_equal(rs.round_tactic_matrix(matrix, 0.25), matrix)
 
 
@@ -292,19 +309,18 @@ def test_renormalize_matches_per_column_loop_bitwise(n):
             tactics = rng.uniform(-1.0, 1.0, (n, n))
             tactics /= np.abs(tactics).sum(axis=0)
             stack.append(tactics)
-            grid = rs.round_to_grid(tactics, rounding)
-            grid[:, rng.random(n) < 0.2] = 0
-            expected = oracles.renormalize_columns(grid * rounding)
-            assert np.array_equal(rs.matrix_from_grid(grid, rounding), expected)
-            assert np.array_equal(
-                rs.round_tactic_matrix(tactics, rounding),
-                oracles.renormalize_columns(rs.round_to_grid(tactics, rounding) * rounding),
+            # columns whose entries all round to zero fall back to self
+            small = tactics.copy()
+            small[:, rng.random(n) < 0.2] *= 0.49 * rounding
+            assert (
+                rs.round_tactic_matrix(small, rounding).tobytes()
+                == oracles.representative(small.tolist(), rounding).tobytes()
             )
         # a stack rounds member by member, as a frame's lines do
         assert np.array_equal(
             rs.round_tactic_matrix(np.array(stack), rounding),
             [oracles.representative(member.tolist(), rounding) for member in stack],
         )
-    zero = rs.matrix_from_grid(np.zeros((n, n), dtype=np.int64), 0.1)
+    zero = rs.round_tactic_matrix(np.zeros((n, n)), 0.1)
     assert np.array_equal(zero, oracles.renormalize_columns(np.zeros((n, n))))
     assert np.array_equal(zero, np.eye(n))

@@ -176,7 +176,8 @@ def test_rounding_too_fine_for_a_float_is_rejected(scenario_payload):
 
 @pytest.mark.parametrize("rounding", [1e-19, 1e-300])
 def test_rounding_too_fine_for_exact_keys_is_rejected(scenario_payload, rounding):
-    # 1/rounding is a finite integer, but past 2**53 grid keys lose exactness
+    # 1/rounding is a finite integer, but past 2**53 steps per unit grid
+    # coordinates are no longer exact doubles
     scenario_payload["sim"]["sampler"]["rounding"] = rounding
     with pytest.raises(rs.ScenarioError, match=r"sampler: 1/rounding must be at most 2\*\*53"):
         parse(scenario_payload)
