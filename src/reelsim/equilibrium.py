@@ -19,12 +19,13 @@ Every payoff comes from one kernel, _score. A profile's payoff is
 separable by column, so the kernel tables each candidate's transfer
 column and squared move once per game and adds a profile's chosen
 columns in agent order, as update_sizes and tactical_distance add a
-profile matrix's. A payoff is therefore bit for bit what the
-line-of-play primitives give the assembled matrix, however profiles are
-grouped, so exact payoff ties and the tests' plain re-implementations
-hold. A profile is a row of candidate indices, never a flat index (a
-profile space can exceed an int64), and one loop scores rows
-PAYOFF_BLOCK at a time, whether they enumerate the tensor, stack a
+profile matrix's. It then scores the move through expected_utility, as
+the lines of play score theirs. A payoff is therefore bit for bit what
+the line-of-play primitives give the assembled matrix, however profiles
+are grouped, so exact payoff ties and the tests' plain
+re-implementations hold. A profile is a row of candidate indices, never
+a flat index (a profile space can exceed an int64), and one loop scores
+rows PAYOFF_BLOCK at a time, whether they enumerate the tensor, stack a
 screen's deviation slices or are drawn.
 """
 
@@ -38,7 +39,7 @@ import numpy as np
 from .core import ModelParams, State, sizes_from_transfers, transfers
 from .sampling import CANDIDATE_STREAM, PROFILE_STREAM, SamplerConfig, integer_draws
 from .sampling import sample_candidates, stream_key
-from .utility import column_moves, distance_from_moves, inertia_probability, positional_utility
+from .utility import column_moves, distance_from_moves, expected_utility, positional_utility
 
 DEFAULT_CANDIDATES = 30
 DEFAULT_MAX_PROFILES = 200_000
@@ -182,9 +183,8 @@ def _score(candidates, profiles, previous, sizes, params) -> np.ndarray:
         # take, not fancy indexing: the same rows, about 3x faster on (k, n) tables
         updated = sizes_from_transfers(table.take(rows, 0) for table, rows in zip(gains, block))
         distance = distance_from_moves(table.take(rows) for table, rows in zip(moves, block))
-        q = inertia_probability(distance, params.sigma)
-        payoffs[start : start + PAYOFF_BLOCK] = (
-            positional_utility(updated, params.alpha) * q[:, np.newaxis]
+        payoffs[start : start + PAYOFF_BLOCK] = expected_utility(
+            positional_utility(updated, params.alpha), distance, params.sigma
         )
     return payoffs
 

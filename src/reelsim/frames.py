@@ -84,9 +84,6 @@ class FrameDistribution:
     def is_empty(self) -> bool:
         return not self.frames
 
-    def probabilities(self) -> np.ndarray:
-        return np.array([frame.probability for frame in self.frames])
-
 
 @dataclass(frozen=True)
 class LineBlock:
@@ -94,15 +91,14 @@ class LineBlock:
 
     matrices[b, t] (B, H, n, n) is line b's tactic matrix at step t+1,
     sizes[b, t] (B, H, n) the power vector it produces, payoffs[b, t]
-    (B, H, n) the per-agent expected utility of that step (positional
-    utility discounted by the inertia kernel between consecutive
-    matrices, root_tactics anchoring step one). intertemporal (B, n) is
-    the discounted sum of the payoffs; weights (B,) are the lines'
-    line_weights, the inertia kernel of the same discounted sum taken
-    over the step distances.
+    (B, H, n) the per-agent expected utility of that step. intertemporal
+    (B, n) is the discounted sum of the payoffs, and weights (B,) are the
+    lines' line_weights. Payoffs and weights come from the same step
+    distances: step t+1's is the tactical distance from the matrix before
+    it (the root's for step one), and it discounts that step's positional
+    utility through its inertia probability.
     """
 
-    root_tactics: np.ndarray
     matrices: np.ndarray
     sizes: np.ndarray
     payoffs: np.ndarray
@@ -134,25 +130,25 @@ def generate_lines(
         raise ValueError(f"horizon must be at least 1 (got {horizon})")
     count, n = len(lines), root.n
     matrices = np.empty((count, horizon, n, n))
+    # previous[:, t] is the matrix step t+1 moves away from.
+    previous = np.empty_like(matrices)
     sizes = np.empty((count, horizon, n))
     tactics = np.broadcast_to(root.tactics, (count, n, n))
     current = np.broadcast_to(root.sizes, (count, n))
     for step in range(horizon):
+        previous[:, step] = tactics
         tactics = matrices[:, step] = sample_tactic_matrices(
             tactics, cfg, key, lines, step, params.sigma
         )
         current = sizes[:, step] = update_sizes(tactics, current, params)
-    previous = _previous_matrices(root.tactics, matrices)
-    payoffs = expected_utility(
-        positional_utility(sizes, params.alpha), matrices, previous, params.sigma
-    )
+    distances = tactical_distance(matrices, previous)
+    payoffs = expected_utility(positional_utility(sizes, params.alpha), distances, params.sigma)
     return LineBlock(
-        root_tactics=np.array(root.tactics),
         matrices=matrices,
         sizes=sizes,
         payoffs=payoffs,
         intertemporal=intertemporal_utility(payoffs, params.delta),
-        weights=line_weights(root.tactics, matrices, params),
+        weights=line_weights(distances, params),
     )
 
 
@@ -170,23 +166,13 @@ def generate_line(
     return generate_lines(root, horizon, cfg, params, key, [0])
 
 
-def _previous_matrices(root_tactics: np.ndarray, matrices: np.ndarray) -> np.ndarray:
-    """The matrix each step moves away from: the root, then steps 1..H-1.
-
-    matrices may be one line (H, n, n) or a block (B, H, n, n)."""
-    root = np.broadcast_to(root_tactics, (*matrices.shape[:-3], 1, *matrices.shape[-2:]))
-    return np.concatenate((root, matrices[..., :-1, :, :]), axis=-3)
-
-
-def line_weights(
-    root_tactics: np.ndarray, matrices: np.ndarray, params: ModelParams
-) -> np.ndarray:
+def line_weights(distances: np.ndarray, params: ModelParams) -> np.ndarray:
     """Inertia score of each line: q of its discounted total movement.
 
-    matrices is one line (H, n, n), giving a numpy float, or a block
-    (B, H, n, n), giving (B,); step one moves away from root_tactics.
+    distances holds each step's tactical distance from the matrix before
+    it, one line (H,) giving a numpy float, or a block (B, H) giving (B,).
     """
-    distances = tactical_distance(matrices, _previous_matrices(root_tactics, matrices))
+    distances = np.asarray(distances, dtype=float)
     movement = intertemporal_utility(distances[..., np.newaxis], params.delta)[..., 0]
     return inertia_probability(movement, params.sigma)
 

@@ -60,6 +60,8 @@ class Reel:
 
     path holds the visited states root first; indices the child index
     taken at each branching, which doubles as a stable identifier.
+    probability, which reels are ranked by, is the product of
+    edge_probabilities, 1 for a bare root.
     """
 
     path: tuple[State, ...]
@@ -138,11 +140,6 @@ def build_reel_tree(
         return ReelNode(state, depth, edges, None, dropped)
 
     return expand(root, 0, ())
-
-
-def reel_probability(reel: Reel) -> float:
-    """Product of the reel's edge probabilities; 1 for a bare root."""
-    return math.prod(reel.edge_probabilities)
 
 
 def enumerate_reels(tree: ReelNode) -> list[Reel]:

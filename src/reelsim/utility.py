@@ -2,14 +2,16 @@
 
 Positional utility scores a size vector (dominance plus absolute growth),
 expected utility discounts it by the social-inertia probability of the
-tactical move that produced it, and intertemporal utility folds a sequence
-of expected payoffs into one discounted number per agent.
+distance of the tactical move that produced it, and intertemporal
+utility folds a sequence of expected payoffs into one discounted number
+per agent.
 
-Every function takes stacks: sizes (..., n), tactic matrices (..., n, n)
-and payoff sequences (..., H, n), a single vector, matrix or sequence
-being a stack with no leading axes. Members are scored with the same
-operations through one path, so a batch agrees with its members bit for
-bit; a single distance or probability comes back as a numpy float.
+Every function takes stacks: sizes (..., n), tactic matrices (..., n, n),
+move distances (...) and payoff sequences (..., H, n), a single vector,
+matrix, distance or sequence being a stack with no leading axes. Members
+are scored with the same operations through one path, so a batch agrees
+with its members bit for bit; a single distance or probability comes
+back as a numpy float.
 """
 
 from __future__ import annotations
@@ -20,9 +22,6 @@ from functools import reduce
 import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
-# The scalar math.erfc applied elementwise, so an array of distances gets
-# exactly the probabilities its members get one at a time.
-_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def positional_utility(sizes: np.ndarray, alpha: float) -> np.ndarray:
@@ -75,32 +74,35 @@ def inertia_probability(distance: float | np.ndarray, sigma: float) -> float | n
     """Probability that a tactical move of the given distance is realized.
 
     Half-normal tail: erfc(distance / (sigma * sqrt(2))). Equals 1 at zero
-    distance, decreases strictly with distance, and grows with sigma
-    (weaker inertia) at any fixed positive distance. An array of
-    distances gives an array of probabilities.
+    distance and never increases with distance; it is exactly 0 once
+    distance / (sigma * sqrt(2)) passes about 27.23, where math.erfc
+    underflows. At any fixed distance it never falls as sigma grows
+    (weaker inertia). An array of distances gives an array of
+    probabilities, each the scalar math.erfc of its member, so a batch
+    agrees with its members bit for bit.
     """
     distance = np.asarray(distance, dtype=float)
     if (distance < 0).any():
         raise ValueError(f"tactical distance cannot be negative (got {distance})")
     if sigma <= 0:
         raise ValueError(f"sigma must be positive (got {sigma})")
-    return np.asarray(_erfc(distance / (sigma * _SQRT2)), dtype=float)[()]
+    x = distance / (sigma * _SQRT2)
+    return np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape)[()]
 
 
 def expected_utility(
-    utilities: np.ndarray,
-    tactics_now: np.ndarray,
-    tactics_previous: np.ndarray,
-    sigma: float,
+    utilities: np.ndarray, distance: float | np.ndarray, sigma: float
 ) -> np.ndarray:
     """Positional utilities scaled by one shared inertia probability.
 
-    The move from the previous tactic matrix to the current one has a
-    single realization probability, so every agent's payoff is multiplied
-    by the same scalar. With a stack of current matrices (..., n, n) and
-    utilities (..., n), each member gets its own probability.
+    distance is that of the move which produced the utilities, from the
+    previous tactic matrix to the current one (tactical_distance). The
+    move has a single realization probability, the inertia probability
+    of its distance, so every agent's payoff is multiplied by the same
+    scalar. With utilities (..., n) and distances (...), each member gets
+    its own probability.
     """
-    q = inertia_probability(tactical_distance(tactics_now, tactics_previous), sigma)
+    q = inertia_probability(distance, sigma)
     return np.asarray(utilities, dtype=float) * q[..., np.newaxis]
 
 

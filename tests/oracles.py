@@ -217,7 +217,8 @@ def sampled_stage_game(candidates, previous, sizes, params, max_profiles, key):
         if profile not in cache:
             tactics = profile_matrix(candidates, profile)
             utilities = positional_utility(update_sizes(tactics, sizes, params), params.alpha)
-            cache[profile] = expected_utility(utilities, tactics, previous, params.sigma)
+            move = tactical_distance(tactics, previous)
+            cache[profile] = expected_utility(utilities, move, params.sigma)
         return cache[profile]
 
     def replaced(profile, agent, choice):
@@ -392,14 +393,14 @@ def per_step_line(root, horizon, cfg, params, draws):
         tactics = tactic_matrix(previous, cfg, draws(step), params.sigma)
         current = update_sizes(tactics, current, params)
         utilities = positional_utility(current, params.alpha)
-        payoffs.append(expected_utility(utilities, tactics, previous, params.sigma))
+        move = tactical_distance(tactics, previous)
+        payoffs.append(expected_utility(utilities, move, params.sigma))
         matrices.append(tactics)
         sizes.append(current)
         previous = tactics
     matrices = np.array(matrices)
     payoffs = np.array(payoffs)
     return LineBlock(
-        root_tactics=np.array(root.tactics),
         matrices=matrices[np.newaxis],
         sizes=np.array(sizes)[np.newaxis],
         payoffs=payoffs[np.newaxis],

@@ -4,6 +4,7 @@ Run `pytest tests/test_acceptance.py -v -s` to see every verdict line
 even when all of them pass.
 """
 
+import math
 import time
 
 import numpy as np
@@ -50,7 +51,7 @@ def test_criterion_02_reel_probability_is_exact_product():
     ok = (
         len(reels) == 1
         and reels[0].probability == 0.05
-        and rs.reel_probability(reels[0]) == 0.05
+        and math.prod(reels[0].edge_probabilities) == 0.05
     )
     _report(
         2,
@@ -98,7 +99,7 @@ def test_criterion_04_nonempty_distributions_normalize():
             empty += 1
             continue
         checked += 1
-        probabilities = dist.probabilities()
+        probabilities = np.array([frame.probability for frame in dist.frames])
         worst = max(worst, abs(float(probabilities.sum()) - 1.0))
         if np.any(probabilities <= 0.0):
             worst = np.inf

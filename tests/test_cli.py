@@ -131,6 +131,20 @@ def test_float_overflow_at_run_time_exits_two(
     assert not (tmp_path / "out").exists()
 
 
+def test_huge_sigma_reaches_only_the_local_branch(write_scenario, tmp_path, capsys):
+    # sigma scales the local branch's noise; with local_mix 0 no line takes
+    # that branch, and the inertia kernel only sees distance / inf = 0
+    shipped = Path(__file__).resolve().parent.parent / "scenarios" / "three_agents.json"
+    payload = json.loads(shipped.read_text())
+    payload["params"]["sigma"] = 1e308
+    payload["sim"]["sampler"]["local_mix"] = 0.0
+    payload["sim"]["lines"] = 50
+    path = write_scenario(payload, "huge_sigma.json")
+    out_dir = tmp_path / "out"
+    assert main(["--out-dir", str(out_dir), "frame", str(path)]) == 0, capsys.readouterr().err
+    assert json.loads((out_dir / "frames.json").read_text())["frames"]
+
+
 def test_step_writes_trajectory(scenario_file, tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(["--out-dir", str(out_dir), "step", str(scenario_file), "--t", "1"]) == 0

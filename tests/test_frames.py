@@ -11,14 +11,13 @@ from reelsim.frames import ordered_sum
 from reelsim import frames as frames_module
 
 
-def make_line(root_tactics, matrices, weight, intertemporal=None):
+def make_line(matrices, weight, intertemporal=None):
     """Hand-built one-member block; scoring fields default to zeros."""
     matrices = np.asarray(matrices, dtype=float)
     horizon, n, _ = matrices.shape
     if intertemporal is None:
         intertemporal = np.zeros(n)
     return rs.LineBlock(
-        root_tactics=np.asarray(root_tactics, dtype=float),
         matrices=matrices[np.newaxis],
         sizes=np.zeros((1, horizon, n)),
         payoffs=np.zeros((1, horizon, n)),
@@ -28,9 +27,8 @@ def make_line(root_tactics, matrices, weight, intertemporal=None):
 
 
 def make_block(lines):
-    """One-member blocks of one root joined into one block, in list order."""
+    """One-member blocks joined into one block, in list order."""
     return rs.LineBlock(
-        root_tactics=lines[0].root_tactics,
         matrices=np.concatenate([line.matrices for line in lines]),
         sizes=np.concatenate([line.sizes for line in lines]),
         payoffs=np.concatenate([line.payoffs for line in lines]),
@@ -39,9 +37,16 @@ def make_block(lines):
     )
 
 
-def line_weight(line, params):
-    """line_weights of a one-member block."""
-    return rs.line_weights(line.root_tactics, line.matrices, params)[0]
+def step_distances(root_tactics, matrices):
+    """Each step's tactical distance from the matrix before it, step one
+    moving away from root_tactics."""
+    matrices = np.asarray(matrices, dtype=float)
+    return rs.tactical_distance(matrices, np.concatenate(([root_tactics], matrices[:-1])))
+
+
+def line_weight(root_tactics, matrices, params):
+    """line_weights of one line's step distances."""
+    return rs.line_weights(step_distances(root_tactics, matrices), params)
 
 
 def cluster(lines, root, params, cfg):
@@ -118,7 +123,8 @@ def test_generate_line_scores_match_per_step_calls_bitwise(n):
             current = rs.update_sizes(matrix, current, params)
             assert np.array_equal(step_sizes, current)
             utilities = rs.positional_utility(current, params.alpha)
-            payoffs.append(rs.expected_utility(utilities, matrix, previous, params.sigma))
+            move = rs.tactical_distance(matrix, previous)
+            payoffs.append(rs.expected_utility(utilities, move, params.sigma))
             previous = matrix
         assert np.array_equal(line.payoffs[0], np.array(payoffs))
         assert np.array_equal(
@@ -127,7 +133,7 @@ def test_generate_line_scores_match_per_step_calls_bitwise(n):
         assert line.weights[0] == oracles.scalar_line_weight(
             root.tactics, line.matrices[0], params
         )
-        assert line_weight(line, params) == line.weights[0]
+        assert line_weight(root.tactics, line.matrices[0], params) == line.weights[0]
 
 
 def test_generate_line_validates_every_matrix(three_agent_state, params):
@@ -141,8 +147,7 @@ def test_generate_line_validates_every_matrix(three_agent_state, params):
 
 
 def test_weight_of_standing_still_is_one(three_agent_tactics, params):
-    line = make_line(three_agent_tactics, [three_agent_tactics] * 3, weight=0.0)
-    assert line_weight(line, params) == 1.0
+    assert line_weight(three_agent_tactics, [three_agent_tactics] * 3, params) == 1.0
 
 
 def test_weight_hand_value():
@@ -157,26 +162,26 @@ def test_weight_hand_value():
     t3[2, 0] += 0.4
     moved = 0.9 * 0.2 + 0.9**2 * 0.1 + 0.9**3 * 0.4
     expected = math.erfc(0.1 * moved / (0.5 * math.sqrt(2.0)))
-    assert rs.line_weights(t0, np.array([t1, t2, t3]), params) == pytest.approx(
-        expected, abs=1e-12
-    )
+    distances = step_distances(t0, [t1, t2, t3])
+    assert distances == pytest.approx([0.2, 0.1, 0.4], abs=1e-15)
+    assert rs.line_weights(distances, params) == pytest.approx(expected, abs=1e-12)
 
 
 def test_weight_decreases_with_extra_movement(three_agent_tactics, params):
-    quiet = make_line(three_agent_tactics, [three_agent_tactics, np.eye(3)], weight=0.0)
-    busy = make_line(three_agent_tactics, [np.eye(3), three_agent_tactics], weight=0.0)
+    quiet = line_weight(three_agent_tactics, [three_agent_tactics, np.eye(3)], params)
+    busy = line_weight(three_agent_tactics, [np.eye(3), three_agent_tactics], params)
     # moving away and back accumulates twice the discounted distance of
     # one late move
-    assert line_weight(busy, params) < line_weight(quiet, params)
+    assert busy < quiet
 
 
 # ------------------------------------------------------------------- filter
 
 
 def test_folk_filter_strictness(three_agent_tactics):
-    above = make_line(three_agent_tactics, [three_agent_tactics], 1.0, [0.2, 0.3, 0.4])
-    below = make_line(three_agent_tactics, [three_agent_tactics], 1.0, [0.2, 0.1, 0.4])
-    boundary = make_line(three_agent_tactics, [three_agent_tactics], 1.0, [0.2, 0.2, 0.4])
+    above = make_line([three_agent_tactics], 1.0, [0.2, 0.3, 0.4])
+    below = make_line([three_agent_tactics], 1.0, [0.2, 0.1, 0.4])
+    boundary = make_line([three_agent_tactics], 1.0, [0.2, 0.2, 0.4])
     minimax = np.array([0.1, 0.2, 0.3])
     kept = rs.folk_filter(make_block([above, below, boundary]), minimax)
     # one agent merely matching its guarantee already disqualifies a line
@@ -184,8 +189,8 @@ def test_folk_filter_strictness(three_agent_tactics):
 
 
 def test_folk_filter_zero_guarantee_keeps_positive_lines(three_agent_tactics):
-    positive = make_line(three_agent_tactics, [three_agent_tactics], 1.0, [0.1, 0.2, 0.3])
-    zero = make_line(three_agent_tactics, [three_agent_tactics], 1.0, [0.1, 0.0, 0.3])
+    positive = make_line([three_agent_tactics], 1.0, [0.1, 0.2, 0.3])
+    zero = make_line([three_agent_tactics], 1.0, [0.1, 0.0, 0.3])
     kept = rs.folk_filter(make_block([positive, zero]), np.zeros(3))
     assert kept.tolist() == [0]
 
@@ -198,9 +203,9 @@ def test_cluster_shares_weight_by_grid_cell(three_agent_state, params):
     a = rs.round_tactic_matrix(three_agent_state.tactics, 0.25)
     b = np.eye(3)
     lines = [
-        make_line(three_agent_state.tactics, [a], 0.5),
-        make_line(three_agent_state.tactics, [a], 0.3),
-        make_line(three_agent_state.tactics, [b], 0.2),
+        make_line([a], 0.5),
+        make_line([a], 0.3),
+        make_line([b], 0.2),
     ]
     frames = cluster(lines, three_agent_state, params, cfg)
     assert len(frames) == 2
@@ -212,7 +217,7 @@ def test_cluster_shares_weight_by_grid_cell(three_agent_state, params):
 def test_cluster_representative_is_valid_state(three_agent_state, params):
     cfg = rs.SamplerConfig(rounding=0.25)
     first = rs.round_tactic_matrix(three_agent_state.tactics, 0.25)
-    lines = [make_line(three_agent_state.tactics, [first], 1.0)]
+    lines = [make_line([first], 1.0)]
     frames = cluster(lines, three_agent_state, params, cfg)
     frame = frames[0]
     rs.validate_tactic_matrix(frame.tactics)
@@ -225,7 +230,7 @@ def test_cluster_representative_is_valid_state(three_agent_state, params):
 
 def test_cluster_zero_weight_lines_produce_nothing(three_agent_state, params):
     cfg = rs.SamplerConfig(rounding=0.25)
-    lines = [make_line(three_agent_state.tactics, [np.eye(3)], 0.0)]
+    lines = [make_line([np.eye(3)], 0.0)]
     assert cluster(lines, three_agent_state, params, cfg) == ()
 
 
@@ -256,7 +261,7 @@ def test_cluster_sorts_by_probability(three_agent_state, params):
     b = rs.round_tactic_matrix(three_agent_state.tactics, 0.25)
     c = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     lines = [
-        make_line(three_agent_state.tactics, [m], w)
+        make_line([m], w)
         for m, w in [(a, 0.1), (b, 0.5), (c, 0.4)]
     ]
     frames = cluster(lines, three_agent_state, params, cfg)
@@ -269,8 +274,8 @@ def test_cluster_sums_weights_one_at_a_time_in_line_order(three_agent_state, par
     group = [1.0] + [1e-16] * 10
     assert ordered_sum(group) == 1.0
     cfg = rs.SamplerConfig(rounding=0.25)
-    lines = [make_line(three_agent_state.tactics, [np.eye(3)], w) for w in group]
-    lines.append(make_line(three_agent_state.tactics, [np.ones((3, 3)) / 3.0], 1.0))
+    lines = [make_line([np.eye(3)], w) for w in group]
+    lines.append(make_line([np.ones((3, 3)) / 3.0], 1.0))
     frames = cluster(lines, three_agent_state, params, cfg)
     assert [(frame.weight, frame.probability) for frame in frames] == [(1.0, 0.5), (1.0, 0.5)]
 
@@ -339,7 +344,7 @@ def small_distribution(state, params, seed=11, lines=80):
 def test_distribution_probabilities_sum_to_one(three_agent_state, params):
     dist = small_distribution(three_agent_state, params)
     assert not dist.is_empty
-    assert abs(dist.probabilities().sum() - 1.0) <= 1e-9
+    assert abs(sum(frame.probability for frame in dist.frames) - 1.0) <= 1e-9
     assert all(frame.probability > 0.0 for frame in dist.frames)
 
 
@@ -386,7 +391,7 @@ def test_distribution_all_dead_root_is_empty(params):
     # nothing can beat a zero guarantee when every payoff is zero
     assert dist.is_empty
     assert dist.diagnostics.lines_retained == 0
-    assert dist.probabilities().size == 0
+    assert dist.frames == ()
 
 
 def test_distribution_rejects_bad_counts(three_agent_state, params):

@@ -143,7 +143,7 @@ def primitive_payoffs(candidates, rows, previous, sizes, params):
     on assembled profile matrices."""
     tactics = rs.profile_matrix(candidates, rows.T)
     utilities = rs.positional_utility(rs.update_sizes(tactics, sizes, params), params.alpha)
-    return rs.expected_utility(utilities, tactics, previous, params.sigma)
+    return rs.expected_utility(utilities, rs.tactical_distance(tactics, previous), params.sigma)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,6 +1,7 @@
 """Trees of futures: expansion, pruning, and path enumeration."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -34,18 +35,14 @@ def small_tree(state, params, depth_max=2, seed=11, p_min=0.0, branch_k=2):
 
 
 def test_reel_probability_products(tiny_state):
-    bare = rs.Reel(
-        path=(tiny_state,), indices=(), edge_probabilities=(), probability=1.0, leaf_reason=None
-    )
-    assert rs.reel_probability(bare) == 1.0
-    chain = rs.Reel(
-        path=(tiny_state,) * 3,
-        indices=(0, 1),
-        edge_probabilities=(0.1, 0.5),
-        probability=0.05,
-        leaf_reason=rs.LEAF_MAX_DEPTH,
-    )
-    assert rs.reel_probability(chain) == 0.05
+    bare = rs.ReelNode(tiny_state, 0, (), rs.LEAF_MAX_DEPTH, 0.0)
+    [reel] = rs.enumerate_reels(bare)
+    assert reel.edge_probabilities == () and reel.probability == 1.0
+    tip = rs.ReelNode(tiny_state, 2, (), rs.LEAF_MAX_DEPTH, 0.0)
+    mid = rs.ReelNode(tiny_state, 1, (rs.ReelEdge(0.5, tip),), None, 0.5)
+    root = rs.ReelNode(tiny_state, 0, (rs.ReelEdge(0.1, mid),), None, 0.9)
+    [reel] = rs.enumerate_reels(root)
+    assert reel.edge_probabilities == (0.1, 0.5) and reel.probability == 0.05
 
 
 def test_enumerate_reels_on_hand_built_tree(tiny_state):
@@ -261,4 +258,4 @@ def test_enumerated_reels_match_tree_paths(tiny_state, params):
         assert n.is_leaf
         assert reel.leaf_reason == n.leaf_reason
         assert reel.path[-1] == n.state
-        assert reel.probability == rs.reel_probability(reel)
+        assert reel.probability == math.prod(reel.edge_probabilities)

@@ -130,13 +130,29 @@ def test_inertia_hand_values():
 
 
 def test_inertia_matches_math_erfc():
+    # Exact: every member of any shape is math.erfc of its own distance.
     rng = np.random.default_rng(12)
     for _ in range(300):
         sigma = rng.uniform(0.1, 2.0)
         d = rng.uniform(0.0, 5.0 * sigma)
-        assert rs.inertia_probability(d, sigma) == pytest.approx(
-            oracles.inertia(d, sigma), rel=1e-12
-        )
+        single = rs.inertia_probability(np.array(d), sigma)
+        assert np.shape(single) == () and single == oracles.inertia(d, sigma)
+    assert rs.inertia_probability(np.empty(0), 0.5).shape == (0,)
+    block = rng.uniform(0.0, 3.0, (7, 5))
+    q = rs.inertia_probability(block, 0.6)
+    assert q.shape == (7, 5)
+    assert q.tolist() == [[oracles.inertia(d, 0.6) for d in row] for row in block.tolist()]
+
+
+def test_inertia_tail_is_nonincreasing_and_underflows_to_zero():
+    # math.erfc(x) is exactly 0.0 once x passes about 27.23
+    for sigma in (0.25, 0.5, 2.0):
+        scale = sigma * math.sqrt(2.0)
+        q = rs.inertia_probability(np.linspace(0.0, 30.0, 30_001) * scale, sigma)
+        assert q[0] == 1.0
+        assert np.all(np.diff(q) <= 0.0)
+        assert rs.inertia_probability(27.2 * scale, sigma) > 0.0
+        assert rs.inertia_probability(27.3 * scale, sigma) == 0.0
 
 
 def test_inertia_strictly_decreasing_in_distance():
@@ -169,20 +185,23 @@ def test_single_distance_and_probability_are_floats(three_agent_tactics):
 
 def test_expected_utility_no_move_keeps_utilities(three_agent_tactics):
     utilities = np.array([0.1, 0.6, 0.3])
-    out = rs.expected_utility(utilities, three_agent_tactics, three_agent_tactics, 0.5)
+    move = rs.tactical_distance(three_agent_tactics, three_agent_tactics)
+    out = rs.expected_utility(utilities, move, 0.5)
     assert np.array_equal(out, utilities)
 
 
 def test_expected_utility_scales_every_agent_alike(three_agent_tactics):
     utilities = np.array([0.1, 0.6, 0.3])
-    out = rs.expected_utility(utilities, np.eye(3), three_agent_tactics, 0.5)
-    q = rs.inertia_probability(rs.tactical_distance(np.eye(3), three_agent_tactics), 0.5)
+    move = rs.tactical_distance(np.eye(3), three_agent_tactics)
+    out = rs.expected_utility(utilities, move, 0.5)
+    q = rs.inertia_probability(move, 0.5)
     assert np.allclose(out, utilities * q, rtol=0.0, atol=0.0)
     assert 0.0 < q < 1.0
 
 
 def test_expected_utility_zero_utilities_stay_zero(three_agent_tactics):
-    out = rs.expected_utility(np.zeros(3), np.eye(3), three_agent_tactics, 0.5)
+    move = rs.tactical_distance(np.eye(3), three_agent_tactics)
+    out = rs.expected_utility(np.zeros(3), move, 0.5)
     assert out.tolist() == [0.0, 0.0, 0.0]
 
 
