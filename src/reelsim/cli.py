@@ -131,7 +131,7 @@ def _cmd_validate(scenario: Scenario, args, out_dir: Path) -> int:
     sizes = ", ".join(f"{value:g}" for value in scenario.state.sizes)
     print(
         f"scenario OK: {len(scenario.agents)} agents ({', '.join(scenario.agents)}), "
-        f"sizes [{sizes}], seed {scenario.sim.seed}"
+        f"sizes [{sizes}], seed {scenario.sampler.rng_seed}"
     )
     return 0
 
@@ -148,13 +148,7 @@ def _cmd_step(scenario: Scenario, args, out_dir: Path) -> int:
 
 def _cmd_frame(scenario: Scenario, args, out_dir: Path) -> int:
     distribution = transition_distribution(
-        scenario.state,
-        scenario.params,
-        scenario.sampler,
-        scenario.sim.lines,
-        scenario.sim.horizon,
-        k_candidates=scenario.sim.candidates,
-        max_profiles=scenario.sim.max_profiles,
+        scenario.state, scenario.params, scenario.sampler, scenario.sim
     )
     names = list(scenario.agents)
     _write(out_dir, "frames.json", export_frames_json(distribution, names))
@@ -170,18 +164,7 @@ def _cmd_frame(scenario: Scenario, args, out_dir: Path) -> int:
 
 
 def _cmd_reels(scenario: Scenario, args, out_dir: Path) -> int:
-    tree = build_reel_tree(
-        scenario.state,
-        scenario.sim.depth_max,
-        scenario.sim.branch_k,
-        scenario.sim.p_min,
-        scenario.params,
-        scenario.sampler,
-        scenario.sim.lines,
-        scenario.sim.horizon,
-        k_candidates=scenario.sim.candidates,
-        max_profiles=scenario.sim.max_profiles,
-    )
+    tree = build_reel_tree(scenario.state, scenario.params, scenario.sampler, scenario.sim)
     reels = enumerate_reels(tree)
     names = list(scenario.agents)
     _write(out_dir, "tree.json", export_reels_json(tree, reels, names))

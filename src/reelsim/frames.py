@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import ModelParams, State, update_sizes
-from .equilibrium import DEFAULT_CANDIDATES, DEFAULT_MAX_PROFILES, stage_game
+from .equilibrium import stage_game
 from .sampling import (
     LINE_STREAM,
     SamplerConfig,
@@ -32,6 +33,9 @@ from .utility import (
     positional_utility,
     tactical_distance,
 )
+
+if TYPE_CHECKING:
+    from .scenario import SimSettings
 
 # Lines generated and scored as one stack. Fixed, so the memory a block
 # holds does not grow with the line count; it changes no output bit.
@@ -237,40 +241,33 @@ def ordered_sum(values) -> float:
 
 
 def transition_distribution(
-    root: State,
-    params: ModelParams,
-    cfg: SamplerConfig,
-    n_lines: int,
-    horizon: int,
-    *,
-    k_candidates: int = DEFAULT_CANDIDATES,
-    max_profiles: int = DEFAULT_MAX_PROFILES,
+    root: State, params: ModelParams, cfg: SamplerConfig, sim: SimSettings
 ) -> FrameDistribution:
-    """Run the full pipeline at a root state.
+    """Run the full pipeline at a root state, on sim.lines lines of
+    sim.horizon steps and a stage game bounded by sim.candidates and
+    sim.max_profiles.
 
-    Line k is line k of the stream keyed by stream_key(seed,
+    Line k is line k of the stream keyed by stream_key(cfg.rng_seed,
     LINE_STREAM), and the stage game reads the seed's CANDIDATE_STREAM
     and PROFILE_STREAM keys, so the result is a pure function of (root,
-    params, cfg, n_lines, horizon), drawn with no numpy generator. Lines
-    run LINE_BLOCK at a time; the block size changes no output bit.
+    params, cfg, sim), drawn with no numpy generator. Lines run
+    LINE_BLOCK at a time; the block size changes no output bit.
     """
-    if n_lines < 1:
-        raise ValueError(f"need at least one line (got {n_lines})")
     game = stage_game(
-        root, params, cfg, k_candidates=k_candidates, max_profiles=max_profiles
+        root, params, cfg, k_candidates=sim.candidates, max_profiles=sim.max_profiles
     )
     key = stream_key(cfg.rng_seed, LINE_STREAM)
     first_moves, weights = [], []
-    for start in range(0, n_lines, LINE_BLOCK):
-        lines = np.arange(start, min(start + LINE_BLOCK, n_lines))
-        block = generate_lines(root, horizon, cfg, params, key, lines)
+    for start in range(0, sim.lines, LINE_BLOCK):
+        lines = np.arange(start, min(start + LINE_BLOCK, sim.lines))
+        block = generate_lines(root, sim.horizon, cfg, params, key, lines)
         kept = folk_filter(block, game.minimax)
         first_moves.append(block.matrices[kept, 0])
         weights.append(block.weights[kept])
     weights = np.concatenate(weights)
     frames = cluster_first_moves(np.concatenate(first_moves), weights, root, params, cfg)
     diagnostics = TransitionDiagnostics(
-        lines_generated=n_lines,
+        lines_generated=sim.lines,
         lines_retained=len(weights),
         clusters=len(frames),
         total_weight=ordered_sum(weights),

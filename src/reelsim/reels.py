@@ -2,8 +2,10 @@
 
 Each node holds a state; expanding a node runs the transition pipeline
 and keeps the most probable next frames as children, recording how much
-probability mass pruning discarded. A reel is one root-to-leaf path; its
-probability is the product of the edge probabilities along the way.
+probability mass pruning discarded. One SimSettings gives every
+expansion its budget and the tree its shape (depth_max, branch_k,
+p_min). A reel is one root-to-leaf path; its probability is the product
+of the edge probabilities along the way.
 """
 
 from __future__ import annotations
@@ -11,21 +13,21 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import ModelParams, State
-from .equilibrium import DEFAULT_CANDIDATES, DEFAULT_MAX_PROFILES
 from .frames import ordered_sum, transition_distribution
 from .sampling import NODE_STREAM, SamplerConfig, stream_key
+
+if TYPE_CHECKING:
+    from .scenario import SimSettings
 
 LEAF_MAX_DEPTH = "max_depth"
 LEAF_ALL_DEAD = "all_dead"
 LEAF_EMPTY = "empty_distribution"
 LEAF_PRUNED = "pruned_out"
-# tree.json nests three encoder frames per level, so a deeper chain would
-# exhaust Python's recursion limit after the whole expansion.
-MAX_DEPTH = 256
 
 
 @dataclass(frozen=True)
@@ -71,62 +73,35 @@ class Reel:
     leaf_reason: str | None
 
 
-def check_tree_shape(depth_max: int, branch_k: int, p_min: float) -> None:
-    """Raise ValueError unless the three settings describe a tree."""
-    if not 0 <= depth_max <= MAX_DEPTH:
-        raise ValueError(f"depth_max must lie in [0, {MAX_DEPTH}] (got {depth_max})")
-    if branch_k < 1:
-        raise ValueError(f"branch_k must be at least 1 (got {branch_k})")
-    if not 0.0 <= p_min <= 1.0:
-        raise ValueError(f"p_min must lie in [0, 1] (got {p_min})")
-
-
 def build_reel_tree(
-    root: State,
-    depth_max: int,
-    branch_k: int,
-    p_min: float,
-    params: ModelParams,
-    cfg: SamplerConfig,
-    n_lines: int,
-    horizon: int,
-    *,
-    k_candidates: int = DEFAULT_CANDIDATES,
-    max_profiles: int = DEFAULT_MAX_PROFILES,
+    root: State, params: ModelParams, cfg: SamplerConfig, sim: SimSettings
 ) -> ReelNode:
     """Expand states recursively until depth, death, or a dead end.
 
-    Children are the transition frames with probability >= p_min, best
-    branch_k of them. A node below the root, at child-index path p, runs
-    its expansion with stream_key(master, NODE_STREAM, *p) as its seed,
-    so a subtree's content depends only on where it hangs, not on
-    traversal order; the root uses the master seed itself and therefore
-    matches a direct transition_distribution call at the root.
+    Every expansion is a transition_distribution under sim, and nodes at
+    depth sim.depth_max are leaves. Children are the frames with
+    probability >= sim.p_min, best sim.branch_k of them. A node below the
+    root, at child-index path p, runs its expansion with
+    stream_key(master, NODE_STREAM, *p) as its seed, so a subtree's
+    content depends only on where it hangs, not on traversal order; the
+    root uses the master seed itself and therefore matches a direct
+    transition_distribution call at the root.
     """
-    check_tree_shape(depth_max, branch_k, p_min)
     master = cfg.rng_seed
 
     def expand(state: State, depth: int, path: tuple[int, ...]) -> ReelNode:
         if not np.any(state.sizes > 0.0):
             return ReelNode(state, depth, (), LEAF_ALL_DEAD, 0.0)
-        if depth == depth_max:
+        if depth == sim.depth_max:
             return ReelNode(state, depth, (), LEAF_MAX_DEPTH, 0.0)
         seed = stream_key(master, NODE_STREAM, *path) if path else master
         node_cfg = dataclasses.replace(cfg, rng_seed=seed)
-        distribution = transition_distribution(
-            state,
-            params,
-            node_cfg,
-            n_lines,
-            horizon,
-            k_candidates=k_candidates,
-            max_profiles=max_profiles,
-        )
+        distribution = transition_distribution(state, params, node_cfg, sim)
         if distribution.is_empty:
             return ReelNode(state, depth, (), LEAF_EMPTY, 0.0)
         kept = [
-            frame for frame in distribution.frames if frame.probability >= p_min
-        ][:branch_k]
+            frame for frame in distribution.frames if frame.probability >= sim.p_min
+        ][:sim.branch_k]
         if not kept:
             return ReelNode(state, depth, (), LEAF_PRUNED, 1.0)
         dropped = max(0.0, 1.0 - ordered_sum([frame.probability for frame in kept]))

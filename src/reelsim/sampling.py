@@ -40,8 +40,11 @@ class SamplerConfig:
     p_neg: probability that an off-diagonal allocation is malevolent.
     allow_negative_diagonal: permit self-harm in sampled tactics.
     local_mix: fraction of matrix draws taken as perturbations of the
-        previous matrix instead of fresh global draws. Pure sampling
-        efficiency under strong inertia; it never changes definitions.
+        previous matrix instead of fresh global draws. It changes the
+        estimate, not only its cost: a line is weighted by its inertia
+        score alone, never corrected for how likely this mix was to
+        propose it, so more local draws put more probability near the
+        root's tactics.
     rng_seed: master seed; every key is a stream_key of it.
     rounding: cluster granularity; entries are rounded to multiples of
         this, so 1/rounding must be an integer, at most 2**53: past

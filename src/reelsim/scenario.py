@@ -20,10 +20,12 @@ import numpy as np
 
 from .core import ModelParams, State, TacticMatrixError, normalize_sizes, validate_tactic_matrix
 from .equilibrium import DEFAULT_CANDIDATES, DEFAULT_MAX_PROFILES
-from .reels import check_tree_shape
 from .sampling import SamplerConfig
 
 SCHEMA_VERSION = 1
+# tree.json nests three encoder frames per level, so a deeper chain would
+# exhaust Python's recursion limit after the whole expansion.
+MAX_DEPTH = 256
 
 class ScenarioError(ValueError):
     """Raised when a scenario document cannot become a runnable setup."""
@@ -31,12 +33,12 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class SimSettings:
-    """Per-scenario simulation budget and seeding.
+    """The run budget that transition_distribution and build_reel_tree read.
 
-    lines and horizon drive each transition distribution; depth_max,
+    lines and horizon size each transition distribution; depth_max,
     branch_k, and p_min shape the reel tree; candidates and max_profiles
-    bound the stage games; seed is the master seed everything derives
-    from.
+    bound the stage games. Every value is checked here, once. The seed is
+    not a setting: it is the sampler's rng_seed.
     """
 
     lines: int = 2000
@@ -44,7 +46,6 @@ class SimSettings:
     depth_max: int = 2
     branch_k: int = 4
     p_min: float = 0.02
-    seed: int = 0
     candidates: int = DEFAULT_CANDIDATES
     max_profiles: int = DEFAULT_MAX_PROFILES
 
@@ -53,9 +54,12 @@ class SimSettings:
             raise ValueError(f"lines must be at least 1 (got {self.lines})")
         if self.horizon < 1:
             raise ValueError(f"horizon must be at least 1 (got {self.horizon})")
-        check_tree_shape(self.depth_max, self.branch_k, self.p_min)
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative (got {self.seed})")
+        if not 0 <= self.depth_max <= MAX_DEPTH:
+            raise ValueError(f"depth_max must lie in [0, {MAX_DEPTH}] (got {self.depth_max})")
+        if self.branch_k < 1:
+            raise ValueError(f"branch_k must be at least 1 (got {self.branch_k})")
+        if not 0.0 <= self.p_min <= 1.0:
+            raise ValueError(f"p_min must lie in [0, 1] (got {self.p_min})")
         if self.candidates < 1:
             raise ValueError(f"candidates must be at least 1 (got {self.candidates})")
         if self.max_profiles < 1:
@@ -68,7 +72,7 @@ def _field_names(cls, *skip: str) -> tuple[str, ...]:
 
 _PARAM_FIELDS = _field_names(ModelParams)
 _SIM_FIELDS = _field_names(SimSettings)
-# The sampler's seed is not a file field: it always follows sim.seed.
+# The file stores the sampler's rng_seed as sim.seed.
 _SAMPLER_FIELDS = _field_names(SamplerConfig, "rng_seed")
 # The JSON type each settings field must have; booleans are not numbers.
 _FIELD_TYPES = {
@@ -76,16 +80,13 @@ _FIELD_TYPES = {
     for cls in (ModelParams, SimSettings, SamplerConfig)
     for name, kind in typing.get_type_hints(cls).items()
 }
+_FIELD_TYPES["seed"] = _FIELD_TYPES["rng_seed"]
 _JSON_TYPES = {"a number": (int, float), "an integer": (int,), "true or false": (bool,)}
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A parsed scenario: cast, starting state, parameters, settings.
-
-    sampler always carries sim.seed as its rng_seed; the file stores the
-    seed once, under sim.
-    """
+    """A parsed scenario: cast, starting state, parameters, settings."""
 
     agents: tuple[str, ...]
     state: State
@@ -95,11 +96,9 @@ class Scenario:
 
 
 def with_seed(scenario: Scenario, seed: int) -> Scenario:
-    """Copy of the scenario with every seed field re-pointed."""
+    """Copy of the scenario with the sampler's rng_seed replaced."""
     return dataclasses.replace(
-        scenario,
-        sim=dataclasses.replace(scenario.sim, seed=seed),
-        sampler=dataclasses.replace(scenario.sampler, rng_seed=seed),
+        scenario, sampler=dataclasses.replace(scenario.sampler, rng_seed=seed)
     )
 
 
@@ -179,15 +178,18 @@ def parse_scenario(text: str | bytes) -> Scenario:
     except (TypeError, ValueError) as err:
         raise ScenarioError(f"params: {err}") from None
 
-    sim_block = _block(raw, "sim", _SIM_FIELDS + ("sampler",))
+    sim_block = _block(raw, "sim", _SIM_FIELDS + ("seed", "sampler"))
     sampler_block = _block(sim_block, "sampler", _SAMPLER_FIELDS) if "sampler" in sim_block else {}
     sim_block.pop("sampler", None)
+    seed = sim_block.pop("seed", 0)
     try:
         sim = SimSettings(**sim_block)
     except (TypeError, ValueError) as err:
         raise ScenarioError(f"sim: {err}") from None
+    if seed < 0:
+        raise ScenarioError(f"sim: seed must be nonnegative (got {seed})")
     try:
-        sampler = SamplerConfig(rng_seed=sim.seed, **sampler_block)
+        sampler = SamplerConfig(rng_seed=seed, **sampler_block)
     except (TypeError, ValueError) as err:
         raise ScenarioError(f"sampler: {err}") from None
 
@@ -203,14 +205,16 @@ def parse_scenario(text: str | bytes) -> Scenario:
 def serialize_scenario(scenario: Scenario) -> str:
     """Write a scenario back out; parsing the result reproduces it exactly."""
     sampler = dataclasses.asdict(scenario.sampler)
-    del sampler["rng_seed"]
+    sim = dataclasses.asdict(scenario.sim)
+    # The seed sits between p_min and the stage-game budget.
+    budget = {name: sim.pop(name) for name in ("candidates", "max_profiles")}
     payload = {
         "schema": SCHEMA_VERSION,
         "agents": list(scenario.agents),
         "sizes": [float(value) for value in scenario.state.sizes],
         "tactics": [[float(value) for value in row] for row in scenario.state.tactics.T],
         "params": dataclasses.asdict(scenario.params),
-        "sim": {**dataclasses.asdict(scenario.sim), "sampler": sampler},
+        "sim": {**sim, "seed": sampler.pop("rng_seed"), **budget, "sampler": sampler},
     }
     return json.dumps(payload, indent=2) + "\n"
 

@@ -83,6 +83,7 @@ def test_criterion_03_positional_utility_properties():
 
 def test_criterion_04_nonempty_distributions_normalize():
     params = rs.ModelParams()
+    sim = rs.SimSettings(lines=30, horizon=2, candidates=4)
     start = time.perf_counter()
     checked = empty = 0
     worst = 0.0
@@ -94,7 +95,7 @@ def test_criterion_04_nonempty_distributions_normalize():
         np.fill_diagonal(signs, 1.0)
         state = rs.State(tactics=magnitudes * signs, sizes=rng.uniform(0.05, 1.0, n))
         cfg = rs.SamplerConfig(rng_seed=40_000 + case, rounding=0.25, local_mix=0.7)
-        dist = rs.transition_distribution(state, params, cfg, 30, 2, k_candidates=4)
+        dist = rs.transition_distribution(state, params, cfg, sim)
         if dist.is_empty:
             empty += 1
             continue
@@ -250,13 +251,12 @@ def test_criterion_10_frame_distribution_converges():
         sizes=np.array([0.3, 1.0, 0.6]),
     )
     params = rs.ModelParams(delta=0.5, sigma=0.15)
+    sim = rs.SimSettings(lines=10_000, horizon=3, candidates=8)
     start = time.perf_counter()
     runs = []
     for seed in (101, 202):
         cfg = rs.SamplerConfig(rng_seed=seed, rounding=0.25, local_mix=0.9, p_neg=0.3)
-        runs.append(
-            rs.transition_distribution(state, params, cfg, 10_000, 3, k_candidates=8)
-        )
+        runs.append(rs.transition_distribution(state, params, cfg, sim))
     maps = [
         {frame.tactics.tobytes(): frame.probability for frame in run.frames} for run in runs
     ]

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, outputs, seed and directory handling."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reelsim as rs
 from reelsim import equilibrium
 from reelsim.cli import main
 
@@ -87,6 +89,7 @@ def test_validate_bad_params(scenario_payload, write_scenario, capsys):
         ("sim", "lines", 20.5, "sim: lines must be an integer (got 20.5)"),
         ("sim", "lines", True, "sim: lines must be an integer (got true)"),
         ("sim", "seed", 1.5, "sim: seed must be an integer (got 1.5)"),
+        ("sim", "seed", -1, "sim: seed must be nonnegative (got -1)"),
     ],
 )
 @pytest.mark.parametrize("command", ["validate", "frame"])
@@ -194,6 +197,50 @@ def test_reels_writes_tree_and_table(scenario_file, tmp_path, capsys):
     rows = list(csv.reader((out_dir / "reels.csv").open()))
     assert rows[0][:4] == ["rank", "probability", "steps", "leaf_reason"]
     assert len(rows) == len(doc["reels"]) + 1
+
+
+def test_frame_and_reels_pass_every_setting_to_the_library(
+    scenario_payload, write_scenario, tmp_path
+):
+    # every SimSettings field off its default; 5**3 profiles exceed
+    # max_profiles 60, so the stage game is subsampled
+    scenario_payload["sim"].update(
+        lines=40, horizon=3, depth_max=3, branch_k=3, p_min=0.04, seed=13,
+        candidates=5, max_profiles=60,
+    )
+    scenario_payload["sim"]["sampler"]["local_mix"] = 0.8
+    path = write_scenario(scenario_payload)
+    scenario = rs.parse_scenario(path.read_text())
+    names = list(scenario.agents)
+
+    def library(sim):
+        args = (scenario.state, scenario.params, scenario.sampler, sim)
+        distribution = rs.transition_distribution(*args)
+        tree = rs.build_reel_tree(*args)
+        return (
+            rs.export_frames_json(distribution, names),
+            rs.export_reels_json(tree, rs.enumerate_reels(tree), names),
+        )
+
+    frames_json, reels_json = library(scenario.sim)
+    assert not json.loads(frames_json)["diagnostics"]["exhaustive_game"]
+    for command, name, expected in (
+        ("frame", "frames.json", frames_json),
+        ("reels", "tree.json", reels_json),
+    ):
+        assert main(["--out-dir", str(tmp_path / command), command, str(path)]) == 0
+        assert (tmp_path / command / name).read_text() == expected
+    # each setting shows in the output, so a command that dropped one would differ
+    defaults = rs.SimSettings()
+    for field in dataclasses.fields(rs.SimSettings):
+        value = getattr(defaults, field.name)
+        assert getattr(scenario.sim, field.name) != value
+        frames_at_default, reels_at_default = library(
+            dataclasses.replace(scenario.sim, **{field.name: value})
+        )
+        assert reels_at_default != reels_json
+        if field.name not in ("depth_max", "branch_k", "p_min"):
+            assert frames_at_default != frames_json
 
 
 def chain_scenario(depth_max):

@@ -141,9 +141,8 @@ def test_sizes_csv_checks_row_width():
 @pytest.fixture
 def small_distribution(three_agent_state, params):
     cfg = rs.SamplerConfig(rng_seed=11, rounding=0.25, local_mix=0.8)
-    return rs.transition_distribution(
-        three_agent_state, params, cfg, 60, 2, k_candidates=4
-    )
+    sim = rs.SimSettings(lines=60, horizon=2, candidates=4)
+    return rs.transition_distribution(three_agent_state, params, cfg, sim)
 
 
 def test_frames_json_document(small_distribution):
@@ -181,9 +180,8 @@ def test_frames_json_is_deterministic(small_distribution):
 @pytest.fixture
 def small_tree(three_agent_state, params):
     cfg = rs.SamplerConfig(rng_seed=11, rounding=0.25, local_mix=0.8)
-    return rs.build_reel_tree(
-        three_agent_state, 1, 3, 0.0, params, cfg, 60, 2, k_candidates=4
-    )
+    sim = rs.SimSettings(lines=60, horizon=2, depth_max=1, branch_k=3, p_min=0.0, candidates=4)
+    return rs.build_reel_tree(three_agent_state, params, cfg, sim)
 
 
 def test_reels_json_document(small_tree):

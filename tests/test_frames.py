@@ -1,5 +1,6 @@
 """Line generation, the rationality filter, clustering, and transitions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -49,6 +50,12 @@ def line_weight(root_tactics, matrices, params):
     return rs.line_weights(step_distances(root_tactics, matrices), params)
 
 
+def line_block(root, horizon, cfg, params, lines=(0,)):
+    """generate_lines of the given lines of cfg's seed's line stream."""
+    key = rs.stream_key(cfg.rng_seed, rs.LINE_STREAM)
+    return rs.generate_lines(root, horizon, cfg, params, key, list(lines))
+
+
 def cluster(lines, root, params, cfg):
     """cluster_first_moves on the first moves and weights of a block."""
     block = make_block(lines)
@@ -60,7 +67,7 @@ def cluster(lines, root, params, cfg):
 
 def test_generate_line_shapes(three_agent_state, params):
     cfg = rs.SamplerConfig(rng_seed=1)
-    line = rs.generate_line(three_agent_state, 4, cfg, params, rs.substream(1, 0, 0))
+    line = line_block(three_agent_state, 4, cfg, params)
     assert len(line) == 1
     assert line.matrices.shape == (1, 4, 3, 3)
     assert line.sizes.shape == (1, 4, 3)
@@ -71,12 +78,12 @@ def test_generate_line_shapes(three_agent_state, params):
 
 def test_generate_line_rejects_zero_horizon(three_agent_state, params):
     with pytest.raises(ValueError, match="horizon must be at least 1"):
-        rs.generate_line(three_agent_state, 0, rs.SamplerConfig(), params, rs.substream(0, 0))
+        line_block(three_agent_state, 0, rs.SamplerConfig(), params)
 
 
 def test_generate_line_replays_against_slow_reference(three_agent_state, params):
     cfg = rs.SamplerConfig(rng_seed=6, local_mix=0.4)
-    block = rs.generate_line(three_agent_state, 3, cfg, params, rs.substream(6, 0, 5))
+    block = line_block(three_agent_state, 3, cfg, params, [5])
     matrices, line_sizes, payoffs = block.matrices[0], block.sizes[0], block.payoffs[0]
     sizes = three_agent_state.sizes.tolist()
     previous = three_agent_state.tactics.tolist()
@@ -117,7 +124,7 @@ def test_generate_line_scores_match_per_step_calls_bitwise(n):
             alpha=rng.uniform(2.0, 3.0), delta=rng.uniform(0.05, 0.95), sigma=rng.uniform(0.1, 2.0)
         )
         cfg = rs.SamplerConfig(rng_seed=n, local_mix=index / 5)
-        line = rs.generate_line(root, 1 + index, cfg, params, rs.substream(n, 0, index))
+        line = line_block(root, 1 + index, cfg, params, [index])
         previous, current, payoffs = root.tactics, root.sizes, []
         for matrix, step_sizes in zip(line.matrices[0], line.sizes[0]):
             current = rs.update_sizes(matrix, current, params)
@@ -138,7 +145,7 @@ def test_generate_line_scores_match_per_step_calls_bitwise(n):
 
 def test_generate_line_validates_every_matrix(three_agent_state, params):
     cfg = rs.SamplerConfig(rng_seed=2, local_mix=0.7)
-    line = rs.generate_line(three_agent_state, 5, cfg, params, rs.substream(2, 0, 0))
+    line = line_block(three_agent_state, 5, cfg, params)
     for matrix in line.matrices[0]:
         rs.validate_tactic_matrix(matrix)
 
@@ -236,16 +243,10 @@ def test_cluster_zero_weight_lines_produce_nothing(three_agent_state, params):
 
 def test_cluster_matches_slow_reference(three_agent_state, params):
     cfg = rs.SamplerConfig(rng_seed=4, rounding=0.25)
-    rng = rs.substream(4, rs.LINE_STREAM, 0)
-    lines = [
-        rs.generate_line(three_agent_state, 2, cfg, params, rng) for _ in range(60)
-    ]
-    frames = cluster(lines, three_agent_state, params, cfg)
-    slow = oracles.cluster(
-        [line.matrices[0, 0].tolist() for line in lines],
-        [line.weights[0] for line in lines],
-        0.25,
-    )
+    block = line_block(three_agent_state, 2, cfg, params, range(60))
+    first_moves = block.matrices[:, 0]
+    frames = rs.cluster_first_moves(first_moves, block.weights, three_agent_state, params, cfg)
+    slow = oracles.cluster(first_moves.tolist(), block.weights.tolist(), 0.25)
     assert len(frames) == len(slow)
     total = sum(weight for _, weight in slow.values())
     for frame in frames:
@@ -282,13 +283,7 @@ def test_cluster_sums_weights_one_at_a_time_in_line_order(three_agent_state, par
 
 def shipped_distribution(scenario):
     return rs.transition_distribution(
-        scenario.state,
-        scenario.params,
-        scenario.sampler,
-        scenario.sim.lines,
-        scenario.sim.horizon,
-        k_candidates=scenario.sim.candidates,
-        max_profiles=scenario.sim.max_profiles,
+        scenario.state, scenario.params, scenario.sampler, scenario.sim
     )
 
 
@@ -338,7 +333,8 @@ def test_shipped_frames_are_merged_grid_cells(shipped, monkeypatch):
 
 def small_distribution(state, params, seed=11, lines=80):
     cfg = rs.SamplerConfig(rng_seed=seed, rounding=0.25, local_mix=0.8)
-    return rs.transition_distribution(state, params, cfg, lines, 2, k_candidates=4)
+    sim = rs.SimSettings(lines=lines, horizon=2, candidates=4)
+    return rs.transition_distribution(state, params, cfg, sim)
 
 
 def test_distribution_probabilities_sum_to_one(three_agent_state, params):
@@ -374,6 +370,19 @@ def test_probability_is_weight_over_reported_total(shipped, three_agent_state, p
             assert frame.probability == frame.weight / total
 
 
+def test_local_mix_changes_the_estimate(shipped):
+    # line weights are not corrected for the proposal, so local_mix is
+    # part of what is estimated: local draws favour states near the root
+    def distribution(local_mix):
+        cfg = dataclasses.replace(shipped.sampler, rng_seed=7, local_mix=local_mix)
+        return shipped_distribution(dataclasses.replace(shipped, sampler=cfg))
+
+    local, fresh = distribution(0.9), distribution(0.1)
+    top = local.frames[0]
+    elsewhere = {frame.tactics.tobytes(): frame.probability for frame in fresh.frames}
+    assert top.probability > 2.0 * elsewhere.get(top.tactics.tobytes(), 0.0)
+
+
 def test_distribution_is_deterministic(three_agent_state, params):
     first = small_distribution(three_agent_state, params)
     second = small_distribution(three_agent_state, params)
@@ -392,9 +401,3 @@ def test_distribution_all_dead_root_is_empty(params):
     assert dist.is_empty
     assert dist.diagnostics.lines_retained == 0
     assert dist.frames == ()
-
-
-def test_distribution_rejects_bad_counts(three_agent_state, params):
-    cfg = rs.SamplerConfig()
-    with pytest.raises(ValueError, match="at least one line"):
-        rs.transition_distribution(three_agent_state, params, cfg, 0, 2)

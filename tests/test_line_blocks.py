@@ -153,7 +153,8 @@ def shipped_like(seed):
 )
 def test_distribution_matches_per_step_reference(n_lines):
     state, params, cfg = shipped_like(31)
-    dist = rs.transition_distribution(state, params, cfg, n_lines, 3, k_candidates=4)
+    sim = rs.SimSettings(lines=n_lines, horizon=3, candidates=4)
+    dist = rs.transition_distribution(state, params, cfg, sim)
     assert_matches_reference(dist, *reference_distribution(state, params, cfg, n_lines, 3, 4))
 
 
@@ -161,16 +162,18 @@ def test_block_as_long_as_a_side_matches_reference(monkeypatch):
     # LINE_BLOCK == n: a (B,n,n) @ (B,n) matmul would silently mix lines
     state, params, cfg = shipped_like(32)
     monkeypatch.setattr(frames, "LINE_BLOCK", state.n)
-    dist = rs.transition_distribution(state, params, cfg, 40, 4, k_candidates=4)
+    sim = rs.SimSettings(lines=40, horizon=4, candidates=4)
+    dist = rs.transition_distribution(state, params, cfg, sim)
     assert_matches_reference(dist, *reference_distribution(state, params, cfg, 40, 4, 4))
 
 
 @pytest.mark.parametrize("block", [1, 7, 4096])
 def test_block_size_changes_nothing(monkeypatch, block):
     state, params, cfg = shipped_like(33)
-    default = rs.transition_distribution(state, params, cfg, 300, 3, k_candidates=4)
+    sim = rs.SimSettings(lines=300, horizon=3, candidates=4)
+    default = rs.transition_distribution(state, params, cfg, sim)
     monkeypatch.setattr(frames, "LINE_BLOCK", block)
-    other = rs.transition_distribution(state, params, cfg, 300, 3, k_candidates=4)
+    other = rs.transition_distribution(state, params, cfg, sim)
     assert len(other.frames) == len(default.frames) > 1
     for a, b in zip(other.frames, default.frames):
         assert a.tactics.tobytes() == b.tactics.tobytes()

@@ -217,11 +217,11 @@ def test_line_count_builds_no_generators(monkeypatch, three_agent_state):
     cfg = rs.SamplerConfig(rng_seed=5, local_mix=0.9, rounding=0.25)
     counts = count_generators(monkeypatch)
     for n_lines in (1, 2000):
-        rs.transition_distribution(three_agent_state, params, cfg, n_lines, 2, k_candidates=4)
+        sim = rs.SimSettings(lines=n_lines, horizon=2, candidates=4)
+        rs.transition_distribution(three_agent_state, params, cfg, sim)
         # a subsampled game draws its profile screen too
-        rs.transition_distribution(
-            three_agent_state, params, cfg, n_lines, 2, k_candidates=5, max_profiles=20
-        )
+        sim = rs.SimSettings(lines=n_lines, horizon=2, candidates=5, max_profiles=20)
+        rs.transition_distribution(three_agent_state, params, cfg, sim)
         assert counts == {"SeedSequence": 0, "default_rng": 0}
 
 
@@ -229,6 +229,7 @@ def test_reel_tree_builds_no_generators(monkeypatch, three_agent_state):
     params = rs.ModelParams(sigma=0.25)
     cfg = rs.SamplerConfig(rng_seed=5, local_mix=0.9, rounding=0.25)
     counts = count_generators(monkeypatch)
-    tree = rs.build_reel_tree(three_agent_state, 2, 2, 0.0, params, cfg, 40, 2, k_candidates=4)
+    sim = rs.SimSettings(lines=40, horizon=2, depth_max=2, branch_k=2, p_min=0.0, candidates=4)
+    tree = rs.build_reel_tree(three_agent_state, params, cfg, sim)
     assert tree.children and tree.children[0].child.children
     assert counts == {"SeedSequence": 0, "default_rng": 0}

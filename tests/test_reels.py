@@ -24,11 +24,16 @@ def tiny_state(three_agent_tactics):
     return rs.State(tactics=three_agent_tactics, sizes=np.array([0.3, 1.0, 0.6]))
 
 
-def small_tree(state, params, depth_max=2, seed=11, p_min=0.0, branch_k=2):
+SMALL_SIM = rs.SimSettings(lines=50, horizon=2, depth_max=2, branch_k=2, p_min=0.0, candidates=4)
+
+
+def small_sim(**changes):
+    return dataclasses.replace(SMALL_SIM, **changes)
+
+
+def small_tree(state, params, seed=11, **changes):
     cfg = rs.SamplerConfig(rng_seed=seed, rounding=0.25, local_mix=0.8)
-    return rs.build_reel_tree(
-        state, depth_max, branch_k, p_min, params, cfg, 50, 2, k_candidates=4
-    )
+    return rs.build_reel_tree(state, params, cfg, small_sim(**changes))
 
 
 # ------------------------------------------------------------- hand-built
@@ -143,12 +148,9 @@ def test_tree_everything_pruned_leaves_marker(tiny_state, params):
 
 def test_root_expansion_matches_direct_distribution(tiny_state, params):
     cfg = rs.SamplerConfig(rng_seed=11, rounding=0.25, local_mix=0.8)
-    tree = rs.build_reel_tree(
-        tiny_state, 1, 3, 0.0, params, cfg, 50, 2, k_candidates=4
-    )
-    direct = rs.transition_distribution(
-        tiny_state, params, cfg, 50, 2, k_candidates=4
-    )
+    sim = small_sim(depth_max=1, branch_k=3)
+    tree = rs.build_reel_tree(tiny_state, params, cfg, sim)
+    direct = rs.transition_distribution(tiny_state, params, cfg, sim)
     assert len(tree.children) == min(3, len(direct.frames))
     for edge, frame in zip(tree.children, direct.frames):
         assert edge.probability == frame.probability
@@ -158,13 +160,11 @@ def test_root_expansion_matches_direct_distribution(tiny_state, params):
 
 def test_child_expansion_matches_its_node_seed(tiny_state, params):
     cfg = rs.SamplerConfig(rng_seed=11, rounding=0.25, local_mix=0.8)
-    tree = rs.build_reel_tree(
-        tiny_state, 2, 2, 0.0, params, cfg, 50, 2, k_candidates=4
-    )
+    tree = rs.build_reel_tree(tiny_state, params, cfg, small_sim())
     child = tree.children[0].child
     assert not child.is_leaf
     node_cfg = dataclasses.replace(cfg, rng_seed=rs.stream_key(11, rs.NODE_STREAM, 0))
-    replay = rs.transition_distribution(child.state, params, node_cfg, 50, 2, k_candidates=4)
+    replay = rs.transition_distribution(child.state, params, node_cfg, small_sim())
     for edge, frame in zip(child.children, replay.frames):
         assert edge.probability == frame.probability
         assert np.array_equal(edge.child.state.sizes, frame.sizes)
@@ -185,18 +185,8 @@ def test_tree_is_deterministic(tiny_state, params):
 
 @pytest.mark.parametrize("depth_max", [2, 3])
 def test_shipped_siblings_are_distinct_states(shipped, depth_max):
-    tree = rs.build_reel_tree(
-        shipped.state,
-        depth_max,
-        shipped.sim.branch_k,
-        shipped.sim.p_min,
-        shipped.params,
-        shipped.sampler,
-        shipped.sim.lines,
-        shipped.sim.horizon,
-        k_candidates=shipped.sim.candidates,
-        max_profiles=shipped.sim.max_profiles,
-    )
+    sim = dataclasses.replace(shipped.sim, depth_max=depth_max)
+    tree = rs.build_reel_tree(shipped.state, shipped.params, shipped.sampler, sim)
     expanded = [tree]
     for node in expanded:
         children = [edge.child for edge in node.children]
@@ -204,22 +194,6 @@ def test_shipped_siblings_are_distinct_states(shipped, depth_max):
         assert len(states) == len(children)
         expanded.extend(child for child in children if child.children)
     assert len(expanded) > 1
-
-
-def test_build_reel_tree_rejects_bad_arguments(tiny_state, params, monkeypatch):
-    # each is rejected before any state is expanded
-    def expand(*args, **kwargs):
-        raise AssertionError("transition_distribution ran")
-
-    monkeypatch.setattr("reelsim.reels.transition_distribution", expand)
-    cfg = rs.SamplerConfig()
-    for depth_max in (-1, 257):
-        with pytest.raises(ValueError, match=r"depth_max must lie in \[0, 256\]"):
-            rs.build_reel_tree(tiny_state, depth_max, 2, 0.0, params, cfg, 10, 2)
-    with pytest.raises(ValueError, match="branch_k"):
-        rs.build_reel_tree(tiny_state, 1, 0, 0.0, params, cfg, 10, 2)
-    with pytest.raises(ValueError, match="p_min"):
-        rs.build_reel_tree(tiny_state, 1, 2, 1.5, params, cfg, 10, 2)
 
 
 def test_dropped_mass_adds_kept_probabilities_in_order(tiny_state, params, monkeypatch):
@@ -230,7 +204,8 @@ def test_dropped_mass_adds_kept_probabilities_in_order(tiny_state, params, monke
     diagnostics = rs.TransitionDiagnostics(11, 11, 11, 1.0, 0, np.zeros(3), True)
     distribution = rs.FrameDistribution(frames, diagnostics)
     monkeypatch.setattr("reelsim.reels.transition_distribution", lambda *a, **k: distribution)
-    tree = rs.build_reel_tree(tiny_state, 1, 11, 0.0, params, rs.SamplerConfig(), 10, 2)
+    sim = small_sim(depth_max=1, branch_k=11)
+    tree = rs.build_reel_tree(tiny_state, params, rs.SamplerConfig(), sim)
     assert len(tree.children) == 11
     assert tree.dropped_mass == 0.5
 

@@ -109,8 +109,11 @@ def test_numpy_integer_seed_matches_python_int(three_agent_state):
     runs = []
     for seed in (7, np.int64(7)):
         cfg = rs.SamplerConfig(rng_seed=seed, rounding=0.25)
-        distribution = rs.transition_distribution(three_agent_state, params, cfg, 60, 2)
-        tree = rs.build_reel_tree(three_agent_state, 2, 2, 0.0, params, cfg, 30, 2, k_candidates=4)
+        distribution = rs.transition_distribution(
+            three_agent_state, params, cfg, rs.SimSettings(lines=60, horizon=2)
+        )
+        sim = rs.SimSettings(lines=30, horizon=2, depth_max=2, branch_k=2, p_min=0.0, candidates=4)
+        tree = rs.build_reel_tree(three_agent_state, params, cfg, sim)
         reels = rs.enumerate_reels(tree)
         runs.append(
             (rs.export_frames_json(distribution, names), rs.export_reels_json(tree, reels, names))

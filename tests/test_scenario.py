@@ -1,5 +1,6 @@
 """Scenario document parsing, validation, and round-tripping."""
 
+import dataclasses
 import json
 from functools import reduce
 from operator import getitem
@@ -26,9 +27,32 @@ def test_parse_full_document(scenario_payload):
     assert np.array_equal(scenario.state.tactics[:, 2], [0.0, 0.0, 1.0])
     assert scenario.params == rs.ModelParams()
     assert scenario.sim.lines == 60
-    assert scenario.sim.seed == 11
     assert scenario.sampler.rounding == 0.25
-    assert scenario.sampler.rng_seed == scenario.sim.seed
+    assert scenario.sampler.rng_seed == 11
+
+
+def test_sim_settings_rejects_bad_counts():
+    for field in ("lines", "horizon"):
+        with pytest.raises(ValueError, match=f"{field} must be at least 1 \\(got 0\\)"):
+            rs.SimSettings(**{field: 0})
+
+
+def test_sim_settings_rejects_bad_tree_shape():
+    for depth_max in (-1, 257):
+        with pytest.raises(ValueError, match=r"depth_max must lie in \[0, 256\]"):
+            rs.SimSettings(depth_max=depth_max)
+    with pytest.raises(ValueError, match="branch_k"):
+        rs.SimSettings(branch_k=0)
+    with pytest.raises(ValueError, match="p_min"):
+        rs.SimSettings(p_min=1.5)
+    assert rs.SimSettings(depth_max=256).depth_max == 256
+
+
+def test_sim_settings_are_frozen_and_hold_no_seed():
+    # the seed is the sampler's rng_seed alone
+    assert "seed" not in {field.name for field in dataclasses.fields(rs.SimSettings)}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rs.SimSettings().lines = 5
 
 
 def test_stage_game_defaults_are_the_library_defaults(scenario_payload):
@@ -254,10 +278,10 @@ def test_round_trip_is_identity(scenario_payload):
 def test_with_seed_repoints_every_seed(scenario_payload):
     scenario = parse(scenario_payload)
     reseeded = rs.with_seed(scenario, 99)
-    assert reseeded.sim.seed == 99
     assert reseeded.sampler.rng_seed == 99
     assert reseeded.state == scenario.state
-    assert scenario.sim.seed == 11
+    assert reseeded.sim == scenario.sim
+    assert scenario.sampler.rng_seed == 11
 
 
 def test_shipped_scenario_parses():

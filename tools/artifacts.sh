@@ -1,0 +1,43 @@
+#!/usr/bin/env bash
+# Write every seeded output artifact of this checkout under OUT_DIR, so two
+# checkouts can be compared with `diff -r OUT_A OUT_B`.
+#
+#   tools/artifacts.sh OUT_DIR
+#
+# OUT_DIR/shipped/{frame,frame-seed3,reels,step}/ hold the shipped
+# scenario's frame, frame at --seed 3, reels and step outputs, and
+# validate.txt what validate prints. OUT_DIR/bench/W-S/ holds the inputs
+# and outputs of every command that bench/workloads.py prints for
+# workload W at seed S, for all four workloads at seeds 1 and 2. The
+# script only reads bench/; it runs the engine from this checkout's src/.
+set -euo pipefail
+
+if [ "$#" -ne 1 ]; then
+    echo "usage: $0 OUT_DIR" >&2
+    exit 2
+fi
+root="$(cd "$(dirname "$0")/.." && pwd)"
+mkdir -p "$1"
+out="$(cd "$1" && pwd)"
+shipped="$root/scenarios/three_agents.json"
+
+reelsim() {
+    PYTHONPATH="$root/src" python3 -m reelsim.cli "$@" > /dev/null
+}
+
+reelsim --out-dir "$out/shipped/frame" frame "$shipped"
+reelsim --out-dir "$out/shipped/frame-seed3" --seed 3 frame "$shipped"
+reelsim --out-dir "$out/shipped/reels" reels "$shipped"
+reelsim --out-dir "$out/shipped/step" step "$shipped"
+PYTHONPATH="$root/src" python3 -m reelsim.cli validate "$shipped" > "$out/shipped/validate.txt"
+
+for workload in frame-lines frame-game frame-sampled reels-tree; do
+    for seed in 1 2; do
+        dir="$out/bench/$workload-$seed"
+        python3 "$root/bench/workloads.py" --workload "$workload" --seed "$seed" --out-dir "$dir" |
+            while read -r _ args; do
+                # shellcheck disable=SC2086  # the printed paths hold no spaces
+                reelsim $args
+            done
+    done
+done
