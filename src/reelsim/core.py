@@ -73,8 +73,7 @@ class State:
 
     Column j of ``tactics`` is agent j's allocation of its own power;
     entry (i, j) is the signed fraction directed at agent i. Both arrays
-    are stored as read-only float copies, so a State is an immutable value
-    safe to share across workers.
+    are stored as read-only float copies, so a State is an immutable value.
     """
 
     tactics: np.ndarray

@@ -219,6 +219,7 @@ def _screen(
     ks = tuple(len(pool) for pool in candidates)
     n, width = len(ks), 1 + sum(ks)
     draws = integer_draws(key, max(1, max_profiles // width), ks)
+    # np.unique(draws, axis=0) gives the same rows but imports numpy.ma.
     profiles = np.array(sorted(set(map(tuple, draws.tolist()))))
     # Row 1 + d of a slice replaces agent deviators[d]'s choice by alternatives[d].
     deviators = np.repeat(np.arange(n), ks)

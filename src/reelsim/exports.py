@@ -11,11 +11,10 @@ import csv
 import io
 import json
 
-import numpy as np
-
 from .core import State
 from .frames import FrameDistribution
 from .reels import Reel, ReelNode
+from .scenario import agent_rows
 
 
 def export_state_dot(state: State, names: list[str] | None = None) -> str:
@@ -101,20 +100,12 @@ def export_frames_json(distribution: FrameDistribution, names: list[str]) -> str
                 "probability": frame.probability,
                 "support": frame.support,
                 "weight": frame.weight,
-                "tactics": _matrix_rows(frame.tactics),
+                "tactics": agent_rows(frame.tactics),
                 "sizes": [float(value) for value in frame.sizes],
             }
             for frame in distribution.frames
         ],
-        "diagnostics": {
-            "lines_generated": diagnostics.lines_generated,
-            "lines_retained": diagnostics.lines_retained,
-            "clusters": diagnostics.clusters,
-            "total_weight": diagnostics.total_weight,
-            "equilibria": diagnostics.equilibria,
-            "minimax": [float(value) for value in diagnostics.minimax],
-            "exhaustive_game": diagnostics.exhaustive_game,
-        },
+        "diagnostics": {**vars(diagnostics), "minimax": diagnostics.minimax.tolist()},
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -160,7 +151,7 @@ def _node_payload(node: ReelNode) -> dict:
     return {
         "depth": node.depth,
         "sizes": [float(value) for value in node.state.sizes],
-        "tactics": _matrix_rows(node.state.tactics),
+        "tactics": agent_rows(node.state.tactics),
         "leaf_reason": node.leaf_reason,
         "dropped_mass": node.dropped_mass,
         "children": [
@@ -168,11 +159,6 @@ def _node_payload(node: ReelNode) -> dict:
             for edge in node.children
         ],
     }
-
-
-def _matrix_rows(matrix: np.ndarray) -> list[list[float]]:
-    """Agent-major rows (row i = agent i's outgoing column), as in scenarios."""
-    return [[float(value) for value in row] for row in np.asarray(matrix).T]
 
 
 def _agent_names(n: int, names: list[str] | None) -> list[str]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .sampling import (
     sample_tactic_matrices,
     stream_key,
 )
+from .scenario import SimSettings
 from .utility import (
     expected_utility,
     inertia_probability,
@@ -33,9 +33,6 @@ from .utility import (
     positional_utility,
     tactical_distance,
 )
-
-if TYPE_CHECKING:
-    from .scenario import SimSettings
 
 # Lines generated and scored as one stack. Fixed, so the memory a block
 # holds does not grow with the line count; it changes no output bit.

@@ -13,16 +13,13 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import ModelParams, State
 from .frames import ordered_sum, transition_distribution
 from .sampling import NODE_STREAM, SamplerConfig, stream_key
-
-if TYPE_CHECKING:
-    from .scenario import SimSettings
+from .scenario import SimSettings
 
 LEAF_MAX_DEPTH = "max_depth"
 LEAF_ALL_DEAD = "all_dead"

@@ -179,7 +179,7 @@ def parse_scenario(text: str | bytes) -> Scenario:
         raise ScenarioError(f"params: {err}") from None
 
     sim_block = _block(raw, "sim", _SIM_FIELDS + ("seed", "sampler"))
-    sampler_block = _block(sim_block, "sampler", _SAMPLER_FIELDS) if "sampler" in sim_block else {}
+    sampler_block = _block(sim_block, "sampler", _SAMPLER_FIELDS)
     sim_block.pop("sampler", None)
     seed = sim_block.pop("seed", 0)
     try:
@@ -202,6 +202,11 @@ def parse_scenario(text: str | bytes) -> Scenario:
     )
 
 
+def agent_rows(tactics: np.ndarray) -> list[list[float]]:
+    """A tactic matrix as the agent-major rows that scenario files store."""
+    return np.asarray(tactics).T.tolist()
+
+
 def serialize_scenario(scenario: Scenario) -> str:
     """Write a scenario back out; parsing the result reproduces it exactly."""
     sampler = dataclasses.asdict(scenario.sampler)
@@ -212,7 +217,7 @@ def serialize_scenario(scenario: Scenario) -> str:
         "schema": SCHEMA_VERSION,
         "agents": list(scenario.agents),
         "sizes": [float(value) for value in scenario.state.sizes],
-        "tactics": [[float(value) for value in row] for row in scenario.state.tactics.T],
+        "tactics": agent_rows(scenario.state.tactics),
         "params": dataclasses.asdict(scenario.params),
         "sim": {**sim, "seed": sampler.pop("rng_seed"), **budget, "sampler": sampler},
     }

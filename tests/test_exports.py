@@ -1,6 +1,7 @@
 """DOT, CSV, and JSON artifact generation."""
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -161,6 +162,8 @@ def test_frames_json_document(small_distribution):
     # one frame per next state: its tactics are its identity, no grid key
     assert list(first) == ["probability", "support", "weight", "tactics", "sizes"]
     diag = doc["diagnostics"]
+    # the block is the record itself: every field, in declaration order
+    assert list(diag) == [field.name for field in dataclasses.fields(rs.TransitionDiagnostics)]
     assert diag["lines_generated"] == 60
     assert diag["clusters"] == len(small_distribution.frames)
     assert len(diag["minimax"]) == 3

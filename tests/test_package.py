@@ -2,6 +2,7 @@
 
 import ast
 import re
+import typing
 from pathlib import Path
 
 import reelsim as rs
@@ -12,6 +13,15 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_every_exported_name_resolves():
     missing = [name for name in rs.__all__ if not hasattr(rs, name)]
     assert missing == []
+
+
+def test_every_exported_annotation_resolves():
+    # Annotations name only what their module imports at run time, so
+    # typing.get_type_hints works on every public function and class.
+    for name in rs.__all__:
+        value = getattr(rs, name)
+        if callable(value):
+            typing.get_type_hints(value)
 
 
 def test_exported_names_are_unique():

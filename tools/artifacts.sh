@@ -5,11 +5,13 @@
 #   tools/artifacts.sh OUT_DIR
 #
 # OUT_DIR/shipped/{frame,frame-seed3,reels,step}/ hold the shipped
-# scenario's frame, frame at --seed 3, reels and step outputs, and
-# validate.txt what validate prints. OUT_DIR/bench/W-S/ holds the inputs
-# and outputs of every command that bench/workloads.py prints for
-# workload W at seed S, for all four workloads at seeds 1 and 2. The
-# script only reads bench/; it runs the engine from this checkout's src/.
+# scenario's frame, frame at --seed 3, reels and step outputs,
+# validate.txt what validate prints, and scenario.json the scenario as
+# serialize_scenario writes it back after parse_scenario.
+# OUT_DIR/bench/W-S/ holds the inputs and outputs of every command that
+# bench/workloads.py prints for workload W at seed S, for all four
+# workloads at seeds 1 and 2. The script only reads bench/; it runs the
+# engine from this checkout's src/.
 set -euo pipefail
 
 if [ "$#" -ne 1 ]; then
@@ -30,6 +32,12 @@ reelsim --out-dir "$out/shipped/frame-seed3" --seed 3 frame "$shipped"
 reelsim --out-dir "$out/shipped/reels" reels "$shipped"
 reelsim --out-dir "$out/shipped/step" step "$shipped"
 PYTHONPATH="$root/src" python3 -m reelsim.cli validate "$shipped" > "$out/shipped/validate.txt"
+PYTHONPATH="$root/src" python3 -c '
+import sys
+from pathlib import Path
+from reelsim.scenario import parse_scenario, serialize_scenario
+sys.stdout.write(serialize_scenario(parse_scenario(Path(sys.argv[1]).read_bytes())))
+' "$shipped" > "$out/shipped/scenario.json"
 
 for workload in frame-lines frame-game frame-sampled reels-tree; do
     for seed in 1 2; do
