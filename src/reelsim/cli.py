@@ -11,6 +11,7 @@ included) or bad usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -64,7 +65,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; each parse_args call starts from its
+    defaults, so a cached parser carries nothing between calls."""
     parser = argparse.ArgumentParser(
         prog="reelsim",
         description=(

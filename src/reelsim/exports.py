@@ -8,8 +8,12 @@ byte-identical files.
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import itertools
 import json
+
+import numpy as np
 
 from .core import State
 from .frames import FrameDistribution
@@ -91,23 +95,58 @@ def export_sizes_csv(size_rows, names: list[str]) -> str:
 
 
 def export_frames_json(distribution: FrameDistribution, names: list[str]) -> str:
-    """Frame distribution as a stable JSON document."""
+    """Frame distribution as a stable JSON document.
+
+    The text is json.dumps(payload, indent=2) of the agents, the frames
+    and the diagnostics. The frames are filled into a fixed-schema
+    template instead, which skips json's pure-Python indenting encoder;
+    a non-finite frame value raises ValueError.
+    """
     diagnostics = distribution.diagnostics
     payload = {
         "agents": list(names),
-        "frames": [
-            {
-                "probability": frame.probability,
-                "support": frame.support,
-                "weight": frame.weight,
-                "tactics": agent_rows(frame.tactics),
-                "sizes": [float(value) for value in frame.sizes],
-            }
-            for frame in distribution.frames
-        ],
+        "frames": [],
         "diagnostics": {**vars(diagnostics), "minimax": diagnostics.minimax.tolist()},
     }
-    return json.dumps(payload, indent=2) + "\n"
+    text = json.dumps(payload, indent=2) + "\n"
+    if not distribution.frames:
+        return text
+    rows = [
+        (
+            float(frame.probability),
+            frame.support,
+            float(frame.weight),
+            *itertools.chain.from_iterable(agent_rows(frame.tactics)),
+            *frame.sizes.tolist(),
+        )
+        for frame in distribution.frames
+    ]
+    if not np.isfinite(np.array(rows, dtype=float)).all():
+        raise ValueError("frames.json holds finite numbers only")
+    template = _frame_template(distribution.frames[0].sizes.shape[0])
+    listed = ",\n".join(template % row for row in rows)
+    return text.replace('\n  "frames": []', f'\n  "frames": [\n{listed}\n  ]', 1)
+
+
+@functools.cache
+def _frame_template(n: int) -> str:
+    """One frames.json entry for n agents as json.dumps(indent=2) lays it
+    out at depth 2, with %r for each float and %d for the support."""
+
+    def listing(items: list[str], depth: int) -> str:
+        inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+        return "[" + inner + ("," + inner).join(items) + outer + "]"
+
+    rows = [listing(["%r"] * n, 4) for _ in range(n)]
+    fields = {
+        "probability": "%r",
+        "support": "%d",
+        "weight": "%r",
+        "tactics": listing(rows, 3),
+        "sizes": listing(["%r"] * n, 3),
+    }
+    entries = [f'"{name}": {value}' for name, value in fields.items()]
+    return "    {\n      " + ",\n      ".join(entries) + "\n    }"
 
 
 def export_reels_json(tree: ReelNode, reels: list[Reel], names: list[str]) -> str:

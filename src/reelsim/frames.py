@@ -36,7 +36,7 @@ from .utility import (
 
 # Lines generated and scored as one stack. Fixed, so the memory a block
 # holds does not grow with the line count; it changes no output bit.
-LINE_BLOCK = 256
+LINE_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -123,26 +123,26 @@ def generate_lines(
     Member b is line lines[b] of the counter-based stream keyed by key:
     its draws at step t are a pure function of (key, lines[b], t, slot),
     so it does not depend on the other members. Each step samples and
-    rolls the whole block's tactics and sizes as stacks; the finished
-    block is then scored as one stack. Every member agrees bit for bit
-    with a one-member block of its line.
+    rolls the whole block's tactics and sizes as stacks and takes each
+    member's move distance from the matrix before it; the finished block
+    is then scored as one stack. Every member agrees bit for bit with a
+    one-member block of its line.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1 (got {horizon})")
     count, n = len(lines), root.n
     matrices = np.empty((count, horizon, n, n))
-    # previous[:, t] is the matrix step t+1 moves away from.
-    previous = np.empty_like(matrices)
     sizes = np.empty((count, horizon, n))
+    distances = np.empty((count, horizon))
     tactics = np.broadcast_to(root.tactics, (count, n, n))
     current = np.broadcast_to(root.sizes, (count, n))
     for step in range(horizon):
-        previous[:, step] = tactics
-        tactics = matrices[:, step] = sample_tactic_matrices(
+        following = matrices[:, step] = sample_tactic_matrices(
             tactics, cfg, key, lines, step, params.sigma
         )
+        distances[:, step] = tactical_distance(following, tactics)
+        tactics = following
         current = sizes[:, step] = update_sizes(tactics, current, params)
-    distances = tactical_distance(matrices, previous)
     payoffs = expected_utility(positional_utility(sizes, params.alpha), distances, params.sigma)
     return LineBlock(
         matrices=matrices,

@@ -305,6 +305,20 @@ def test_seed_flag_overrides_scenario(scenario_file, tmp_path):
     assert (repeat / "frames.json").read_text() == (reseeded / "frames.json").read_text()
 
 
+def test_second_call_drops_the_first_calls_seed(scenario_file, tmp_path):
+    # one parser serves every call in a process; --seed must not carry over
+    seeded, unseeded = tmp_path / "seeded", tmp_path / "unseeded"
+    assert main(["--seed", "5", "--out-dir", str(seeded), "frame", str(scenario_file)]) == 0
+    assert main(["--out-dir", str(unseeded), "frame", str(scenario_file)]) == 0
+    scenario = rs.parse_scenario(scenario_file.read_text())
+    distribution = rs.transition_distribution(
+        scenario.state, scenario.params, scenario.sampler, scenario.sim
+    )
+    expected = rs.export_frames_json(distribution, list(scenario.agents))
+    assert (unseeded / "frames.json").read_text() == expected
+    assert (seeded / "frames.json").read_text() != expected
+
+
 @pytest.mark.parametrize("seed", [2**64 - 1, 2**80])
 def test_frame_at_wide_seeds(scenario_file, tmp_path, seed):
     # the line stream hashes with uint64 arrays, which wrap; uint64

@@ -7,6 +7,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import reelsim as rs
 
@@ -175,6 +178,95 @@ def test_frames_json_is_deterministic(small_distribution):
     assert rs.export_frames_json(small_distribution, names) == rs.export_frames_json(
         small_distribution, names
     )
+
+
+# Finite floats with the edge cases json writes oddly mixed in.
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e308]),
+)
+
+
+@st.composite
+def distributions(draw):
+    """A FrameDistribution of 0 to 20 frames over n agents, 1 to 8, and
+    agent names with unicode, quotes, backslashes and control characters."""
+    n = draw(st.integers(1, 8))
+    count = draw(st.integers(0, 20))
+    # One row per frame: probability, weight, tactics, sizes.
+    values = draw(hnp.arrays(float, (count, 2 + n * n + n), elements=finite_floats))
+    supports = draw(st.lists(st.integers(0, 2**40), min_size=count, max_size=count))
+    frames = tuple(
+        rs.Frame(
+            tactics=row[2 : 2 + n * n].reshape(n, n),
+            sizes=row[2 + n * n :],
+            probability=float(row[0]),
+            support=support,
+            weight=float(row[1]),
+        )
+        for row, support in zip(values, supports)
+    )
+    diagnostics = rs.TransitionDiagnostics(
+        lines_generated=draw(st.integers(0, 10**6)),
+        lines_retained=draw(st.integers(0, 10**6)),
+        clusters=len(frames),
+        total_weight=draw(finite_floats),
+        equilibria=draw(st.integers(0, 100)),
+        minimax=draw(hnp.arrays(float, n, elements=finite_floats)),
+        exhaustive_game=draw(st.booleans()),
+    )
+    characters = st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\x7f\u2028\U0001f600'))
+    names = draw(st.lists(st.text(characters, max_size=6), min_size=n, max_size=n))
+    return rs.FrameDistribution(frames=frames, diagnostics=diagnostics), names
+
+
+def dumped_frames_json(distribution, names):
+    """The document as json.dumps(indent=2) writes it."""
+    diagnostics = distribution.diagnostics
+    payload = {
+        "agents": list(names),
+        "frames": [
+            {
+                "probability": frame.probability,
+                "support": frame.support,
+                "weight": frame.weight,
+                "tactics": frame.tactics.T.tolist(),
+                "sizes": frame.sizes.tolist(),
+            }
+            for frame in distribution.frames
+        ],
+        "diagnostics": {**vars(diagnostics), "minimax": diagnostics.minimax.tolist()},
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(distributions())
+def test_frames_json_equals_json_dumps(case):
+    distribution, names = case
+    assert rs.export_frames_json(distribution, names) == dumped_frames_json(distribution, names)
+
+
+def test_frames_json_of_a_run_equals_json_dumps(small_distribution):
+    names = ["minor", "major", "middle"]
+    text = rs.export_frames_json(small_distribution, names)
+    assert text == dumped_frames_json(small_distribution, names)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["weight", "probability", "tactics", "sizes"])
+def test_frames_json_rejects_non_finite_values(small_distribution, field, value):
+    frame = small_distribution.frames[0]
+    if field in ("tactics", "sizes"):
+        array = getattr(frame, field).copy()
+        array.flat[-1] = value
+        value = array
+    broken = dataclasses.replace(frame, **{field: value})
+    distribution = dataclasses.replace(
+        small_distribution, frames=(broken, *small_distribution.frames[1:])
+    )
+    with pytest.raises(ValueError, match="finite"):
+        rs.export_frames_json(distribution, ["a", "b", "c"])
 
 
 # ---------------------------------------------------------------- reels JSON
