@@ -149,7 +149,9 @@ def shipped_like(seed):
 
 @pytest.mark.parametrize(
     "n_lines",
-    [1, rs.LINE_BLOCK - 1, rs.LINE_BLOCK, rs.LINE_BLOCK + 1],
+    # 255-257 straddle a boundary inside one block; the last three straddle
+    # the first block boundary
+    [1, 255, 256, 257, rs.LINE_BLOCK - 1, rs.LINE_BLOCK, rs.LINE_BLOCK + 1],
 )
 def test_distribution_matches_per_step_reference(n_lines):
     state, params, cfg = shipped_like(31)
