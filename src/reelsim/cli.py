@@ -115,12 +115,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_scenario(path_text: str) -> Scenario:
     path = Path(path_text)
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except OSError as err:
         raise ScenarioError(f"cannot read {path}: {err}") from None
-    except UnicodeDecodeError as err:
-        raise ScenarioError(f"malformed scenario file: {err}") from None
-    return parse_scenario(text)
+    return parse_scenario(data)
 
 
 def _write(out_dir: Path, name: str, content: str) -> Path:

@@ -66,22 +66,20 @@ class SimSettings:
             raise ValueError(f"max_profiles must be at least 1 (got {self.max_profiles})")
 
 
-def _field_names(cls, *skip: str) -> tuple[str, ...]:
-    return tuple(field.name for field in dataclasses.fields(cls) if field.name not in skip)
-
-
-_PARAM_FIELDS = _field_names(ModelParams)
-_SIM_FIELDS = _field_names(SimSettings)
-# The file stores the sampler's rng_seed as sim.seed.
-_SAMPLER_FIELDS = _field_names(SamplerConfig, "rng_seed")
-# The JSON type each settings field must have; booleans are not numbers.
-_FIELD_TYPES = {
-    name: {float: "a number", int: "an integer", bool: "true or false"}[kind]
-    for cls in (ModelParams, SimSettings, SamplerConfig)
-    for name, kind in typing.get_type_hints(cls).items()
+# The fields each settings block of the file may hold, with the JSON types
+# each field's annotation admits and how a message names them; booleans
+# are not numbers. Resolved once: get_type_hints on every parse would more
+# than double its time.
+_KINDS = {
+    float: ((int, float), "a number"), int: ((int,), "an integer"), bool: ((bool,), "true or false")
 }
-_FIELD_TYPES["seed"] = _FIELD_TYPES["rng_seed"]
-_JSON_TYPES = {"a number": (int, float), "an integer": (int,), "true or false": (bool,)}
+_BLOCKS = {
+    cls: {name: _KINDS[hint] for name, hint in typing.get_type_hints(cls).items()}
+    for cls in (ModelParams, SimSettings, SamplerConfig)
+}
+# The file stores the sampler's rng_seed as sim.seed, and nests the sampler
+# block, read on its own, in sim.
+_BLOCKS[SimSettings].update(seed=_BLOCKS[SamplerConfig].pop("rng_seed"), sampler=None)
 
 
 @dataclass(frozen=True)
@@ -108,10 +106,13 @@ def parse_scenario(text: str | bytes) -> Scenario:
     Sizes whose maximum is not 1 are normalized with a warning. All
     structural problems raise ScenarioError naming the offending field,
     non-finite numbers (NaN, Infinity, or a literal too large for a
-    float) included; so do bytes that are not UTF-8 and nesting too
-    deep to decode.
+    float) included; so do bytes that are not plain UTF-8 (UTF-16,
+    UTF-32, or UTF-8 behind a byte-order mark) and nesting too deep to
+    decode.
     """
     try:
+        if not isinstance(text, str):
+            text = str(text, "utf-8")
         raw = json.loads(
             text,
             parse_constant=_reject_constant,
@@ -131,9 +132,9 @@ def parse_scenario(text: str | bytes) -> Scenario:
         )
 
     agents = raw.get("agents")
-    if not isinstance(agents, list) or not agents:
-        raise ScenarioError("agents must be a nonempty list of names")
-    if not all(isinstance(name, str) and name for name in agents):
+    if not isinstance(agents, list) or not agents or not all(
+        isinstance(name, str) and name for name in agents
+    ):
         raise ScenarioError("agents must be a nonempty list of names")
     seen = set()
     for name in agents:
@@ -172,34 +173,16 @@ def parse_scenario(text: str | bytes) -> Scenario:
     except TacticMatrixError as err:
         raise ScenarioError(f"tactics: {err}") from None
 
-    params_block = _block(raw, "params", _PARAM_FIELDS)
-    try:
-        params = ModelParams(**params_block)
-    except (TypeError, ValueError) as err:
-        raise ScenarioError(f"params: {err}") from None
-
-    sim_block = _block(raw, "sim", _SIM_FIELDS + ("seed", "sampler"))
-    sampler_block = _block(sim_block, "sampler", _SAMPLER_FIELDS)
+    params = _build(ModelParams, "params", _settings(raw, "params", ModelParams))
+    sim_block = _settings(raw, "sim", SimSettings)
+    sampler_block = _settings(sim_block, "sampler", SamplerConfig)
     sim_block.pop("sampler", None)
     seed = sim_block.pop("seed", 0)
-    try:
-        sim = SimSettings(**sim_block)
-    except (TypeError, ValueError) as err:
-        raise ScenarioError(f"sim: {err}") from None
+    sim = _build(SimSettings, "sim", sim_block)
     if seed < 0:
         raise ScenarioError(f"sim: seed must be nonnegative (got {seed})")
-    try:
-        sampler = SamplerConfig(rng_seed=seed, **sampler_block)
-    except (TypeError, ValueError) as err:
-        raise ScenarioError(f"sampler: {err}") from None
-
-    try:
-        state = State(tactics=tactics, sizes=sizes)
-    except ValueError as err:
-        raise ScenarioError(f"state: {err}") from None
-    return Scenario(
-        agents=tuple(agents), state=state, params=params, sampler=sampler, sim=sim
-    )
+    sampler = _build(SamplerConfig, "sampler", {**sampler_block, "rng_seed": seed})
+    return Scenario(tuple(agents), State(tactics, sizes), params, sampler, sim)
 
 
 def agent_rows(tactics: np.ndarray) -> list[list[float]]:
@@ -251,15 +234,26 @@ def _finite_int(literal: str) -> int:
     return int(literal)
 
 
-def _block(raw: dict, name: str, allowed: tuple[str, ...]) -> dict:
+def _settings(raw: dict, name: str, cls: type) -> dict:
+    """The block raw[name] of settings class cls, {} when absent: a JSON
+    object whose every field is one of cls's, of the JSON type it admits."""
     block = raw.get(name, {})
     if not isinstance(block, dict):
         raise ScenarioError(f"{name} must be a JSON object")
-    unknown = set(block) - set(allowed)
+    fields = _BLOCKS[cls]
+    unknown = block.keys() - fields
     if unknown:
-        raise ScenarioError(f"{name}: unknown field {sorted(unknown)[0]!r}")
+        raise ScenarioError(f"{name}: unknown field {min(unknown)!r}")
     for field, value in block.items():
-        wanted = _FIELD_TYPES.get(field)
-        if wanted and type(value) not in _JSON_TYPES[wanted]:
-            raise ScenarioError(f"{name}: {field} must be {wanted} (got {json.dumps(value)})")
+        kind = fields[field]
+        if kind and type(value) not in kind[0]:
+            raise ScenarioError(f"{name}: {field} must be {kind[1]} (got {json.dumps(value)})")
     return dict(block)
+
+
+def _build(cls: type, name: str, block: dict):
+    """cls built from a checked block, its ValueError named after the block."""
+    try:
+        return cls(**block)
+    except ValueError as err:
+        raise ScenarioError(f"{name}: {err}") from None

@@ -18,6 +18,7 @@ from reelsim.cli import main
 
 # A child interpreter imports reelsim from this checkout's src, as pytest does.
 SRC = Path(__file__).resolve().parent.parent / "src"
+SHIPPED = SRC.parent / "scenarios" / "three_agents.json"
 CHILD_ENV = {
     **os.environ,
     "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
@@ -54,8 +55,13 @@ def test_validate_malformed_json(tmp_path, capsys):
         (b"\xff", "can't decode byte 0xff"),
         (b'{"schema": "\xff"}', "can't decode byte 0xff"),
         (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth"),
+        (SHIPPED.read_text().encode("utf-16"), "can't decode byte 0xff"),
+        (SHIPPED.read_text().encode("utf-32"), "can't decode byte 0xff"),
+        (SHIPPED.read_text().encode("utf-8-sig"), "Unexpected UTF-8 BOM"),
+        # the offset counts the file's own characters, carriage returns too
+        (b'{\r\n  "schema": 1,\r\n  oops\r\n}\r\n', "line 3 column 3 (char 21)"),
     ],
-    ids=["not-utf8", "not-utf8-string", "nested-too-deep"],
+    ids=["not-utf8", "not-utf8-string", "nested-too-deep", "utf16", "utf32", "utf8-bom", "crlf"],
 )
 @pytest.mark.parametrize("command", ["validate", "frame"])
 def test_undecodable_file_exits_one_with_one_line(tmp_path, capsys, command, content, message):
@@ -64,6 +70,10 @@ def test_undecodable_file_exits_one_with_one_line(tmp_path, capsys, command, con
     assert main(["--out-dir", str(tmp_path / "out"), command, str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: malformed scenario file: ") and message in err
+    # the file's bytes are decoded exactly as the library decodes them
+    with pytest.raises(rs.ScenarioError) as caught:
+        rs.parse_scenario(content)
+    assert err == f"error: {caught.value}\n"
     assert err.count("\n") == 1 and err.endswith("\n")
     assert not (tmp_path / "out").exists()
 
@@ -340,6 +350,35 @@ def test_reels_on_shipped_scenario(tmp_path):
     assert sum(reel["probability"] for reel in doc["reels"]) <= 1.0 + 1e-9
     rows = list(csv.reader((out_dir / "reels.csv").open()))
     assert len(rows) == len(doc["reels"]) + 1
+
+
+@pytest.fixture
+def filtering_file(tmp_path):
+    """The shipped scenario at p_neg 0.1, where the guarantee is not zero."""
+    doc = json.loads(SHIPPED.read_text())
+    doc["sim"]["sampler"]["p_neg"] = 0.1
+    path = tmp_path / "filtering.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_nonzero_guarantee_drops_lines(filtering_file, tmp_path):
+    out_dir = tmp_path / "out"
+    assert main(["--seed", "7", "--out-dir", str(out_dir), "frame", str(filtering_file)]) == 0
+    diagnostics = json.loads((out_dir / "frames.json").read_text())["diagnostics"]
+    assert max(diagnostics["minimax"]) > 0.0
+    assert 0 < diagnostics["lines_retained"] < diagnostics["lines_generated"] == 2000
+
+
+def test_guarantee_no_line_meets_empties_frame_and_reels(filtering_file, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["--seed", "8", "--out-dir", str(out_dir), "frame", str(filtering_file)]) == 0
+    assert json.loads((out_dir / "frames.json").read_text())["frames"] == []
+    assert "no rational lines of play survived the filter" in capsys.readouterr().out
+    assert main(["--seed", "8", "--out-dir", str(out_dir), "reels", str(filtering_file)]) == 0
+    doc = json.loads((out_dir / "tree.json").read_text())
+    assert doc["tree"]["leaf_reason"] == "empty_distribution"
+    assert [reel["leaf_reason"] for reel in doc["reels"]] == ["empty_distribution"]
 
 
 def test_out_dir_env_var(scenario_file, tmp_path, monkeypatch):

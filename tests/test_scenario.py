@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 import reelsim as rs
 
+SHIPPED_TEXT = (Path(__file__).resolve().parents[1] / "scenarios" / "three_agents.json").read_text()
+
 
 def parse(payload):
     return rs.parse_scenario(json.dumps(payload))
@@ -96,8 +98,12 @@ def test_malformed_json_is_reported():
         (b'{"schema": "\xff"}', "can't decode byte 0xff"),
         (b"\xff", "can't decode byte 0xff"),
         ("[" * 100_000 + "]" * 100_000, "maximum recursion depth"),
+        # a valid document, but not UTF-8: the bytes are never sniffed
+        (SHIPPED_TEXT.encode("utf-16"), "can't decode byte 0xff in position 0"),
+        (SHIPPED_TEXT.encode("utf-32"), "can't decode byte 0xff in position 0"),
+        (SHIPPED_TEXT.encode("utf-8-sig"), "Unexpected UTF-8 BOM"),
     ],
-    ids=["not-utf8-string", "not-utf8", "nested-too-deep"],
+    ids=["not-utf8-string", "not-utf8", "nested-too-deep", "utf16", "utf32", "utf8-bom"],
 )
 def test_undecodable_documents_are_scenario_errors(text, message):
     with pytest.raises(rs.ScenarioError, match=f"^malformed scenario file: .*{message}"):
@@ -125,6 +131,45 @@ def test_unknown_fields_are_rejected(scenario_payload):
 def test_unknown_sampler_field(scenario_payload):
     scenario_payload["sim"]["sampler"]["noise"] = 0.1
     with pytest.raises(rs.ScenarioError, match="sampler: unknown field 'noise'"):
+        parse(scenario_payload)
+
+
+@pytest.mark.parametrize("value", [[], [1], 1, "x", None])
+@pytest.mark.parametrize("name", ["params", "sim", "sampler"])
+def test_non_object_settings_block_is_named(scenario_payload, name, value):
+    holder = scenario_payload["sim"] if name == "sampler" else scenario_payload
+    holder[name] = value
+    with pytest.raises(rs.ScenarioError, match=f"^{name} must be a JSON object$"):
+        parse(scenario_payload)
+
+
+def test_sampler_seed_is_sim_seed_only(scenario_payload):
+    scenario_payload["sim"]["sampler"]["rng_seed"] = 3
+    with pytest.raises(rs.ScenarioError, match="^sampler: unknown field 'rng_seed'$"):
+        parse(scenario_payload)
+
+
+@pytest.mark.parametrize("extra", [{"zeta": 1.0, "gamma": 2.0}, {"beta": "x", "gamma": 2.0}])
+def test_first_unknown_field_in_sorted_order_comes_before_types(scenario_payload, extra):
+    scenario_payload["params"].update(extra)
+    with pytest.raises(rs.ScenarioError, match="^params: unknown field 'gamma'$"):
+        parse(scenario_payload)
+
+
+@pytest.mark.parametrize(
+    "sim, message",
+    [
+        # sim's own types come before the sampler block, wherever it stands
+        ({"lines": 1.5, "sampler": []}, r"sim: lines must be an integer \(got 1.5\)"),
+        ({"sampler": [], "lines": 1.5}, r"sim: lines must be an integer \(got 1.5\)"),
+        # then sim's values, then the seed, then the sampler's values
+        ({"seed": -1, "lines": 0}, r"sim: lines must be at least 1 \(got 0\)"),
+        ({"seed": -1, "sampler": {"p_neg": 2}}, r"sim: seed must be nonnegative \(got -1\)"),
+    ],
+)
+def test_settings_errors_come_in_a_fixed_order(scenario_payload, sim, message):
+    scenario_payload["sim"] = sim
+    with pytest.raises(rs.ScenarioError, match=f"^{message}$"):
         parse(scenario_payload)
 
 
@@ -285,8 +330,7 @@ def test_with_seed_repoints_every_seed(scenario_payload):
 
 
 def test_shipped_scenario_parses():
-    path = Path(__file__).resolve().parents[1] / "scenarios" / "three_agents.json"
-    scenario = rs.parse_scenario(path.read_text())
+    scenario = rs.parse_scenario(SHIPPED_TEXT)
     assert scenario.agents == ("minor", "major", "middle")
     assert scenario.state.sizes.max() == 1.0
     rs.validate_tactic_matrix(scenario.state.tactics)

@@ -8,6 +8,9 @@
 # scenario's frame, frame at --seed 3, reels and step outputs,
 # validate.txt what validate prints, and scenario.json the scenario as
 # serialize_scenario writes it back after parse_scenario.
+# OUT_DIR/filtering/ holds scenario.json, the shipped scenario at p_neg
+# 0.1, and {frame,reels}-seed{7,8}/ its outputs at seeds 7 and 8, where
+# a nonzero guarantee drops some lines (seed 7) or all of them (seed 8).
 # OUT_DIR/bench/W-S/ holds the inputs and outputs of every command that
 # bench/workloads.py prints for workload W at seed S, for all four
 # workloads at seeds 1 and 2. The script only reads bench/; it runs the
@@ -38,6 +41,20 @@ from pathlib import Path
 from reelsim.scenario import parse_scenario, serialize_scenario
 sys.stdout.write(serialize_scenario(parse_scenario(Path(sys.argv[1]).read_bytes())))
 ' "$shipped" > "$out/shipped/scenario.json"
+
+mkdir -p "$out/filtering"
+python3 -c '
+import json, sys
+doc = json.load(open(sys.argv[1]))
+doc["sim"]["sampler"]["p_neg"] = 0.1
+sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+' "$shipped" > "$out/filtering/scenario.json"
+for seed in 7 8; do
+    for command in frame reels; do
+        reelsim --out-dir "$out/filtering/$command-seed$seed" --seed "$seed" "$command" \
+            "$out/filtering/scenario.json"
+    done
+done
 
 for workload in frame-lines frame-game frame-sampled reels-tree; do
     for seed in 1 2; do
