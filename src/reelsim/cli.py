@@ -124,7 +124,7 @@ def _load_scenario(path_text: str) -> Scenario:
 def _write(out_dir: Path, name: str, content: str) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     target = out_dir / name
-    target.write_text(content)
+    target.write_text(content, encoding="utf-8", newline="\n")
     print(f"wrote {target}")
     return target
 

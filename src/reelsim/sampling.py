@@ -7,10 +7,12 @@ generator state, block size or order. Keys are stream_key(seed, domain,
 *path). A line's step owns 1 + 2n**2 slots: a local/global coin, then
 uniforms for n**2 Box-Muller normals (local branch) or n**2 exponentials
 and n**2 sign uniforms (global branch). Candidate vector agent*k +
-candidate reads 2n slots at step 0, n exponentials and n sign uniforms;
-pools and the global branch build vectors with one routine,
-_tactic_vectors. integer_draws reads the stage game's profile rows, and
-a reel-tree node below the root takes a NODE_STREAM key as its seed.
+candidate reads 2n slots at step 0, n exponentials and n sign uniforms.
+Every sampled column follows one rule, in one routine, _tactic_columns:
+its own entry is made nonnegative unless self-harm is allowed, and it is
+scaled to abs-sum 1, an all-zero column becoming pure self-allocation.
+integer_draws reads the stage game's profile rows, and a reel-tree node
+below the root takes a NODE_STREAM key as its seed.
 """
 
 from __future__ import annotations
@@ -108,18 +110,20 @@ def sample_candidates(n: int, k: int, cfg: SamplerConfig, key: int) -> tuple[np.
     """Draw k candidate tactic columns per agent from the stream keyed by key.
 
     Agent j's pool is a (k, n) array of tactic vectors whose own entry is
-    j: magnitudes uniform on the unit simplex, so the abs-sum constraint
-    holds by construction, and off-diagonal signs negative with
-    probability p_neg; the own entry stays nonnegative unless the config
-    allows self-harm. Vector agent*k + candidate turns its line's 2n
-    uniforms u at step 0 into n exponentials -log(u) and n signs 1 - u.
+    j: magnitudes uniform on the unit simplex, and off-diagonal signs
+    negative with probability p_neg; the own entry stays nonnegative
+    unless the config allows self-harm. Vector agent*k + candidate turns
+    its line's 2n uniforms u at step 0 into n exponentials -log(u) and n
+    signs 1 - u; the pools are column views of k matrices built as the
+    fresh step draws are.
     """
     if k < 1:
         raise ValueError(f"need at least one candidate per agent (got k={k})")
     uniforms = _uniforms(line_words(key, np.arange(n * k), 0, 2 * n))
-    owners = np.repeat(np.arange(n), k)
-    vectors = _tactic_vectors(-np.log(uniforms[:, :n]), 1.0 - uniforms[:, n:], owners, cfg)
-    return tuple(vectors.reshape(n, k, n))
+    vectors = _signed(-np.log(uniforms[:, :n]), 1.0 - uniforms[:, n:], cfg)
+    # Matrix c holds candidate c of agent j in its column j.
+    matrices = _tactic_columns(vectors.reshape(n, k, n).transpose(1, 2, 0), cfg)
+    return tuple(np.moveaxis(matrices, -1, 0))
 
 
 def integer_draws(key: int, rows: int, bounds: Sequence[int]) -> np.ndarray:
@@ -205,47 +209,34 @@ def sample_tactic_matrices(
     independent of previous[b]; otherwise previous[b] is perturbed with
     additive Gaussian noise of scale noise_sigma / n per entry (callers
     pass the model's inertia coefficient, so local proposals stay within
-    reach of the inertia kernel) and each column is renormalized by its
-    abs-sum. The arithmetic runs once on the whole stack, bit for bit
-    what each member gets alone.
+    reach of the inertia kernel). Either way _tactic_columns then scales
+    each column to abs-sum 1. The arithmetic runs once on the whole
+    stack, bit for bit what each member gets alone.
     """
     previous = np.asarray(previous, dtype=float)
-    count, n = previous.shape[0], previous.shape[-1]
+    n = previous.shape[-1]
     coins, exponentials, normals, sign_uniforms = line_draws(key, lines, step, n)
-    local = coins < cfg.local_mix
-    matrices = np.empty((count, n, n))
-    if local.any():
-        perturbed = previous[local] + normals[local] * (noise_sigma / n)
-        if not cfg.allow_negative_diagonal:
-            idx = np.arange(n)
-            perturbed[:, idx, idx] = np.abs(perturbed[:, idx, idx])
-        matrices[local] = _renormalize_columns(perturbed)
-    fresh = ~local
-    if fresh.any():
-        # Row j of a member's draws is the vector of its column j.
-        columns = _tactic_vectors(exponentials[fresh], sign_uniforms[fresh], np.arange(n), cfg)
-        matrices[fresh] = columns.swapaxes(-1, -2)
-    return matrices
+    local = (coins < cfg.local_mix)[:, np.newaxis, np.newaxis]
+    # Fresh members get no noise, so a huge sigma cannot overflow where it is unused.
+    perturbed = previous + normals * (local * (noise_sigma / n))
+    # Row j of a member's draws is its column j.
+    fresh = _signed(exponentials, sign_uniforms, cfg).swapaxes(-1, -2)
+    return _tactic_columns(np.where(local, perturbed, fresh), cfg)
 
 
-def _tactic_vectors(
-    exponentials: np.ndarray,
-    uniforms: np.ndarray,
-    self_index: int | np.ndarray,
-    cfg: SamplerConfig,
-) -> np.ndarray:
-    """Tactic vectors (..., n) from their exponential and uniform draws;
-    self_index (broadcast against the leading axes) marks each vector's
-    own entry."""
-    n = exponentials.shape[-1]
-    total = exponentials.sum(axis=-1, keepdims=True)
-    positive = total > 0.0
-    magnitudes = np.where(positive, exponentials / np.where(positive, total, 1.0), 1.0 / n)
-    signs = np.where(uniforms < cfg.p_neg, -1.0, 1.0)
+def _signed(exponentials: np.ndarray, uniforms: np.ndarray, cfg: SamplerConfig) -> np.ndarray:
+    """The exponentials, each negated when its sign uniform is below p_neg."""
+    return np.where(uniforms < cfg.p_neg, -exponentials, exponentials)
+
+
+def _tactic_columns(raw: np.ndarray, cfg: SamplerConfig) -> np.ndarray:
+    """Tactics from raw matrices (..., n, n): the diagonal made
+    nonnegative unless cfg allows self-harm, then every column scaled to
+    abs-sum 1 by _renormalize_columns. raw's diagonal is overwritten."""
     if not cfg.allow_negative_diagonal:
-        own = np.arange(n) == np.asarray(self_index)[..., np.newaxis]
-        signs = np.where(own, 1.0, signs)
-    return magnitudes * signs
+        idx = np.arange(raw.shape[-1])
+        raw[..., idx, idx] = np.abs(raw[..., idx, idx])
+    return _renormalize_columns(raw)
 
 
 def _renormalize_columns(matrix: np.ndarray) -> np.ndarray:

@@ -343,11 +343,13 @@ def line_draws(key, line, step, n):
 
 
 def tactic_vector_from(exponentials, uniforms, self_index, cfg):
-    """One tactic vector from its n exponentials and n sign uniforms."""
+    """One tactic vector from its n exponentials and n sign uniforms; all
+    zeros give pure self-allocation."""
     exponentials = np.asarray(exponentials, dtype=float)
-    n = len(exponentials)
     total = exponentials.sum()
-    magnitudes = exponentials / total if total > 0.0 else np.full(n, 1.0 / n)
+    if total == 0.0:
+        return np.eye(len(exponentials))[self_index]
+    magnitudes = exponentials / total
     signs = np.where(np.asarray(uniforms) < cfg.p_neg, -1.0, 1.0)
     if not cfg.allow_negative_diagonal:
         signs[self_index] = 1.0

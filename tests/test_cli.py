@@ -507,3 +507,31 @@ def test_frame_does_not_depend_on_payoff_block(
         outputs.append((out_dir / "frames.json").read_bytes())
     assert json.loads(outputs[0])["diagnostics"]["exhaustive_game"] is exhaustive
     assert outputs[0] == outputs[1]
+
+
+def test_artifacts_are_utf8_whatever_the_locale(tmp_path):
+    # Under the C locale with UTF-8 mode and locale coercion off, Python's
+    # default file encoding is ASCII; the files must not depend on it.
+    payload = json.loads(SHIPPED.read_text(encoding="utf-8"))
+    payload["agents"][0] = "Ωmega"
+    path = tmp_path / "omega.json"
+    path.write_bytes(json.dumps(payload, ensure_ascii=False).encode("utf-8"))
+    locales = {
+        "ascii": {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+        "utf8": {"LC_ALL": "C.UTF-8"},
+    }
+    for command in ("frame", "reels", "step"):
+        written = {}
+        for name, overrides in locales.items():
+            out_dir = tmp_path / name / command
+            args = ["--out-dir", str(out_dir), command, str(path)]
+            result = subprocess.run(
+                [sys.executable, "-m", "reelsim.cli", *args],
+                capture_output=True,
+                env={**CHILD_ENV, **overrides},
+            )
+            assert result.returncode == 0, result.stderr.decode("utf-8", "replace")
+            written[name] = {file.name: file.read_bytes() for file in sorted(out_dir.iterdir())}
+        assert written["ascii"] == written["utf8"]
+        assert any("Ωmega".encode("utf-8") in content for content in written["utf8"].values())
+        assert not any(b"\r" in content for content in written["utf8"].values())

@@ -199,6 +199,31 @@ def test_local_draws_follow_noise_scale(three_agent_tactics):
     assert np.mean(narrow) < np.mean(wide)
 
 
+def test_fresh_draws_never_scale_noise(three_agent_tactics):
+    # A fresh member's noise is unused, so sigma near the largest float
+    # must not overflow there: the CLI raises on any overflow.
+    cfg = rs.SamplerConfig(local_mix=0.0)
+    with np.errstate(over="raise", invalid="raise"):
+        huge = draw(three_agent_tactics, cfg, 11, np.finfo(float).max, 500)
+    assert np.array_equal(huge, draw(three_agent_tactics, cfg, 11, 0.5, 500))
+
+
+@pytest.mark.parametrize("allow_negative_diagonal", [False, True])
+def test_all_zero_draws_become_self_allocation(monkeypatch, allow_negative_diagonal):
+    # A uniform of exactly 1 gives the exponential -log(1) = -0.0; with
+    # every uniform 1, every fresh column and candidate vector is all
+    # zeros, and the one column rule makes each pure self-allocation.
+    monkeypatch.setattr(rs.sampling, "_uniforms", lambda words: np.ones(words.shape))
+    cfg = rs.SamplerConfig(local_mix=0.0, allow_negative_diagonal=allow_negative_diagonal)
+    eye = np.eye(3)
+    for matrix in draw(eye[::-1], cfg, 12, 0.5, 4):
+        assert matrix.tobytes() == eye.tobytes()
+    for agent, pool in enumerate(rs.sample_candidates(3, 4, cfg, 13)):
+        assert pool.tolist() == [eye[agent].tolist()] * 4
+        zeros = oracles.tactic_vector_from(np.full(3, -0.0), np.zeros(3), agent, cfg)
+        assert zeros.tolist() == eye[agent].tolist()
+
+
 # ------------------------------------------------------------------ rounding
 
 

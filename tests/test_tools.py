@@ -1,0 +1,41 @@
+"""The shell scripts under tools/."""
+
+import os
+import subprocess
+from pathlib import Path
+
+import pytest
+
+BYTE_IDENTITY = Path(__file__).resolve().parent.parent / "tools" / "byte_identity.sh"
+
+
+def run_byte_identity(tmp_path, *args):
+    """Run tools/byte_identity.sh from an empty directory with its own
+    TMPDIR; both must stay empty on an early exit."""
+    work, scratch = tmp_path / "work", tmp_path / "tmp"
+    work.mkdir()
+    scratch.mkdir()
+    result = subprocess.run(
+        ["bash", str(BYTE_IDENTITY), *args],
+        capture_output=True,
+        text=True,
+        cwd=work,
+        env={**os.environ, "TMPDIR": str(scratch)},
+    )
+    assert list(work.iterdir()) == [] and list(scratch.iterdir()) == []
+    return result
+
+
+def test_byte_identity_without_a_ref_prints_usage(tmp_path):
+    result = run_byte_identity(tmp_path)
+    assert result.returncode == 2
+    assert result.stderr == f"usage: {BYTE_IDENTITY} REF\n"
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("ref", ["no-such-ref", "0" * 40])
+def test_byte_identity_rejects_an_unknown_ref(tmp_path, ref):
+    result = run_byte_identity(tmp_path, ref)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"{BYTE_IDENTITY}: unknown commit {ref}\n"

@@ -11,6 +11,11 @@
 # OUT_DIR/filtering/ holds scenario.json, the shipped scenario at p_neg
 # 0.1, and {frame,reels}-seed{7,8}/ its outputs at seeds 7 and 8, where
 # a nonzero guarantee drops some lines (seed 7) or all of them (seed 8).
+# OUT_DIR/sampler/ holds two variants of the shipped scenario, one per
+# sampler branch the shipped local_mix 0.9 rarely reaches:
+# self-harm.json (allow_negative_diagonal true, local_mix 0.5) and
+# fresh.json (local_mix 0.0, every draw fresh), with the {frame,reels}
+# outputs of each at seed 7 in {frame,reels}-VARIANT/.
 # OUT_DIR/bench/W-S/ holds the inputs and outputs of every command that
 # bench/workloads.py prints for workload W at seed S, for all four
 # workloads at seeds 1 and 2. The script only reads bench/; it runs the
@@ -53,6 +58,26 @@ for seed in 7 8; do
     for command in frame reels; do
         reelsim --out-dir "$out/filtering/$command-seed$seed" --seed "$seed" "$command" \
             "$out/filtering/scenario.json"
+    done
+done
+
+mkdir -p "$out/sampler"
+python3 -c '
+import copy, json, sys
+shipped = json.load(open(sys.argv[1]))
+for name, changes in (
+    ("self-harm", {"allow_negative_diagonal": True, "local_mix": 0.5}),
+    ("fresh", {"local_mix": 0.0}),
+):
+    doc = copy.deepcopy(shipped)
+    doc["sim"]["sampler"].update(changes)
+    with open(f"{sys.argv[2]}/{name}.json", "w") as handle:
+        handle.write(json.dumps(doc, indent=2) + "\n")
+' "$shipped" "$out/sampler"
+for variant in self-harm fresh; do
+    for command in frame reels; do
+        reelsim --out-dir "$out/sampler/$command-$variant" --seed 7 "$command" \
+            "$out/sampler/$variant.json"
     done
 done
 
