@@ -16,6 +16,12 @@
 # self-harm.json (allow_negative_diagonal true, local_mix 0.5) and
 # fresh.json (local_mix 0.0, every draw fresh), with the {frame,reels}
 # outputs of each at seed 7 in {frame,reels}-VARIANT/.
+# OUT_DIR/screen/ holds subsampled stage games with no screened
+# equilibrium, so the guarantee is the screen's security level, not zero:
+# the shipped scenario at max_profiles 60 (shipped.json, outputs at seed
+# 12), the same at p_neg 0.1 (filtering.json, seed 8), and a 13-agent
+# scenario whose 30**13 profiles exceed an int64 (wide.json, seed 0),
+# with {frame,reels}-VARIANT/ for each.
 # OUT_DIR/bench/W-S/ holds the inputs and outputs of every command that
 # bench/workloads.py prints for workload W at seed S, for all four
 # workloads at seeds 1 and 2. The script only reads bench/; it runs the
@@ -78,6 +84,39 @@ for variant in self-harm fresh; do
     for command in frame reels; do
         reelsim --out-dir "$out/sampler/$command-$variant" --seed 7 "$command" \
             "$out/sampler/$variant.json"
+    done
+done
+
+mkdir -p "$out/screen"
+python3 -c '
+import copy, json, sys
+shipped = json.load(open(sys.argv[1]))
+shipped["sim"]["max_profiles"] = 60
+filtering = copy.deepcopy(shipped)
+filtering["sim"]["sampler"]["p_neg"] = 0.1
+n = 13
+wide = {
+    "schema": 1,
+    "agents": [f"a{agent}" for agent in range(n)],
+    "sizes": [1.0] * n,
+    "tactics": [[float(row == column) for column in range(n)] for row in range(n)],
+    "params": {"alpha": 2.5, "beta": 1.2, "mu": 3.0, "delta": 0.9, "sigma": 0.5},
+    "sim": {
+        "lines": 20, "horizon": 2, "depth_max": 1, "branch_k": 3, "p_min": 0.0,
+        "seed": 0, "candidates": 30, "max_profiles": 400,
+        "sampler": {
+            "p_neg": 0.5, "allow_negative_diagonal": False, "local_mix": 0.5, "rounding": 0.25
+        },
+    },
+}
+for name, doc in (("shipped", shipped), ("filtering", filtering), ("wide", wide)):
+    with open(f"{sys.argv[2]}/{name}.json", "w") as handle:
+        handle.write(json.dumps(doc, indent=2) + "\n")
+' "$shipped" "$out/screen"
+for variant in shipped:12 filtering:8 wide:0; do
+    for command in frame reels; do
+        reelsim --out-dir "$out/screen/$command-${variant%:*}" --seed "${variant#*:}" "$command" \
+            "$out/screen/${variant%:*}.json"
     done
 done
 
