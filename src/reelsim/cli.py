@@ -131,10 +131,14 @@ def _write(out_dir: Path, name: str, content: str) -> Path:
 
 def _cmd_validate(scenario: Scenario, args, out_dir: Path) -> int:
     sizes = ", ".join(f"{value:g}" for value in scenario.state.sizes)
-    print(
+    line = (
         f"scenario OK: {len(scenario.agents)} agents ({', '.join(scenario.agents)}), "
         f"sizes [{sizes}], seed {scenario.sampler.rng_seed}"
     )
+    # Agent names may hold characters stdout cannot encode (an ASCII
+    # locale); those are printed as backslash escapes.
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+    print(line.encode(encoding, "backslashreplace").decode(encoding))
     return 0
 
 

@@ -12,21 +12,27 @@ The profile space is enumerated exhaustively while it fits a budget and
 Monte Carlo subsampled beyond it. A subsampled sweep checks each drawn
 profile exactly (full deviation scan per agent) but can miss equilibria
 that were never drawn; its security levels come from the deviation
-slices it already scored. One solver, solve_stage_game, does both;
+payoffs it already scored. One solver, solve_stage_game, does both;
 stage_game draws the candidate pools and calls it.
 
-Every payoff comes from one kernel, _score. A profile's payoff is
-separable by column, so the kernel tables each candidate's transfer
-column and squared move once per game and adds a profile's chosen
-columns in agent order, as update_sizes and tactical_distance add a
-profile matrix's. It then scores the move through expected_utility, as
-the lines of play score theirs. A payoff is therefore bit for bit what
-the line-of-play primitives give the assembled matrix, however profiles
-are grouped, so exact payoff ties and the tests' plain
-re-implementations hold. A profile is a row of candidate indices, never
-a flat index (a profile space can exceed an int64), and one loop scores
-rows PAYOFF_BLOCK at a time, whether they enumerate the tensor, stack a
-screen's deviation slices or are drawn.
+Every payoff comes from one kernel, _sweep. It takes profile rows and
+one agent, and scores each row with that agent's choice swept over its
+whole pool: a grid of cells, one per row and candidate. A profile's
+payoff is separable by column, so the kernel tables each candidate's
+transfer column and squared move once per game, gathers the other
+agents' columns once per row and puts the swept agent's table on a
+broadcast axis. It adds each cell's columns in agent order, as
+update_sizes and tactical_distance add a profile matrix's, then scores
+the move through expected_utility, as the lines of play score theirs.
+A payoff is therefore bit for bit what the line-of-play primitives give
+the assembled matrix, however profiles are grouped, so exact payoff
+ties and the tests' plain re-implementations hold. The tensor sweeps
+the last agent below index rows of the others, with every agent's
+payoff; the screen sweeps each agent in turn below the drawn profiles,
+with that agent's payoff alone, the only one a deviation test reads. A
+profile is a row of candidate indices, never a flat index (a profile
+space can exceed an int64), and the kernel takes rows PAYOFF_BLOCK // k
+at a time, about PAYOFF_BLOCK cells.
 """
 
 from __future__ import annotations
@@ -43,9 +49,9 @@ from .utility import column_moves, distance_from_moves, expected_utility, positi
 
 DEFAULT_CANDIDATES = 30
 DEFAULT_MAX_PROFILES = 200_000
-# Profile rows per pass of _score's loop: large enough to amortize the
-# per-pass overhead, small enough that its (block, n) temporaries stay a
-# few tens of kilobytes.
+# Cells per pass of _sweep's loop: large enough to amortize the per-pass
+# overhead, small enough that its (cells, n) temporaries stay a few tens
+# of kilobytes.
 PAYOFF_BLOCK = 1024
 
 
@@ -157,35 +163,55 @@ def payoff_tensor(
 ) -> np.ndarray:
     """Payoff table over the whole profile space, shape (k_1..k_n, n)."""
     ks = tuple(len(pool) for pool in candidates)
-    profiles = np.indices(ks).reshape(len(ks), -1).T
-    return _score(candidates, profiles, previous, sizes, params).reshape(ks + (len(ks),))
+    # Index rows of agents 0..n-2 with a last column the sweep ignores.
+    rows = np.indices(ks[:-1] + (1,)).reshape(len(ks), -1).T
+    tables = _tables(candidates, previous, sizes, params)
+    return _sweep(tables, rows, len(ks) - 1, params).reshape(ks + (len(ks),))
 
 
-def _score(candidates, profiles, previous, sizes, params) -> np.ndarray:
-    """Payoffs (P, n) of profiles given as (P, n) candidate-index rows, not
-    flat indices, since a profile space can exceed an int64.
-
-    The transfer columns and squared moves are tabled once, from the
-    stack whose member k holds candidate k of every pool (zeros past a
-    short pool's end); each PAYOFF_BLOCK of rows gathers its chosen
-    columns and adds them in agent order.
-    """
+def _tables(candidates, previous, sizes, params) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each agent's candidates as transfer columns (k, n) and squared
+    moves (k,), tabled once per game from the stack whose member c holds
+    candidate c of every pool (zeros past a short pool's end)."""
     n = len(candidates)
     stack = np.zeros((max(len(pool) for pool in candidates), n, n))
     for agent, pool in enumerate(candidates):
         stack[: len(pool), :, agent] = pool
-    # Row k of gains[j] (n values) and of moves[j] (one) is agent j's candidate k.
     gains = transfers(stack, sizes, params)
     moves = column_moves(stack, previous)
-    payoffs = np.empty(profiles.shape)
-    for start in range(0, len(profiles), PAYOFF_BLOCK):
-        block = profiles[start : start + PAYOFF_BLOCK].T
+    return [
+        (gain[: len(pool)], move[: len(pool)]) for gain, move, pool in zip(gains, moves, candidates)
+    ]
+
+
+def _sweep(tables, rows, agent: int, params, *, own: bool = False) -> np.ndarray:
+    """Payoffs (P, k, n) of profile rows (P, n) with the agent's choice
+    swept over its k candidates: cell (p, c) scores row p with candidate
+    c in place of rows[p, agent], whose value is ignored. With own, only
+    the agent's payoff is computed, (P, k, 1).
+
+    The other agents' tabled columns are gathered once per row, as
+    (rows, 1, n), and the agent's whole table is broadcast as (1, k, n);
+    the terms are added in agent order, so every cell gets the bits its
+    assembled matrix gets. Rows go PAYOFF_BLOCK // k at a time.
+    """
+    k = len(tables[agent][1])
+    payoffs = np.empty((len(rows), k, 1 if own else len(tables)))
+    step = max(1, PAYOFF_BLOCK // k)
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step].T
         # take, not fancy indexing: the same rows, about 3x faster on (k, n) tables
-        updated = sizes_from_transfers(table.take(rows, 0) for table, rows in zip(gains, block))
-        distance = distance_from_moves(table.take(rows) for table, rows in zip(moves, block))
-        payoffs[start : start + PAYOFF_BLOCK] = expected_utility(
-            positional_utility(updated, params.alpha), distance, params.sigma
-        )
+        terms = [
+            (gains[np.newaxis], moves[np.newaxis])
+            if other == agent
+            else (gains.take(choices, 0)[:, np.newaxis], moves.take(choices)[:, np.newaxis])
+            for other, ((gains, moves), choices) in enumerate(zip(tables, block))
+        ]
+        updated = sizes_from_transfers(gain for gain, _ in terms)
+        distance = distance_from_moves(move for _, move in terms)
+        utilities = positional_utility(updated, params.alpha, agent if own else None)
+        # with one agent the sums are its own (1, k) tables, broadcast over the rows
+        payoffs[start : start + step] = expected_utility(utilities, distance, params.sigma)
     return payoffs
 
 
@@ -209,28 +235,24 @@ def _screen(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Screen a random subset of profiles; each check itself is exact.
 
-    Checking one profile scores its deviation slice, the profile and its
-    sum(ks) unilateral deviations, so the number of screened profiles is
-    budgeted accordingly. Returns the stable rows (E, n), sorted, their
-    payoffs (E, n) and each agent's security level, all read from the
-    slices already scored: its best candidate under the worst screened
-    others, an upper bound on the exact max-min.
+    Checking one profile takes each agent's payoff over its whole pool
+    with the others' choices fixed; the number of screened profiles is
+    max_profiles // (1 + sum(ks)), the profile and its unilateral
+    deviations. Each agent's grid over the screened profiles holds the
+    profile's own payoff at the agent's own choice. Returns the stable
+    rows (E, n), sorted, their payoffs (E, n) and each agent's security
+    level, all read from those grids: its best candidate under the worst
+    screened others, an upper bound on the exact max-min.
     """
     ks = tuple(len(pool) for pool in candidates)
-    n, width = len(ks), 1 + sum(ks)
-    draws = integer_draws(key, max(1, max_profiles // width), ks)
+    draws = integer_draws(key, max(1, max_profiles // (1 + sum(ks))), ks)
     # np.unique(draws, axis=0) gives the same rows but imports numpy.ma.
     profiles = np.array(sorted(set(map(tuple, draws.tolist()))))
-    # Row 1 + d of a slice replaces agent deviators[d]'s choice by alternatives[d].
-    deviators = np.repeat(np.arange(n), ks)
-    alternatives = np.concatenate([np.arange(k) for k in ks])
-    deviations = np.arange(1, width)
-    rows = np.repeat(profiles[:, None], width, axis=1)
-    rows[:, deviations, deviators] = alternatives
-    payoffs = _score(candidates, rows.reshape(-1, n), previous, sizes, params).reshape(rows.shape)
-    firsts = np.cumsum((0,) + ks[:-1])
-    deviated = payoffs[:, deviations, deviators]
-    best = np.maximum.reduceat(deviated, firsts, axis=1)
-    stable = np.all(payoffs[:, 0] >= best, axis=1)
-    security = np.maximum.reduceat(deviated.min(axis=0), firsts)
-    return profiles[stable], payoffs[stable, 0], security
+    tables = _tables(candidates, previous, sizes, params)
+    # grids[d][p, c]: agent d's payoff when it alone switches profile p to candidate c
+    grids = [_sweep(tables, profiles, agent, params, own=True)[..., 0] for agent in range(len(ks))]
+    screened = np.arange(len(profiles))
+    heads = np.stack([grid[screened, choices] for grid, choices in zip(grids, profiles.T)], 1)
+    stable = np.all(heads >= np.stack([grid.max(axis=1) for grid in grids], 1), axis=1)
+    security = np.array([grid.min(axis=0).max() for grid in grids])
+    return profiles[stable], heads[stable], security

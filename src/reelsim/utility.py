@@ -24,20 +24,23 @@ import numpy as np
 _SQRT2 = math.sqrt(2.0)
 
 
-def positional_utility(sizes: np.ndarray, alpha: float) -> np.ndarray:
+def positional_utility(sizes: np.ndarray, alpha: float, agent: int | None = None) -> np.ndarray:
     """Per-agent payoff u_i = s_i**alpha / sum_j(s_j**2).
 
     The denominator rewards a small, divided field of competitors; the
     numerator's exponent controls the appetite for absolute growth. Dead
     agents score exactly 0. When every agent is dead the quotient is
-    undefined and the all-zero vector is returned.
+    undefined and the all-zero vector is returned. Given an agent, only
+    its payoff is computed, (..., 1), with the bits of that column of the
+    full result.
     """
     sizes = np.asarray(sizes, dtype=float)
     if (sizes < 0).any():
         raise ValueError("sizes must be nonnegative")
     concentration = (sizes**2).sum(axis=-1, keepdims=True)
+    scored = sizes if agent is None else sizes[..., agent, np.newaxis]
     # All dead: every numerator is 0, so dividing by 1 gives the zero vector.
-    return sizes**alpha / np.where(concentration > 0.0, concentration, 1.0)
+    return scored**alpha / np.where(concentration > 0.0, concentration, 1.0)
 
 
 def column_moves(tactics_a: np.ndarray, tactics_b: np.ndarray) -> np.ndarray:

@@ -11,7 +11,8 @@ tabulation, the sampled stage game and the per-step line are the
 deliberate exceptions: they reuse the engine's primitives on one matrix
 at a time (pinned down elsewhere by hand values) but do their own
 profile enumeration, equilibrium test, max-min reduction, or tactic
-construction and step loop.
+construction and step loop. The slice-row screen is the engine's earlier
+batched screen, kept whole as the reference for its grid form.
 """
 
 import itertools
@@ -29,6 +30,9 @@ from reelsim import (
     tactical_distance,
     update_sizes,
 )
+from reelsim.core import sizes_from_transfers, transfers
+from reelsim.sampling import integer_draws
+from reelsim.utility import column_moves, distance_from_moves
 
 
 def update(tactics, sizes, beta, mu):
@@ -251,6 +255,52 @@ def sampled_stage_game(candidates, previous, sizes, params, max_profiles, key):
         for agent in range(n)
     ]
     return found, levels
+
+
+def slice_row_screen(candidates, previous, sizes, params, max_profiles, key, block):
+    """The engine's earlier profile screen, kept as the reference its
+    grid form must match bit for bit: (stable rows, their payoffs,
+    security levels).
+
+    Each screened profile's deviation slice, the profile and its sum(ks)
+    unilateral deviations, is laid out as index rows; every row is
+    scored for all n agents, block rows at a time, by gathering each
+    agent's tabled transfer column and squared move and adding them in
+    agent order; a deviation row's one useful payoff is its deviator's.
+    """
+    ks = tuple(len(pool) for pool in candidates)
+    n, width = len(ks), 1 + sum(ks)
+    draws = integer_draws(key, max(1, max_profiles // width), ks)
+    profiles = np.array(sorted(set(map(tuple, draws.tolist()))))
+    # Row 1 + d of a slice replaces agent deviators[d]'s choice by alternatives[d].
+    deviators = np.repeat(np.arange(n), ks)
+    alternatives = np.concatenate([np.arange(k) for k in ks])
+    deviations = np.arange(1, width)
+    rows = np.repeat(profiles[:, None], width, axis=1)
+    rows[:, deviations, deviators] = alternatives
+    rows = rows.reshape(-1, n)
+
+    stack = np.zeros((max(ks), n, n))
+    for agent, pool in enumerate(candidates):
+        stack[: len(pool), :, agent] = pool
+    gains = transfers(stack, sizes, params)
+    moves = column_moves(stack, previous)
+    payoffs = np.empty(rows.shape)
+    for start in range(0, len(rows), block):
+        chosen = rows[start : start + block].T
+        updated = sizes_from_transfers(table[choice] for table, choice in zip(gains, chosen))
+        distance = distance_from_moves(table[choice] for table, choice in zip(moves, chosen))
+        payoffs[start : start + block] = expected_utility(
+            positional_utility(updated, params.alpha), distance, params.sigma
+        )
+    payoffs = payoffs.reshape(len(profiles), width, n)
+
+    firsts = np.cumsum((0,) + ks[:-1])
+    deviated = payoffs[:, deviations, deviators]
+    best = np.maximum.reduceat(deviated, firsts, axis=1)
+    stable = np.all(payoffs[:, 0] >= best, axis=1)
+    security = np.maximum.reduceat(deviated.min(axis=0), firsts)
+    return profiles[stable], payoffs[stable, 0], security
 
 
 def renormalize_columns(matrix):

@@ -37,6 +37,29 @@ def test_validate_ok(scenario_file, capsys):
     assert "seed 11" in out
 
 
+def test_validate_escapes_names_stdout_cannot_encode(tmp_path):
+    # Under the C locale with UTF-8 mode and locale coercion off, stdout is
+    # ASCII: a name it cannot encode is escaped, not a runtime failure.
+    payload = json.loads(SHIPPED.read_text(encoding="utf-8"))
+    payload["agents"][0] = "Ωmega"
+    path = tmp_path / "omega.json"
+    path.write_bytes(json.dumps(payload, ensure_ascii=False).encode("utf-8"))
+    locales = {
+        "ascii": ({"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}, "\\u03a9mega"),
+        "utf8": ({"LC_ALL": "C.UTF-8"}, "Ωmega"),
+    }
+    for overrides, name in locales.values():
+        result = subprocess.run(
+            [sys.executable, "-m", "reelsim.cli", "validate", str(path)],
+            capture_output=True,
+            env={**CHILD_ENV, **overrides},
+        )
+        assert result.returncode == 0, result.stderr.decode("utf-8", "replace")
+        assert result.stderr == b""
+        expected = f"scenario OK: 3 agents ({name}, major, middle), sizes [0.3, 1, 0.6], seed 7\n"
+        assert result.stdout == expected.encode("utf-8")
+
+
 def test_validate_missing_file(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.json")]) == 1
     assert "cannot read" in capsys.readouterr().err

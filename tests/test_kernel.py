@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -49,16 +49,21 @@ def payoff_problems(draw):
 def test_stacked_payoffs_equal_per_matrix_calls(problem):
     tactics, previous, sizes, params = problem
     count, n = len(tactics), len(sizes)
-    # pool j holds column j of every member, so member p is the profile (p, ..., p)
+    # pool j holds column j of every member, so member p is the profile
+    # (p, ..., p): the diagonal cell of any agent's sweep over the rows (p, ..., p)
     pools = tuple(np.moveaxis(tactics, -1, 0))
     diagonal = np.repeat(np.arange(count)[:, np.newaxis], n, axis=1)
-    stacked = equilibrium._score(pools, diagonal, previous, sizes, params)
-    assert stacked.shape == (count, n)
-    for member, payoffs in zip(tactics, stacked):
-        # one candidate per agent: the member's own columns
-        alone = rs.payoff_tensor(tuple(member.T[:, np.newaxis]), previous, sizes, params)
-        assert alone.shape == (1,) * n + (n,)
-        assert alone.reshape(n).tobytes() == payoffs.tobytes()
+    tables = equilibrium._tables(pools, previous, sizes, params)
+    for agent in range(n):
+        grid = equilibrium._sweep(tables, diagonal, agent, params)
+        assert grid.shape == (count, count, n)
+        own = equilibrium._sweep(tables, diagonal, agent, params, own=True)
+        assert own.tobytes() == np.ascontiguousarray(grid[..., agent : agent + 1]).tobytes()
+        for member, payoffs in zip(tactics, grid[np.arange(count), np.arange(count)]):
+            # one candidate per agent: the member's own columns
+            alone = rs.payoff_tensor(tuple(member.T[:, np.newaxis]), previous, sizes, params)
+            assert alone.shape == (1,) * n + (n,)
+            assert alone.reshape(n).tobytes() == payoffs.tobytes()
 
 
 @st.composite
@@ -151,25 +156,49 @@ def primitive_payoffs(candidates, rows, previous, sizes, params):
 def test_table_kernel_equals_primitives_on_profile_matrices(problem):
     candidates, previous, sizes, params, max_profiles, key = problem
     ks = tuple(len(pool) for pool in candidates)
-    profiles = np.indices(ks).reshape(len(ks), -1).T
+    n = len(ks)
+    profiles = np.indices(ks).reshape(n, -1).T
     expected = primitive_payoffs(candidates, profiles, previous, sizes, params)
-    real_score = equilibrium._score
+    real_sweep = equilibrium._sweep
     for block in (1, 7, 4096):
-        scored = []
+        swept = []
 
-        def score(candidates, rows, *args):
-            scored.append((rows, real_score(candidates, rows, *args)))
-            return scored[-1][1]
+        def sweep(tables, rows, agent, *args, **kwargs):
+            swept.append((rows, agent, real_sweep(tables, rows, agent, *args, **kwargs)))
+            return swept[-1][2]
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(equilibrium, "PAYOFF_BLOCK", block)
             tensor = rs.payoff_tensor(candidates, previous, sizes, params)
-            assert tensor.reshape(-1, len(ks)).tobytes() == expected.tobytes()
-            patch.setattr(equilibrium, "_score", score)
+            assert tensor.reshape(-1, n).tobytes() == expected.tobytes()
+            patch.setattr(equilibrium, "_sweep", sweep)
             equilibrium._screen(candidates, previous, sizes, params, max_profiles, key)
-        [(rows, payoffs)] = scored
-        reference = primitive_payoffs(candidates, rows, previous, sizes, params)
-        assert payoffs.tobytes() == reference.tobytes()
+        # one sweep per agent, each cell its own payoff on the assembled matrix
+        assert [agent for _, agent, _ in swept] == list(range(n))
+        for rows, agent, grid in swept:
+            cells = np.repeat(rows[:, np.newaxis], ks[agent], axis=1)
+            cells[:, :, agent] = np.arange(ks[agent])
+            reference = primitive_payoffs(candidates, cells.reshape(-1, n), previous, sizes, params)
+            assert grid.shape == (len(rows), ks[agent], 1)
+            assert grid.tobytes() == reference[:, agent].tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(stage_problems())
+def test_screen_equals_slice_row_reference(problem):
+    candidates, previous, sizes, params, max_profiles, key = problem
+    expected = oracles.slice_row_screen(
+        candidates, previous, sizes, params, max_profiles, key, PAYOFF_BLOCK
+    )
+    event("no equilibrium" if len(expected[0]) == 0 else "equilibria")
+    for block in (1, 7, 4096):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(equilibrium, "PAYOFF_BLOCK", block)
+            screened = equilibrium._screen(candidates, previous, sizes, params, max_profiles, key)
+        for array, reference in zip(screened, expected):
+            assert array.shape == reference.shape
+            assert array.dtype == reference.dtype
+            assert array.tobytes() == reference.tobytes()
 
 
 def test_all_dead_stack_scores_zero(params):
@@ -267,25 +296,28 @@ def test_fallback_game_draws_once_and_scores_once(params, monkeypatch):
     # 12**5 profiles over a budget of 20,000 and no screened equilibrium:
     # the security levels come from the screen's own deviation slices
     calls, scored = [], [0]
-    real_draws, real_score = equilibrium.integer_draws, equilibrium._score
+    real_draws, real_sweep = equilibrium.integer_draws, equilibrium._sweep
 
     def draws(*args):
         calls.append(real_draws(*args))
         return calls[-1]
 
-    def score(candidates, profiles, *args):
-        scored[0] += len(profiles)
-        return real_score(candidates, profiles, *args)
+    def sweep(tables, rows, agent, *args, **kwargs):
+        scored[0] += len(rows) * len(tables[agent][1])
+        return real_sweep(tables, rows, agent, *args, **kwargs)
 
     monkeypatch.setattr(equilibrium, "integer_draws", draws)
-    monkeypatch.setattr(equilibrium, "_score", score)
+    monkeypatch.setattr(equilibrium, "_sweep", sweep)
     cfg = rs.SamplerConfig(rng_seed=0, p_neg=0.0)
     game = rs.stage_game(identity_state(5, 0), params, cfg, k_candidates=12, max_profiles=20_000)
     assert not game.exhaustive and game.equilibria == ()
     assert np.all(game.minimax > 0.0)
     assert len(calls) == 1
+    # one cell per screened profile and candidate, the profile itself
+    # among them, under the budget of 20,000 // (1 + 5 * 12) profiles
     screened = len(set(map(tuple, calls[0].tolist())))
-    assert scored[0] == screened * (1 + 5 * 12)
+    assert len(calls[0]) == 20_000 // (1 + 5 * 12)
+    assert scored[0] == screened * 5 * 12
 
 
 def test_sampled_security_levels_bound_the_exact_ones(params):

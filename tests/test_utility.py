@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 import reelsim as rs
@@ -31,6 +34,23 @@ def test_positional_matches_slow_reference():
             oracles.positional(sizes.tolist(), alpha),
             rtol=1e-13,
         )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hnp.arrays(
+        float,
+        hnp.array_shapes(min_dims=1, max_dims=3, max_side=12),
+        elements=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    ),
+    st.one_of(st.sampled_from([2.0, 2.5, 3.0]), st.floats(2.0, 3.0)),
+)
+def test_positional_one_agent_equals_its_column_of_the_full_result(sizes, alpha):
+    full = rs.positional_utility(sizes, alpha)
+    for agent in range(sizes.shape[-1]):
+        alone = rs.positional_utility(sizes, alpha, agent)
+        assert alone.shape == sizes.shape[:-1] + (1,)
+        assert alone.tobytes() == np.ascontiguousarray(full[..., agent : agent + 1]).tobytes()
 
 
 def test_positional_equal_sizes_tie_exactly():
