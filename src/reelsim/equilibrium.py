@@ -15,24 +15,20 @@ that were never drawn; its security levels come from the deviation
 payoffs it already scored. One solver, solve_stage_game, does both;
 stage_game draws the candidate pools and calls it.
 
-Every payoff comes from one kernel, _sweep. It takes profile rows and
-one agent, and scores each row with that agent's choice swept over its
-whole pool: a grid of cells, one per row and candidate. A profile's
-payoff is separable by column, so the kernel tables each candidate's
-transfer column and squared move once per game, gathers the other
-agents' columns once per row and puts the swept agent's table on a
-broadcast axis. It adds each cell's columns in agent order, as
-update_sizes and tactical_distance add a profile matrix's, then scores
-the move through expected_utility, as the lines of play score theirs.
-A payoff is therefore bit for bit what the line-of-play primitives give
-the assembled matrix, however profiles are grouped, so exact payoff
-ties and the tests' plain re-implementations hold. The tensor sweeps
-the last agent below index rows of the others, with every agent's
-payoff; the screen sweeps each agent in turn below the drawn profiles,
-with that agent's payoff alone, the only one a deviation test reads. A
-profile is a row of candidate indices, never a flat index (a profile
-space can exceed an int64), and the kernel takes rows PAYOFF_BLOCK // k
-at a time, about PAYOFF_BLOCK cells.
+Every payoff comes from one kernel, _sweep: a grid of profile rows
+along one axis and one agent's whole candidate pool broadcast along the
+other. A profile's payoff is separable by column, so each candidate's
+transfer column and squared move are tabled once per game; each cell
+adds its columns in agent order, as update_sizes and tactical_distance
+add a profile matrix's, and scores the move through expected_utility,
+as the lines of play score theirs. A payoff is therefore bit for bit
+what the line-of-play primitives give the assembled matrix, however
+profiles are grouped, so exact payoff ties and the tests' plain
+re-implementations hold. The tensor sweeps the last agent with every
+agent's payoff; the screen sweeps each agent in turn with that agent's
+payoff alone, the one a deviation test reads. A profile is a row of
+candidate indices, never a flat index (a profile space can exceed an
+int64), and the kernel takes about PAYOFF_BLOCK cells at a time.
 """
 
 from __future__ import annotations
@@ -190,10 +186,9 @@ def _sweep(tables, rows, agent: int, params, *, own: bool = False) -> np.ndarray
     c in place of rows[p, agent], whose value is ignored. With own, only
     the agent's payoff is computed, (P, k, 1).
 
-    The other agents' tabled columns are gathered once per row, as
-    (rows, 1, n), and the agent's whole table is broadcast as (1, k, n);
-    the terms are added in agent order, so every cell gets the bits its
-    assembled matrix gets. Rows go PAYOFF_BLOCK // k at a time.
+    The others' tabled columns are gathered once per row, (rows, 1, n),
+    against the agent's whole table, (1, k, n), PAYOFF_BLOCK // k rows
+    at a time.
     """
     k = len(tables[agent][1])
     payoffs = np.empty((len(rows), k, 1 if own else len(tables)))
