@@ -9,11 +9,15 @@ can insist on when longer lines of play are judged; when the sample has
 no equilibrium at all, the security level (best worst case) stands in.
 
 The profile space is enumerated exhaustively while it fits a budget and
-Monte Carlo subsampled beyond it. A subsampled sweep checks each drawn
-profile exactly (full deviation scan per agent) but can miss equilibria
-that were never drawn; its security levels come from the deviation
-payoffs it already scored. One solver, solve_stage_game, does both;
-stage_game draws the candidate pools and calls it.
+Monte Carlo subsampled beyond it. A subsampled screen checks each drawn
+profile exactly but can miss equilibria that were never drawn. The
+agents check in turn, each over its whole pool but only on the profiles
+no earlier agent can leave, so the stable profiles are those that
+survive the last agent. Only when none does are the security levels
+read, from each agent's deviation payoffs over every drawn profile: the
+ones it scored in its turn and the rest, scored then. One solver,
+solve_stage_game, does both; stage_game draws the candidate pools and
+calls it.
 
 Every payoff comes from one kernel, _sweep: a grid of profile rows
 along one axis and one agent's whole candidate pool broadcast along the
@@ -26,7 +30,10 @@ what the line-of-play primitives give the assembled matrix, however
 profiles are grouped, so exact payoff ties and the tests' plain
 re-implementations hold. The tensor sweeps the last agent with every
 agent's payoff; the screen sweeps each agent in turn with that agent's
-payoff alone, the one a deviation test reads. A profile is a row of
+payoff alone, the one a deviation test reads, and since a cell's bits
+do not depend on which rows share its sweep, the rows that survive and
+their payoffs are what one sweep of every agent over every drawn
+profile would give. A profile is a row of
 candidate indices, never a flat index (a profile space can exceed an
 int64), and the kernel takes about PAYOFF_BLOCK cells at a time.
 """
@@ -88,7 +95,7 @@ def stage_game(
     """Draw candidate pools at a state and solve the resulting game.
 
     The pools read the stream keyed by stream_key(seed, CANDIDATE_STREAM)
-    and the profile screen, whose scored slices also give the security
+    and the profile screen, whose drawn profiles also give the security
     levels, the one keyed by stream_key(seed, PROFILE_STREAM), so the
     same config always reproduces the same game.
     """
@@ -227,27 +234,61 @@ def _solve_tensor(tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 def _screen(
     candidates, previous, sizes, params, max_profiles: int, key: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Screen a random subset of profiles; each check itself is exact.
 
-    Checking one profile takes each agent's payoff over its whole pool
-    with the others' choices fixed; the number of screened profiles is
-    max_profiles // (1 + sum(ks)), the profile and its unilateral
-    deviations. Each agent's grid over the screened profiles holds the
-    profile's own payoff at the agent's own choice. Returns the stable
-    rows (E, n), sorted, their payoffs (E, n) and each agent's security
-    level, all read from those grids: its best candidate under the worst
-    screened others, an upper bound on the exact max-min.
+    Checking a profile for one agent takes its payoff over its whole
+    pool with the others' choices fixed. The agents check in turn, each
+    only the profiles that every earlier agent found stable, since a
+    profile that one agent can improve on is no equilibrium, until none
+    is left. Returns the rows that survive the last agent (E, n),
+    sorted, their payoffs (E, n), the cells at their own choices, and
+    each agent's security level, or None when some row survives. The
+    security levels are read only when none does: each agent's best
+    candidate under the worst screened others, an upper bound on the
+    exact max-min, from its grid over every screened profile, which
+    joins the rows it checked, if any, to the rest, swept then. No cell
+    is scored twice.
+
+    The number of screened profiles is max_profiles // (1 + sum(ks)),
+    for a profile and its unilateral deviations. The 1 + counted a
+    profile's own payoff row when that was scored apart; it now counts
+    no scored cell and stays only so that the same profiles are drawn.
     """
     ks = tuple(len(pool) for pool in candidates)
     draws = integer_draws(key, max(1, max_profiles // (1 + sum(ks))), ks)
     # np.unique(draws, axis=0) gives the same rows but imports numpy.ma.
     profiles = np.array(sorted(set(map(tuple, draws.tolist()))))
     tables = _tables(candidates, previous, sizes, params)
-    # grids[d][p, c]: agent d's payoff when it alone switches profile p to candidate c
-    grids = [_sweep(tables, profiles, agent, params, own=True)[..., 0] for agent in range(len(ks))]
-    screened = np.arange(len(profiles))
-    heads = np.stack([grid[screened, choices] for grid, choices in zip(grids, profiles.T)], 1)
-    stable = np.all(heads >= np.stack([grid.max(axis=1) for grid in grids], 1), axis=1)
-    security = np.array([grid.min(axis=0).max() for grid in grids])
-    return profiles[stable], heads[stable], security
+    # alive: the rows every agent so far found stable; heads: their payoffs so far
+    alive, heads, checked = np.arange(len(profiles)), np.empty((len(profiles), 0)), []
+    for agent in range(len(ks)):
+        rows = profiles[alive]
+        # grid[p, c]: the agent's payoff when it alone switches rows[p] to candidate c
+        grid = _sweep(tables, rows, agent, params, own=True)[..., 0]
+        own = grid[np.arange(len(rows)), rows[:, agent]]
+        checked.append((alive, grid))
+        stable = own >= grid.max(axis=1)
+        alive, heads = alive[stable], np.column_stack((heads, own))[stable]
+        if not len(alive):
+            break
+    if len(alive):
+        return profiles[alive], heads, None
+    # Each agent's grid over every drawn row, in row order: an agent whose
+    # turn never came sweeps them all, one that checked only some sweeps
+    # the rest.
+    security = np.empty(len(ks))
+    for agent, k in enumerate(ks):
+        if agent >= len(checked):
+            grid = _sweep(tables, profiles, agent, params, own=True)[..., 0]
+        else:
+            scored, grid = checked[agent]
+            if len(scored) < len(profiles):
+                dropped = np.ones(len(profiles), dtype=bool)
+                dropped[scored] = False
+                full = np.empty((len(profiles), k))
+                full[scored] = grid
+                full[dropped] = _sweep(tables, profiles[dropped], agent, params, own=True)[..., 0]
+                grid = full
+        security[agent] = grid.min(axis=0).max()
+    return profiles[alive], np.empty((0, len(ks))), security

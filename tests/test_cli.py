@@ -404,6 +404,33 @@ def test_guarantee_no_line_meets_empties_frame_and_reels(filtering_file, tmp_pat
     assert [reel["leaf_reason"] for reel in doc["reels"]] == ["empty_distribution"]
 
 
+def test_screened_equilibrium_sets_a_nonzero_guarantee(tmp_path):
+    # 12**4 profiles over a budget of 5,000: the screen keeps one of its
+    # drawn profiles, whose payoffs are the guarantee; a2 is dead
+    doc = json.loads(SHIPPED.read_text())
+    doc["agents"] = ["a0", "a1", "a2", "a3"]
+    doc["sizes"] = [1.0, 0.5, 0.0, 0.8]
+    doc["tactics"] = [
+        [0.7 if row == column else 0.1 if (row + column) % 2 else -0.1 for column in range(4)]
+        for row in range(4)
+    ]
+    doc["sim"]["max_profiles"] = 5000
+    path = tmp_path / "dead.json"
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    assert main(["--seed", "2", "--out-dir", str(out_dir), "frame", str(path)]) == 0
+    diagnostics = json.loads((out_dir / "frames.json").read_text())["diagnostics"]
+    assert diagnostics["exhaustive_game"] is False
+    assert diagnostics["equilibria"] == 1
+    assert [value.hex() for value in diagnostics["minimax"]] == [
+        "0x1.10623d893f15ep-9",
+        "0x1.83b1cb130c4e7p-11",
+        "0x0.0p+0",
+        "0x1.0b57bd1a9d471p-9",
+    ]
+    assert diagnostics["lines_retained"] == 670
+
+
 def test_out_dir_env_var(scenario_file, tmp_path, monkeypatch):
     target = tmp_path / "from-env"
     monkeypatch.setenv("REELSIM_OUT_DIR", str(target))

@@ -151,6 +151,17 @@ def primitive_payoffs(candidates, rows, previous, sizes, params):
     return rs.expected_utility(utilities, rs.tactical_distance(tactics, previous), params.sigma)
 
 
+def stable_rows(tensor, rows, agents):
+    """Which rows (P, n) of a payoff tensor (k_1..k_n, n) no agent among
+    agents can improve on by switching its own candidate."""
+    stable = np.ones(len(rows), dtype=bool)
+    for agent in agents:
+        payoffs = tensor[..., agent]
+        best = payoffs.max(axis=agent, keepdims=True)
+        stable &= (payoffs >= best)[tuple(rows.T)]
+    return stable
+
+
 @settings(max_examples=100, deadline=None)
 @given(stage_problems())
 def test_table_kernel_equals_primitives_on_profile_matrices(problem):
@@ -172,15 +183,43 @@ def test_table_kernel_equals_primitives_on_profile_matrices(problem):
             tensor = rs.payoff_tensor(candidates, previous, sizes, params)
             assert tensor.reshape(-1, n).tobytes() == expected.tobytes()
             patch.setattr(equilibrium, "_sweep", sweep)
-            equilibrium._screen(candidates, previous, sizes, params, max_profiles, key)
-        # one sweep per agent, each cell its own payoff on the assembled matrix
-        assert [agent for _, agent, _ in swept] == list(range(n))
+            screened, _, security = equilibrium._screen(
+                candidates, previous, sizes, params, max_profiles, key
+            )
+        # agent d first sweeps the drawn rows that every agent before it
+        # found stable, in row order, agent 0 all of them; no agent sweeps
+        # an empty set of rows
+        drawn = swept[0][0]
+        turns = [drawn[stable_rows(tensor, drawn, range(agent))] for agent in range(n)]
+        turns = [rows for rows in turns if len(rows)]
+        assert [agent for _, agent, _ in swept[: len(turns)]] == list(range(len(turns)))
+        for (rows, _, _), expected_rows in zip(swept, turns):
+            assert np.array_equal(rows, expected_rows)
+        assert np.array_equal(screened, drawn[stable_rows(tensor, drawn, range(n))])
+        # only with no stable row does an agent sweep again, once, and only
+        # the drawn rows it has not scored, so no cell is scored twice
+        again = swept[len(turns) :]
+        assert (security is None) == (len(screened) > 0)
+        assert security is not None or again == []
+        assert [agent for _, agent, _ in again] == sorted({agent for _, agent, _ in again})
+        assert all(len(rows) for rows, _, _ in again)
+        for agent in range(n if security is not None else 0):
+            scored = [rows for rows, other, _ in swept if other == agent]
+            assert sorted(np.concatenate(scored).tolist()) == drawn.tolist()
+        # each cell is its own payoff on the assembled matrix
         for rows, agent, grid in swept:
             cells = np.repeat(rows[:, np.newaxis], ks[agent], axis=1)
             cells[:, :, agent] = np.arange(ks[agent])
             reference = primitive_payoffs(candidates, cells.reshape(-1, n), previous, sizes, params)
             assert grid.shape == (len(rows), ks[agent], 1)
             assert grid.tobytes() == reference[:, agent].tobytes()
+
+
+def reference_minimax(reference):
+    """The guarantee solve_stage_game reads from a screen: the worst
+    stable payoff per agent, or the security level with no stable row."""
+    rows, payoffs, security = reference
+    return payoffs.min(axis=0) if len(rows) else security
 
 
 @settings(max_examples=150, deadline=None)
@@ -195,10 +234,18 @@ def test_screen_equals_slice_row_reference(problem):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(equilibrium, "PAYOFF_BLOCK", block)
             screened = equilibrium._screen(candidates, previous, sizes, params, max_profiles, key)
-        for array, reference in zip(screened, expected):
+            game = rs.solve_stage_game(
+                candidates, previous, sizes, params, max_profiles=max_profiles, key=key
+            )
+        # the security levels are read only when no row is stable
+        read = 2 if len(expected[0]) else 3
+        for array, reference in zip(screened[:read], expected[:read]):
             assert array.shape == reference.shape
             assert array.dtype == reference.dtype
             assert array.tobytes() == reference.tobytes()
+        if not game.exhaustive:
+            assert game.minimax.tobytes() == reference_minimax(expected).tobytes()
+    event("exhaustive" if game.exhaustive else "subsampled")
 
 
 def test_all_dead_stack_scores_zero(params):
@@ -318,6 +365,78 @@ def test_fallback_game_draws_once_and_scores_once(params, monkeypatch):
     screened = len(set(map(tuple, calls[0].tolist())))
     assert len(calls[0]) == 20_000 // (1 + 5 * 12)
     assert scored[0] == screened * 5 * 12
+
+
+def counted_sweeps(monkeypatch):
+    """Patch _sweep to record each call's agent and rows."""
+    swept, real_sweep = [], equilibrium._sweep
+
+    def sweep(tables, rows, agent, *args, **kwargs):
+        swept.append((agent, rows))
+        return real_sweep(tables, rows, agent, *args, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "_sweep", sweep)
+    return swept
+
+
+def uneven_game(ks, seed):
+    """Pools of the given sizes drawn at the seed, on identity tactics."""
+    state = identity_state(len(ks), seed)
+    cfg = rs.SamplerConfig(rng_seed=seed, p_neg=0.5)
+    pools = rs.sample_candidates(len(ks), max(ks), cfg, rs.stream_key(seed, rs.CANDIDATE_STREAM))
+    candidates = tuple(pool[:k] for pool, k in zip(pools, ks))
+    return candidates, state.tactics, state.sizes
+
+
+def test_equilibrium_screen_scores_only_surviving_rows(params, monkeypatch):
+    # 25,920 profiles over a budget of 5,000: 5,000 // (1 + 41) = 119 draws
+    ks = (6, 12, 9, 4, 10)
+    candidates, previous, sizes = uneven_game(ks, 2)
+    key = rs.stream_key(2, rs.PROFILE_STREAM)
+    tables = equilibrium._tables(candidates, previous, sizes, params)
+    swept = counted_sweeps(monkeypatch)
+    rows, _, security = equilibrium._screen(candidates, previous, sizes, params, 5000, key)
+    monkeypatch.undo()
+    assert len(rows) == 2 and security is None
+    # the rows alive before each agent, from its grid over every drawn row
+    drawn = swept[0][1]
+    alive, counts = np.ones(len(drawn), dtype=bool), []
+    for agent in range(len(ks)):
+        counts.append(int(alive.sum()))
+        grid = equilibrium._sweep(tables, drawn, agent, params, own=True)[..., 0]
+        alive &= grid[np.arange(len(drawn)), drawn[:, agent]] >= grid.max(axis=1)
+    assert np.array_equal(rows, drawn[alive])
+    assert [(agent, len(rows)) for agent, rows in swept] == list(enumerate(counts))
+    # the cells scored, one sweep per agent over the rows alive before it
+    cells = sum(len(rows) * ks[agent] for agent, rows in swept)
+    assert cells == sum(count * k for count, k in zip(counts, ks)) < len(drawn) * sum(ks)
+
+
+@pytest.mark.parametrize("seed, max_profiles, equilibria", [(3, 400, 6), (6, 40, 0)])
+def test_screen_with_a_dead_first_agent_prunes_nothing(
+    params, monkeypatch, seed, max_profiles, equilibria
+):
+    # agent 0 is dead and every other candidate column takes from it, so
+    # its payoff is 0 in every cell and every row is stable for it
+    candidates, previous, _ = uneven_game((5, 6, 4, 7), seed)
+    sizes = np.array([0.0, 1.0, 0.6, 0.8])
+    candidates = (candidates[0],) + tuple(
+        np.concatenate([-np.abs(pool[:, :1]), pool[:, 1:]], axis=1) for pool in candidates[1:]
+    )
+    key = rs.stream_key(seed, rs.PROFILE_STREAM)
+    game = (candidates, previous, sizes, params, max_profiles, key)
+    expected = oracles.slice_row_screen(*game, PAYOFF_BLOCK)
+    assert len(expected[0]) == equilibria
+    swept = counted_sweeps(monkeypatch)
+    screened = equilibrium._screen(*game)
+    # agent 1 sweeps every drawn row; agent 0 is never swept again
+    assert [agent for agent, _ in swept[:2]] == [0, 1]
+    assert np.array_equal(swept[1][1], swept[0][1])
+    assert [agent for agent, _ in swept].count(0) == 1
+    read = 2 if len(expected[0]) else 3
+    for array, reference in zip(screened[:read], expected[:read]):
+        assert array.shape == reference.shape
+        assert array.tobytes() == reference.tobytes()
 
 
 def test_sampled_security_levels_bound_the_exact_ones(params):

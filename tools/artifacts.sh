@@ -16,12 +16,14 @@
 # self-harm.json (allow_negative_diagonal true, local_mix 0.5) and
 # fresh.json (local_mix 0.0, every draw fresh), with the {frame,reels}
 # outputs of each at seed 7 in {frame,reels}-VARIANT/.
-# OUT_DIR/screen/ holds subsampled stage games with no screened
+# OUT_DIR/screen/ holds subsampled stage games. Three have no screened
 # equilibrium, so the guarantee is the screen's security level, not zero:
 # the shipped scenario at max_profiles 60 (shipped.json, outputs at seed
 # 12), the same at p_neg 0.1 (filtering.json, seed 8), and a 13-agent
-# scenario whose 30**13 profiles exceed an int64 (wide.json, seed 0),
-# with {frame,reels}-VARIANT/ for each.
+# scenario whose 30**13 profiles exceed an int64 (wide.json, seed 0).
+# One has a screened equilibrium with a nonzero guarantee: four agents,
+# the third dead, at max_profiles 5,000 (dead.json, seed 2). Each has
+# {frame,reels}-VARIANT/.
 # OUT_DIR/bench/W-S/ holds the inputs and outputs of every command that
 # bench/workloads.py prints for workload W at seed S, for all four
 # workloads at seeds 1 and 2. The script only reads bench/; it runs the
@@ -109,11 +111,23 @@ wide = {
         },
     },
 }
-for name, doc in (("shipped", shipped), ("filtering", filtering), ("wide", wide)):
+dead = {
+    "schema": 1,
+    "agents": [f"a{agent}" for agent in range(4)],
+    "sizes": [1.0, 0.5, 0.0, 0.8],
+    # 0.7 kept, 0.1 given where row + column is odd and taken where even
+    "tactics": [
+        [0.7 if row == column else 0.1 if (row + column) % 2 else -0.1 for column in range(4)]
+        for row in range(4)
+    ],
+    "params": shipped["params"],
+    "sim": {**shipped["sim"], "max_profiles": 5000},
+}
+for name, doc in (("shipped", shipped), ("filtering", filtering), ("wide", wide), ("dead", dead)):
     with open(f"{sys.argv[2]}/{name}.json", "w") as handle:
         handle.write(json.dumps(doc, indent=2) + "\n")
 ' "$shipped" "$out/screen"
-for variant in shipped:12 filtering:8 wide:0; do
+for variant in shipped:12 filtering:8 wide:0 dead:2; do
     for command in frame reels; do
         reelsim --out-dir "$out/screen/$command-${variant%:*}" --seed "${variant#*:}" "$command" \
             "$out/screen/${variant%:*}.json"
