@@ -14,6 +14,7 @@ import argparse
 import functools
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -42,10 +43,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.seed is not None and args.seed < 0:
         parser.error("--seed must be nonnegative")
     try:
-        scenario = _load_scenario(args.file)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            scenario = _load_scenario(args.file)
     except ScenarioError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    # A loading warning (sizes rescaled) is one line, without the source
+    # line the default format appends.
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     if args.seed is not None:
         scenario = with_seed(scenario, args.seed)
     out_dir = Path(args.out_dir or os.environ.get(OUT_DIR_ENV, "."))
@@ -164,8 +171,11 @@ def _cmd_frame(scenario: Scenario, args, out_dir: Path) -> int:
         f"{diagnostics.lines_retained}/{diagnostics.lines_generated} lines retained, "
         f"{diagnostics.clusters} next frames"
     )
-    if distribution.is_empty:
+    if not diagnostics.lines_retained:
         print("no rational lines of play survived the filter")
+    elif distribution.is_empty:
+        # inertia weights underflow to 0 on moves far beyond sigma
+        print("every surviving line of play has zero weight")
     return 0
 
 

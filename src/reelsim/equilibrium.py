@@ -14,10 +14,10 @@ profile exactly but can miss equilibria that were never drawn. The
 agents check in turn, each over its whole pool but only on the profiles
 no earlier agent can leave, so the stable profiles are those that
 survive the last agent. Only when none does are the security levels
-read, from each agent's deviation payoffs over every drawn profile: the
-ones it scored in its turn and the rest, scored then. One solver,
-solve_stage_game, does both; stage_game draws the candidate pools and
-calls it.
+read, from each agent's deviation payoffs over every drawn profile: per
+candidate, the least of the ones it scored in its turn and of the rest,
+scored then. One solver, solve_stage_game, does both; stage_game draws
+the candidate pools and calls it.
 
 Every payoff comes from one kernel, _sweep: a grid of profile rows
 along one axis and one agent's whole candidate pool broadcast along the
@@ -246,9 +246,10 @@ def _screen(
     each agent's security level, or None when some row survives. The
     security levels are read only when none does: each agent's best
     candidate under the worst screened others, an upper bound on the
-    exact max-min, from its grid over every screened profile, which
-    joins the rows it checked, if any, to the rest, swept then. No cell
-    is scored twice.
+    exact max-min. A candidate's worst payoff is the lesser of its
+    minimum over the rows the agent swept in its turn, if that came,
+    and its minimum over the rest, swept then, so no cell is scored
+    twice.
 
     The number of screened profiles is max_profiles // (1 + sum(ks)),
     for a profile and its unilateral deviations. The 1 + counted a
@@ -260,35 +261,28 @@ def _screen(
     # np.unique(draws, axis=0) gives the same rows but imports numpy.ma.
     profiles = np.array(sorted(set(map(tuple, draws.tolist()))))
     tables = _tables(candidates, previous, sizes, params)
-    # alive: the rows every agent so far found stable; heads: their payoffs so far
-    alive, heads, checked = np.arange(len(profiles)), np.empty((len(profiles), 0)), []
+    # alive: the rows every agent so far found stable; payoffs[p, d]: row
+    # p's payoff to agent d, filled in for the rows agent d swept
+    alive, payoffs, checked = np.arange(len(profiles)), np.empty((len(profiles), len(ks))), []
     for agent in range(len(ks)):
         rows = profiles[alive]
         # grid[p, c]: the agent's payoff when it alone switches rows[p] to candidate c
         grid = _sweep(tables, rows, agent, params, own=True)[..., 0]
         own = grid[np.arange(len(rows)), rows[:, agent]]
+        payoffs[alive, agent] = own
         checked.append((alive, grid))
-        stable = own >= grid.max(axis=1)
-        alive, heads = alive[stable], np.column_stack((heads, own))[stable]
+        alive = alive[own >= grid.max(axis=1)]
         if not len(alive):
             break
-    if len(alive):
-        return profiles[alive], heads, None
-    # Each agent's grid over every drawn row, in row order: an agent whose
-    # turn never came sweeps them all, one that checked only some sweeps
-    # the rest.
-    security = np.empty(len(ks))
-    for agent, k in enumerate(ks):
-        if agent >= len(checked):
-            grid = _sweep(tables, profiles, agent, params, own=True)[..., 0]
-        else:
-            scored, grid = checked[agent]
-            if len(scored) < len(profiles):
-                dropped = np.ones(len(profiles), dtype=bool)
-                dropped[scored] = False
-                full = np.empty((len(profiles), k))
-                full[scored] = grid
-                full[dropped] = _sweep(tables, profiles[dropped], agent, params, own=True)[..., 0]
-                grid = full
-        security[agent] = grid.min(axis=0).max()
-    return profiles[alive], np.empty((0, len(ks))), security
+    security = None
+    if not len(alive):
+        # an agent whose turn never came swept no row
+        checked += [(alive, np.empty((0, k))) for k in ks[len(checked) :]]
+        security = np.empty(len(ks))
+        for agent, (scored, grid) in enumerate(checked):
+            low = grid.min(axis=0, initial=np.inf)
+            rest = np.delete(profiles, scored, axis=0)
+            if len(rest):
+                low = np.minimum(low, _sweep(tables, rest, agent, params, own=True)[..., 0].min(0))
+            security[agent] = low.max()
+    return profiles[alive], payoffs[alive], security

@@ -74,8 +74,9 @@ class FrameDistribution:
     """Clustered transition probabilities plus run diagnostics.
 
     frames is empty when every generated line failed the rationality
-    filter; that is a legal result, distinguished from invalid input
-    (which raises instead).
+    filter or every line that passed has zero weight (its inertia
+    probability underflows); either is a legal result, distinguished
+    from invalid input (which raises instead).
     """
 
     frames: tuple[Frame, ...]

@@ -404,6 +404,44 @@ def test_guarantee_no_line_meets_empties_frame_and_reels(filtering_file, tmp_pat
     assert [reel["leaf_reason"] for reel in doc["reels"]] == ["empty_distribution"]
 
 
+def test_surviving_lines_of_zero_weight_are_not_called_filtered(tmp_path, capsys):
+    # at sigma 0.01 the one line the filter keeps moves so far that its
+    # inertia weight underflows to 0: no frame, though a line survived
+    doc = json.loads(SHIPPED.read_text())
+    doc["params"]["sigma"] = 0.01
+    doc["sim"]["sampler"]["local_mix"] = 0.0
+    path = tmp_path / "inert.json"
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    assert main(["--seed", "2", "--out-dir", str(out_dir), "frame", str(path)]) == 0
+    written = json.loads((out_dir / "frames.json").read_text())
+    assert written["frames"] == []
+    assert written["diagnostics"]["lines_retained"] == 1
+    assert written["diagnostics"]["total_weight"] == 0.0
+    assert capsys.readouterr().out.endswith(
+        "1/2000 lines retained, 0 next frames\n"
+        "every surviving line of play has zero weight\n"
+    )
+
+
+def test_rescaled_sizes_warn_in_one_line(tmp_path):
+    doc = json.loads(SHIPPED.read_text())
+    doc["sizes"] = [0.3, 2.0, 0.6]
+    path = tmp_path / "rescaled.json"
+    path.write_text(json.dumps(doc))
+    result = subprocess.run(
+        [sys.executable, "-m", "reelsim.cli", "validate", str(path)],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+    )
+    assert result.returncode == 0
+    assert result.stderr == "warning: sizes rescaled so the largest agent has size 1\n"
+    assert result.stdout == (
+        "scenario OK: 3 agents (minor, major, middle), sizes [0.15, 1, 0.3], seed 7\n"
+    )
+
+
 def test_screened_equilibrium_sets_a_nonzero_guarantee(tmp_path):
     # 12**4 profiles over a budget of 5,000: the screen keeps one of its
     # drawn profiles, whose payoffs are the guarantee; a2 is dead

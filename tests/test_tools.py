@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-BYTE_IDENTITY = Path(__file__).resolve().parent.parent / "tools" / "byte_identity.sh"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+ARTIFACTS = TOOLS / "artifacts.sh"
+BYTE_IDENTITY = TOOLS / "byte_identity.sh"
 
 
 def run_byte_identity(tmp_path, *args):
@@ -39,3 +41,13 @@ def test_byte_identity_rejects_an_unknown_ref(tmp_path, ref):
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr == f"{BYTE_IDENTITY}: unknown commit {ref}\n"
+
+
+def test_artifacts_without_an_out_dir_prints_usage(tmp_path):
+    result = subprocess.run(
+        ["bash", str(ARTIFACTS)], capture_output=True, text=True, cwd=tmp_path
+    )
+    assert result.returncode == 2
+    assert result.stderr == f"usage: {ARTIFACTS} OUT_DIR\n"
+    assert result.stdout == ""
+    assert list(tmp_path.iterdir()) == []

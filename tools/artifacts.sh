@@ -25,9 +25,9 @@
 # the third dead, at max_profiles 5,000 (dead.json, seed 2). Each has
 # {frame,reels}-VARIANT/.
 # OUT_DIR/bench/W-S/ holds the inputs and outputs of every command that
-# bench/workloads.py prints for workload W at seed S, for all four
-# workloads at seeds 1 and 2. The script only reads bench/; it runs the
-# engine from this checkout's src/.
+# bench/workloads.py's write_inputs gives workload W at seed S, for all
+# four workloads at seeds 1 and 2. The script only reads bench/; it runs
+# the engine from this checkout's src/.
 set -euo pipefail
 
 if [ "$#" -ne 1 ]; then
@@ -134,13 +134,20 @@ for variant in shipped:12 filtering:8 wide:0 dead:2; do
     done
 done
 
-for workload in frame-lines frame-game frame-sampled reels-tree; do
-    for seed in 1 2; do
-        dir="$out/bench/$workload-$seed"
-        python3 "$root/bench/workloads.py" --workload "$workload" --seed "$seed" --out-dir "$dir" |
-            while read -r _ args; do
-                # shellcheck disable=SC2086  # the printed paths hold no spaces
-                reelsim $args
-            done
-    done
-done
+# One interpreter writes each workload's inputs and runs its commands,
+# each argv kept a list, so no path is split on a space.
+PYTHONPATH="$root/src" python3 -c '
+import sys
+from pathlib import Path
+from reelsim.cli import main
+root, out = Path(sys.argv[1]), Path(sys.argv[2])
+sys.path.insert(0, str(root / "bench"))
+sys.dont_write_bytecode = True  # leave bench/ as it is
+from workloads import write_inputs
+for workload in ("frame-lines", "frame-game", "frame-sampled", "reels-tree"):
+    for seed in (1, 2):
+        for command in write_inputs(workload, seed, root, out / "bench" / f"{workload}-{seed}"):
+            status = main(list(command.argv))
+            if status:
+                sys.exit(status)
+' "$root" "$out" > /dev/null
