@@ -29,7 +29,7 @@ from .exports import (
     export_tree_dot,
 )
 from .frames import transition_distribution
-from .reels import build_reel_tree, enumerate_reels
+from .reels import LEAF_EMPTY, LEAF_PRUNED, build_reel_tree, enumerate_reels
 from .scenario import Scenario, ScenarioError, parse_scenario, with_seed
 
 OUT_DIR_ENV = "REELSIM_OUT_DIR"
@@ -186,8 +186,12 @@ def _cmd_reels(scenario: Scenario, args, out_dir: Path) -> int:
     _write(out_dir, "tree.json", export_reels_json(tree, reels, names))
     _write(out_dir, "tree.dot", export_tree_dot(tree))
     _write(out_dir, "reels.csv", export_reel_table_csv(reels, names))
-    top = reels[0]
-    print(f"{len(reels)} reels; most probable has probability {top.probability:.4f}")
+    if tree.leaf_reason == LEAF_PRUNED:
+        print(f"no next frame reached p_min {scenario.sim.p_min!r}; the tree is its root alone")
+    elif tree.leaf_reason == LEAF_EMPTY:
+        print("the root has no next frame; the tree is its root alone")
+    else:
+        print(f"{len(reels)} reels; most probable has probability {reels[0].probability:.4f}")
     return 0
 
 

@@ -127,30 +127,38 @@ def generate_lines(
     rolls the whole block's tactics and sizes as stacks and takes each
     member's move distance from the matrix before it; the finished block
     is then scored as one stack. Every member agrees bit for bit with a
-    one-member block of its line.
+    one-member block of its line. Tactics, sizes and distances are held
+    lines-last, (H, n, n, B), (H, n, B) and (H, B), so each step's
+    arithmetic is one pass over the block; the LineBlock holds (B, H, ...)
+    views of them.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1 (got {horizon})")
     count, n = len(lines), root.n
-    matrices = np.empty((count, horizon, n, n))
-    sizes = np.empty((count, horizon, n))
-    distances = np.empty((count, horizon))
+    matrices = np.empty((horizon, n, n, count))
+    sizes = np.empty((horizon, n, count))
+    distances = np.empty((horizon, count))
     tactics = np.broadcast_to(root.tactics, (count, n, n))
     current = np.broadcast_to(root.sizes, (count, n))
     for step in range(horizon):
-        following = matrices[:, step] = sample_tactic_matrices(
+        matrices[step] = sample_tactic_matrices(
             tactics, cfg, key, lines, step, params.sigma
-        )
-        distances[:, step] = tactical_distance(following, tactics)
-        tactics = following
-        current = sizes[:, step] = update_sizes(tactics, current, params)
-    payoffs = expected_utility(positional_utility(sizes, params.alpha), distances, params.sigma)
+        ).transpose(1, 2, 0)
+        following = matrices[step].transpose(2, 0, 1)
+        distances[step] = tactical_distance(following, tactics)
+        sizes[step] = update_sizes(following, current, params).T
+        tactics, current = following, sizes[step].T
+    sizes = sizes.transpose(2, 0, 1)
+    # positional_utility sums each member's agents as a contiguous row,
+    # pairwise from n = 8, so it scores a (B, H, n) copy.
+    utilities = positional_utility(np.ascontiguousarray(sizes), params.alpha)
+    payoffs = expected_utility(utilities, distances.T, params.sigma)
     return LineBlock(
-        matrices=matrices,
+        matrices=matrices.transpose(3, 0, 1, 2),
         sizes=sizes,
         payoffs=payoffs,
         intertemporal=intertemporal_utility(payoffs, params.delta),
-        weights=line_weights(distances, params),
+        weights=line_weights(distances.T, params),
     )
 
 

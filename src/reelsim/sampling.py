@@ -13,6 +13,16 @@ its own entry is made nonnegative unless self-harm is allowed, and it is
 scaled to abs-sum 1, an all-zero column becoming pure self-allocation.
 integer_draws reads the stage game's profile rows, and a reel-tree node
 below the root takes a NODE_STREAM key as its seed.
+
+A block of lines is held lines-last in memory: words (slots, B), draws
+and tactics agent-major (n, n, B), so each numpy operation is one pass
+over the block rather than B passes over a few values. Callers still
+see (B, slots) and (B, n, n) arrays, as views, and every value comes
+from the same operations in the same order as member by member. Here
+the one exception to lines-last is a column's abs-sum: numpy adds a
+contiguous row pairwise from n = 8, so each column is copied out as a
+contiguous row and summed there, the order a lone column is summed in;
+a sum across lines-last rows would add one at a time and change bits.
 """
 
 from __future__ import annotations
@@ -119,11 +129,12 @@ def sample_candidates(n: int, k: int, cfg: SamplerConfig, key: int) -> tuple[np.
     """
     if k < 1:
         raise ValueError(f"need at least one candidate per agent (got k={k})")
-    uniforms = _uniforms(line_words(key, np.arange(n * k), 0, 2 * n))
-    vectors = _signed(-np.log(uniforms[:, :n]), 1.0 - uniforms[:, n:], cfg)
-    # Matrix c holds candidate c of agent j in its column j.
-    matrices = _tactic_columns(vectors.reshape(n, k, n).transpose(1, 2, 0), cfg)
-    return tuple(np.moveaxis(matrices, -1, 0))
+    uniforms = _uniforms(line_words(key, np.arange(n * k), 0, 2 * n).T)
+    vectors = _signed(-np.log(uniforms[:n]), 1.0 - uniforms[n:], cfg)
+    # Matrix c holds candidate c of agent j in its column j: entry i of
+    # vector j * k + c is raw[i, j, c].
+    matrices = _tactic_columns(vectors.reshape(n, n, k), cfg)
+    return tuple(np.moveaxis(matrices, 0, -1))
 
 
 def integer_draws(key: int, rows: int, bounds: Sequence[int]) -> np.ndarray:
@@ -147,24 +158,29 @@ def line_words(key: int, lines: Sequence[int] | np.ndarray, step: int, slots: in
 
     Word (line, step, slot) is output slot of the SplitMix64 stream
     seeded by output step of the stream seeded by output line of the
-    stream seeded by key: a pure function of its four arguments. Every
-    operation runs on uint64 arrays, whose arithmetic wraps modulo
-    2**64; numpy uint64 scalar arithmetic would raise under
-    np.errstate(over="raise").
+    stream seeded by key: a pure function of its four arguments. The
+    words are hashed lines-last, as a (slots, B) array, so each
+    operation is one pass over the block, and come back as its (B,
+    slots) transpose, a view. Every operation runs on uint64 arrays,
+    whose arithmetic wraps modulo 2**64; numpy uint64 scalar arithmetic
+    would raise under np.errstate(over="raise").
     """
-    lines = np.asarray(lines, dtype=np.uint64).reshape(-1, 1)
+    lines = np.asarray(lines, dtype=np.uint64).reshape(-1)
     base = _splitmix(np.full_like(lines, key), lines)
     base = _splitmix(base, np.full_like(lines, step))
-    return _splitmix(base, np.arange(slots, dtype=np.uint64))
+    return _splitmix(base, np.arange(slots, dtype=np.uint64)[:, np.newaxis]).T
 
 
 def _splitmix(base: np.ndarray, counters: np.ndarray) -> np.ndarray:
     """Output counters + 1 of the SplitMix64 streams seeded by base
     (Steele, Lea & Flood, OOPSLA 2014); uint64 arrays, broadcast."""
     z = base + (counters + 1) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> 31)
+    z ^= z >> 30
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> 27
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> 31
+    return z
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:
@@ -182,15 +198,19 @@ def line_draws(
     next n**2 uniforms b, each read as (B, n, n). exponentials are
     -log(a), normals the Box-Muller sqrt(-2 log a) cos(2 pi b), and the
     sign uniforms 1 - b. The coins are 1 - u too: both lie in [0, 1),
-    so comparing them with < p is exact at p = 0 and p = 1.
+    so comparing them with < p is exact at p = 0 and p = 1. The draws
+    are computed lines-last, on contiguous (n, n, B) slices of the
+    (1 + 2n**2, B) uniforms; the coins (B,) and each (B, n, n) result
+    are views of them.
     """
-    uniforms = _uniforms(line_words(key, lines, step, 1 + 2 * n * n))
-    count = uniforms.shape[0]
-    first = uniforms[:, 1 : 1 + n * n].reshape(count, n, n)
-    second = uniforms[:, 1 + n * n :].reshape(count, n, n)
+    uniforms = _uniforms(line_words(key, lines, step, 1 + 2 * n * n).T)
+    count = uniforms.shape[-1]
+    first = uniforms[1 : 1 + n * n].reshape(n, n, count)
+    second = uniforms[1 + n * n :].reshape(n, n, count)
     exponentials = -np.log(first)
     normals = np.sqrt(2.0 * exponentials) * np.cos(2.0 * np.pi * second)
-    return 1.0 - uniforms[:, 0], exponentials, normals, 1.0 - second
+    draws = (exponentials, normals, 1.0 - second)
+    return (1.0 - uniforms[0], *(draw.transpose(2, 0, 1) for draw in draws))
 
 
 def sample_tactic_matrices(
@@ -211,17 +231,22 @@ def sample_tactic_matrices(
     pass the model's inertia coefficient, so local proposals stay within
     reach of the inertia kernel). Either way _tactic_columns then scales
     each column to abs-sum 1. The arithmetic runs once on the whole
-    stack, bit for bit what each member gets alone.
+    stack, held agent-major as (n, n, B) so that every operation is one
+    pass over the lines, and gives each member the bits it gets alone.
+    The result is (B, n, n), as previous is, a view of that lines-last
+    array; its column sums are taken on contiguous rows (see the module
+    docstring).
     """
-    previous = np.asarray(previous, dtype=float)
-    n = previous.shape[-1]
-    coins, exponentials, normals, sign_uniforms = line_draws(key, lines, step, n)
-    local = (coins < cfg.local_mix)[:, np.newaxis, np.newaxis]
+    previous = np.asarray(previous, dtype=float).transpose(1, 2, 0)
+    n = previous.shape[0]
+    coins, *draws = line_draws(key, lines, step, n)
+    exponentials, normals, sign_uniforms = (draw.transpose(1, 2, 0) for draw in draws)
+    local = coins < cfg.local_mix
     # Fresh members get no noise, so a huge sigma cannot overflow where it is unused.
     perturbed = previous + normals * (local * (noise_sigma / n))
     # Row j of a member's draws is its column j.
-    fresh = _signed(exponentials, sign_uniforms, cfg).swapaxes(-1, -2)
-    return _tactic_columns(np.where(local, perturbed, fresh), cfg)
+    fresh = _signed(exponentials, sign_uniforms, cfg).swapaxes(0, 1)
+    return _tactic_columns(np.where(local, perturbed, fresh), cfg).transpose(2, 0, 1)
 
 
 def _signed(exponentials: np.ndarray, uniforms: np.ndarray, cfg: SamplerConfig) -> np.ndarray:
@@ -230,25 +255,31 @@ def _signed(exponentials: np.ndarray, uniforms: np.ndarray, cfg: SamplerConfig) 
 
 
 def _tactic_columns(raw: np.ndarray, cfg: SamplerConfig) -> np.ndarray:
-    """Tactics from raw matrices (..., n, n): the diagonal made
+    """Tactics from raw matrices held agent-major, (n, n, ...) with
+    raw[i, j] entry (i, j) of every member: the diagonal made
     nonnegative unless cfg allows self-harm, then every column scaled to
     abs-sum 1 by _renormalize_columns. raw's diagonal is overwritten."""
     if not cfg.allow_negative_diagonal:
-        idx = np.arange(raw.shape[-1])
-        raw[..., idx, idx] = np.abs(raw[..., idx, idx])
+        idx = np.arange(raw.shape[0])
+        raw[idx, idx] = np.abs(raw[idx, idx])
     return _renormalize_columns(raw)
 
 
 def _renormalize_columns(matrix: np.ndarray) -> np.ndarray:
-    """Rescale each column to abs-sum 1; an all-zero column falls back to
-    pure self-allocation. A stack (..., n, n) is rescaled member by member."""
+    """Rescale each column of an agent-major stack (n, n, ...) to abs-sum
+    1, member by member; an all-zero column falls back to pure
+    self-allocation."""
     matrix = np.asarray(matrix, dtype=float)
     # Each column is summed as a contiguous row, the order a lone column
-    # is summed in; an axis=-2 sum adds row by row and differs from n = 8.
-    scale = np.ascontiguousarray(np.abs(matrix).swapaxes(-1, -2)).sum(axis=-1)
-    scale = scale[..., np.newaxis, :]
+    # is summed in: numpy adds a row pairwise from n = 8, while a sum
+    # across rows would add them one at a time and differ there.
+    rows = np.abs(matrix).transpose(*range(1, matrix.ndim), 0)
+    scale = np.ascontiguousarray(rows).sum(axis=-1)
     zero = scale == 0.0
-    return np.where(zero, np.eye(matrix.shape[-1]), matrix / np.where(zero, 1.0, scale))
+    if not zero.any():
+        return matrix / scale
+    eye = np.eye(len(matrix)).reshape(matrix.shape[:2] + (1,) * (matrix.ndim - 2))
+    return np.where(zero, eye, matrix / np.where(zero, 1.0, scale))
 
 
 def round_tactic_matrix(tactics: np.ndarray, rounding: float) -> np.ndarray:
@@ -268,4 +299,5 @@ def round_tactic_matrix(tactics: np.ndarray, rounding: float) -> np.ndarray:
         raise TacticMatrixError(f"tactic matrix must be square (got shape {tactics.shape})")
     _check_rounding(rounding)
     steps = np.floor(np.abs(tactics) / rounding + 0.5)
-    return _renormalize_columns(np.sign(tactics) * steps * rounding + 0.0)
+    grid = np.moveaxis(np.sign(tactics) * steps * rounding + 0.0, (-2, -1), (0, 1))
+    return np.ascontiguousarray(np.moveaxis(_renormalize_columns(grid), (0, 1), (-2, -1)))

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -402,6 +403,25 @@ def test_guarantee_no_line_meets_empties_frame_and_reels(filtering_file, tmp_pat
     doc = json.loads((out_dir / "tree.json").read_text())
     assert doc["tree"]["leaf_reason"] == "empty_distribution"
     assert [reel["leaf_reason"] for reel in doc["reels"]] == ["empty_distribution"]
+    assert capsys.readouterr().out.endswith(
+        "the root has no next frame; the tree is its root alone\n"
+    )
+
+
+def test_root_pruned_out_is_not_called_certain(tmp_path, capsys):
+    # no frame of the shipped root reaches p_min 0.9: the tree is a bare
+    # root of probability 1, which must not read as a certain future
+    doc = json.loads(SHIPPED.read_text())
+    doc["sim"]["p_min"] = 0.9
+    path = tmp_path / "strict.json"
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    assert main(["--out-dir", str(out_dir), "reels", str(path)]) == 0
+    rows = list(csv.DictReader(io.StringIO((out_dir / "reels.csv").read_text())))
+    assert [(row["probability"], row["leaf_reason"]) for row in rows] == [("1", "pruned_out")]
+    out = capsys.readouterr().out
+    assert out.endswith("no next frame reached p_min 0.9; the tree is its root alone\n")
+    assert "most probable" not in out
 
 
 def test_surviving_lines_of_zero_weight_are_not_called_filtered(tmp_path, capsys):

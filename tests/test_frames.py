@@ -401,3 +401,68 @@ def test_distribution_all_dead_root_is_empty(params):
     assert dist.is_empty
     assert dist.diagnostics.lines_retained == 0
     assert dist.frames == ()
+
+
+def distribution_record(distribution):
+    """A distribution's frames and diagnostics, arrays as bytes."""
+    frames = [
+        (frame.tactics.tobytes(), frame.sizes.tobytes())
+        + (frame.probability, frame.support, frame.weight)
+        for frame in distribution.frames
+    ]
+    diagnostics = dataclasses.asdict(distribution.diagnostics)
+    diagnostics["minimax"] = diagnostics["minimax"].tobytes()
+    return frames, diagnostics
+
+
+def tree_record(node):
+    """Every node of a reel tree depth first, with the edge probability
+    into each child, arrays as bytes."""
+    state = node.state
+    record = [
+        (state.tactics.tobytes(), state.sizes.tobytes(), node.depth)
+        + (node.leaf_reason, node.dropped_mass)
+    ]
+    for edge in node.children:
+        record.append(edge.probability)
+        record.extend(tree_record(edge.child))
+    return record
+
+
+@pytest.mark.parametrize("agents", [3, 9])
+def test_no_output_depends_on_line_block(shipped, monkeypatch, agents):
+    # The shipped root, and a nine-agent root whose column sums numpy adds
+    # pairwise (benevolent, so most lines keep every agent alive and pass
+    # a guarantee above 0); 1, 7 and 4,096 lines per block against the
+    # default 512.
+    state, params, cfg = shipped.state, shipped.params, shipped.sampler
+    if agents == 9:
+        rng = np.random.default_rng(0)
+        tactics = np.abs(rng.uniform(-1.0, 1.0, (9, 9)))
+        tactics /= tactics.sum(axis=0)
+        state = rs.State(tactics=tactics, sizes=rng.uniform(0.1, 1.0, 9))
+        cfg = dataclasses.replace(cfg, p_neg=0.1, rounding=0.5)
+    sim = dataclasses.replace(
+        shipped.sim,
+        lines=300,
+        horizon=3,
+        depth_max=2,
+        branch_k=2,
+        p_min=0.0,
+        candidates=4,
+        max_profiles=2000,
+    )
+
+    def run():
+        distribution = rs.transition_distribution(state, params, cfg, sim)
+        tree = rs.build_reel_tree(state, params, cfg, sim)
+        return distribution_record(distribution), tree_record(tree)
+
+    default = run()
+    (frames, diagnostics), nodes = default
+    assert len(frames) > 1 and diagnostics["lines_retained"] > 250
+    # a root, two children and four leaves, with an edge into each child
+    assert sum(isinstance(entry, tuple) for entry in nodes) == 7 and len(nodes) == 13
+    for block in (1, 7, 4096):
+        monkeypatch.setattr(frames_module, "LINE_BLOCK", block)
+        assert run() == default

@@ -1,5 +1,7 @@
 """Tactic sampling, stream keys, and grid rounding."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,24 @@ def test_all_zero_draws_become_self_allocation(monkeypatch, allow_negative_diago
         assert pool.tolist() == [eye[agent].tolist()] * 4
         zeros = oracles.tactic_vector_from(np.full(3, -0.0), np.zeros(3), agent, cfg)
         assert zeros.tolist() == eye[agent].tolist()
+    # Local draws with zero noise keep each previous matrix; in a stack
+    # where only some members have an all-zero column, those columns
+    # become self-allocation and every other entry keeps its one-member bits.
+    local = dataclasses.replace(cfg, local_mix=1.0)
+    rng = np.random.default_rng(14)
+    previous = rng.uniform(0.0, 1.0, (6, 3, 3))
+    previous[1, :, 2] = 0.0
+    previous[4, :, [0, 1]] = 0.0
+    stacked = rs.sample_tactic_matrices(previous, local, 15, np.arange(6), 0, 0.5)
+    for member, matrix in enumerate(stacked):
+        alone = rs.sample_tactic_matrices(
+            previous[member : member + 1], local, 15, [member], 0, 0.5
+        )
+        assert matrix.tobytes() == alone[0].tobytes()
+        zero = ~previous[member].any(axis=0)
+        kept = previous[member][:, ~zero]
+        assert np.array_equal(matrix[:, zero], eye[:, zero])
+        assert np.array_equal(matrix[:, ~zero], kept / kept.sum(axis=0))
 
 
 # ------------------------------------------------------------------ rounding

@@ -9,6 +9,7 @@ import pytest
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 ARTIFACTS = TOOLS / "artifacts.sh"
 BYTE_IDENTITY = TOOLS / "byte_identity.sh"
+BENCH_PAIRS = TOOLS / "bench_pairs.sh"
 
 
 def run_byte_identity(tmp_path, *args):
@@ -51,3 +52,35 @@ def test_artifacts_without_an_out_dir_prints_usage(tmp_path):
     assert result.stderr == f"usage: {ARTIFACTS} OUT_DIR\n"
     assert result.stdout == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (),
+        ("HEAD",),
+        ("HEAD", "reels-tree", "ten"),
+        ("HEAD", "reels-tree", "0"),
+        ("HEAD", "reels-tree", "1", "1", "1", "1"),
+    ],
+)
+def test_bench_pairs_with_bad_arguments_prints_usage(tmp_path, args):
+    result = subprocess.run(
+        ["bash", str(BENCH_PAIRS), *args], capture_output=True, text=True, cwd=tmp_path
+    )
+    assert result.returncode == 2
+    assert result.stderr == f"usage: {BENCH_PAIRS} PARENT WORKLOAD [PAIRS] [SECONDS] [SEED]\n"
+    assert result.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bench_pairs_rejects_an_unknown_parent(tmp_path):
+    result = subprocess.run(
+        ["bash", str(BENCH_PAIRS), "no-such-ref", "reels-tree"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+    )
+    assert result.returncode == 2
+    assert result.stderr == f"{BENCH_PAIRS}: unknown commit no-such-ref\n"
+    assert result.stdout == ""
