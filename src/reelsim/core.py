@@ -112,9 +112,10 @@ def validate_tactic_matrix(tactics: np.ndarray) -> None:
     """Check the tactic-matrix constraints, raising TacticMatrixError otherwise.
 
     Accepts iff every entry lies in [-1, 1] and every column's absolute
-    values sum to 1 within EPS_SUM. Otherwise the error names the first
-    offending column and keeps it and its deviation as ``column`` and
-    ``deviation``. Non-square or non-finite input is rejected outright.
+    values, added down its rows in order, sum to 1 within EPS_SUM.
+    Otherwise the error names the first offending column and keeps it and
+    its deviation as ``column`` and ``deviation``. Non-square or
+    non-finite input is rejected outright.
     """
     tactics = np.asarray(tactics, dtype=float)
     if tactics.ndim != 2 or tactics.shape[0] != tactics.shape[1]:
@@ -130,10 +131,11 @@ def validate_tactic_matrix(tactics: np.ndarray) -> None:
                 column=j,
                 deviation=overshoot,
             )
-        deviation = float(abs(np.sum(np.abs(column)) - 1.0))
+        total = float(reduce(np.add, np.abs(column)))
+        deviation = abs(total - 1.0)
         if deviation > EPS_SUM:
             raise TacticMatrixError(
-                f"column {j} absolute values sum to {np.sum(np.abs(column)):.12g}, "
+                f"column {j} absolute values sum to {total:.12g}, "
                 f"deviating from 1 by {deviation:.3g}",
                 column=j,
                 deviation=deviation,

@@ -129,8 +129,8 @@ def generate_lines(
     is then scored as one stack. Every member agrees bit for bit with a
     one-member block of its line. Tactics, sizes and distances are held
     lines-last, (H, n, n, B), (H, n, B) and (H, B), so each step's
-    arithmetic is one pass over the block; the LineBlock holds (B, H, ...)
-    views of them.
+    arithmetic is one pass over the block; the block is scored on, and
+    the LineBlock holds, (B, H, ...) views of them.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1 (got {horizon})")
@@ -149,9 +149,7 @@ def generate_lines(
         sizes[step] = update_sizes(following, current, params).T
         tactics, current = following, sizes[step].T
     sizes = sizes.transpose(2, 0, 1)
-    # positional_utility sums each member's agents as a contiguous row,
-    # pairwise from n = 8, so it scores a (B, H, n) copy.
-    utilities = positional_utility(np.ascontiguousarray(sizes), params.alpha)
+    utilities = positional_utility(sizes, params.alpha)
     payoffs = expected_utility(utilities, distances.T, params.sigma)
     return LineBlock(
         matrices=matrices.transpose(3, 0, 1, 2),

@@ -18,11 +18,8 @@ A block of lines is held lines-last in memory: words (slots, B), draws
 and tactics agent-major (n, n, B), so each numpy operation is one pass
 over the block rather than B passes over a few values. Callers still
 see (B, slots) and (B, n, n) arrays, as views, and every value comes
-from the same operations in the same order as member by member. Here
-the one exception to lines-last is a column's abs-sum: numpy adds a
-contiguous row pairwise from n = 8, so each column is copied out as a
-contiguous row and summed there, the order a lone column is summed in;
-a sum across lines-last rows would add one at a time and change bits.
+from the same operations in the same order as member by member. A
+column's abs-sum adds its rows in order, so no bit depends on layout.
 """
 
 from __future__ import annotations
@@ -31,6 +28,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -199,9 +197,9 @@ def line_draws(
     -log(a), normals the Box-Muller sqrt(-2 log a) cos(2 pi b), and the
     sign uniforms 1 - b. The coins are 1 - u too: both lie in [0, 1),
     so comparing them with < p is exact at p = 0 and p = 1. The draws
-    are computed lines-last, on contiguous (n, n, B) slices of the
-    (1 + 2n**2, B) uniforms; the coins (B,) and each (B, n, n) result
-    are views of them.
+    are computed lines-last, on (n, n, B) slices of the (1 + 2n**2, B)
+    uniforms; the coins (B,) and each (B, n, n) result are views of
+    them.
     """
     uniforms = _uniforms(line_words(key, lines, step, 1 + 2 * n * n).T)
     count = uniforms.shape[-1]
@@ -232,10 +230,9 @@ def sample_tactic_matrices(
     reach of the inertia kernel). Either way _tactic_columns then scales
     each column to abs-sum 1. The arithmetic runs once on the whole
     stack, held agent-major as (n, n, B) so that every operation is one
-    pass over the lines, and gives each member the bits it gets alone.
-    The result is (B, n, n), as previous is, a view of that lines-last
-    array; its column sums are taken on contiguous rows (see the module
-    docstring).
+    pass over the lines, and gives each member the bits it gets alone,
+    whatever the layout of previous. The result is (B, n, n), as
+    previous is, a view of that lines-last array.
     """
     previous = np.asarray(previous, dtype=float).transpose(1, 2, 0)
     n = previous.shape[0]
@@ -267,14 +264,10 @@ def _tactic_columns(raw: np.ndarray, cfg: SamplerConfig) -> np.ndarray:
 
 def _renormalize_columns(matrix: np.ndarray) -> np.ndarray:
     """Rescale each column of an agent-major stack (n, n, ...) to abs-sum
-    1, member by member; an all-zero column falls back to pure
-    self-allocation."""
+    1, member by member, the abs-sum added down the rows in order; an
+    all-zero column falls back to pure self-allocation."""
     matrix = np.asarray(matrix, dtype=float)
-    # Each column is summed as a contiguous row, the order a lone column
-    # is summed in: numpy adds a row pairwise from n = 8, while a sum
-    # across rows would add them one at a time and differ there.
-    rows = np.abs(matrix).transpose(*range(1, matrix.ndim), 0)
-    scale = np.ascontiguousarray(rows).sum(axis=-1)
+    scale = reduce(np.add, np.abs(matrix))
     zero = scale == 0.0
     if not zero.any():
         return matrix / scale

@@ -27,17 +27,20 @@ _SQRT2 = math.sqrt(2.0)
 def positional_utility(sizes: np.ndarray, alpha: float, agent: int | None = None) -> np.ndarray:
     """Per-agent payoff u_i = s_i**alpha / sum_j(s_j**2).
 
-    The denominator rewards a small, divided field of competitors; the
-    numerator's exponent controls the appetite for absolute growth. Dead
-    agents score exactly 0. When every agent is dead the quotient is
-    undefined and the all-zero vector is returned. Given an agent, only
-    its payoff is computed, (..., 1), with the bits of that column of the
-    full result.
+    The denominator rewards a small, divided field of competitors; its
+    squares are added in agent order, so no bit depends on the layout of
+    sizes. The numerator's exponent controls the appetite for absolute
+    growth. Dead agents score exactly 0. When every agent is dead the
+    quotient is undefined and the all-zero vector is returned. Given an
+    agent, only its payoff is computed, (..., 1), with the bits of that
+    column of the full result.
     """
     sizes = np.asarray(sizes, dtype=float)
     if (sizes < 0).any():
         raise ValueError("sizes must be nonnegative")
-    concentration = (sizes**2).sum(axis=-1, keepdims=True)
+    squares = sizes**2
+    agents = squares.transpose(-1, *range(squares.ndim - 1))
+    concentration = reduce(np.add, agents)[..., np.newaxis]
     scored = sizes if agent is None else sizes[..., agent, np.newaxis]
     # All dead: every numerator is 0, so dividing by 1 gives the zero vector.
     return scored**alpha / np.where(concentration > 0.0, concentration, 1.0)
@@ -49,7 +52,7 @@ def column_moves(tactics_a: np.ndarray, tactics_b: np.ndarray) -> np.ndarray:
     order."""
     squares = tactics_a - tactics_b
     squares *= squares
-    return reduce(np.add, np.ascontiguousarray(np.moveaxis(squares, (-2, -1), (0, 1))))
+    return reduce(np.add, squares.transpose(-2, -1, *range(squares.ndim - 2)))
 
 
 def distance_from_moves(moves) -> np.ndarray:

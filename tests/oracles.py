@@ -304,14 +304,17 @@ def slice_row_screen(candidates, previous, sizes, params, max_profiles, key, blo
 
 
 def renormalize_columns(matrix):
-    """Column abs-sum renormalization, one np.sum per column.
+    """Column abs-sum renormalization, one running sum per column.
 
     The engine's earlier loop, kept as the reference its vectorized form
-    must match bit for bit: an all-zero column becomes self-allocation.
+    must match bit for bit: each column's absolute values are added down
+    its rows from 0.0, and an all-zero column becomes self-allocation.
     """
     matrix = np.array(matrix, dtype=float)
     for j in range(matrix.shape[1]):
-        scale = np.sum(np.abs(matrix[:, j]))
+        scale = 0.0
+        for entry in matrix[:, j]:
+            scale += abs(entry)
         if scale == 0.0:
             matrix[:, j] = 0.0
             matrix[j, j] = 1.0
@@ -393,10 +396,13 @@ def line_draws(key, line, step, n):
 
 
 def tactic_vector_from(exponentials, uniforms, self_index, cfg):
-    """One tactic vector from its n exponentials and n sign uniforms; all
-    zeros give pure self-allocation."""
+    """One tactic vector from its n exponentials and n sign uniforms,
+    scaled by their running sum from 0.0; all zeros give pure
+    self-allocation."""
     exponentials = np.asarray(exponentials, dtype=float)
-    total = exponentials.sum()
+    total = 0.0
+    for value in exponentials:
+        total += value
     if total == 0.0:
         return np.eye(len(exponentials))[self_index]
     magnitudes = exponentials / total

@@ -59,7 +59,7 @@ def test_sample_candidates_rejects_empty_pool():
         rs.SamplerConfig(p_neg=0.9, allow_negative_diagonal=True),
     ],
 )
-# n = 8 is where a row-by-row sum starts to differ from a lone column's
+# from n = 8 numpy's pairwise .sum differs from the in-order sum both sides use
 @pytest.mark.parametrize("n, k", [(1, 1), (3, 12), (5, 12), (8, 30), (9, 4)])
 def test_pools_equal_the_frozen_vector_loop(n, k, cfg):
     # the reference builds each vector alone from Python-integer words

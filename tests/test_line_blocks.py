@@ -1,5 +1,6 @@
 """Lines in blocks: every member equals the per-step reference line and
-its one-member block bit for bit, and no output depends on the block size."""
+its one-member block bit for bit, and no output depends on the block size
+or on the memory layout of a stack."""
 
 import itertools
 
@@ -190,3 +191,30 @@ def test_block_size_changes_nothing(monkeypatch, block):
         b.total_weight,
     )
     assert (a.equilibria, a.exhaustive_game) == (b.equilibria, b.exhaustive_game)
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_no_bit_depends_on_layout(n):
+    # one stack in two layouts: C-contiguous, and a lines-last array seen
+    # through a transpose; sums over agents or rows run in index order
+    rng = np.random.default_rng(200 + n)
+    sizes = rng.uniform(0.0, 2.0, (32, 4, n))
+    sizes[rng.random(sizes.shape) < 0.2] = 0.0
+    lines_last = np.ascontiguousarray(sizes.transpose(2, 0, 1)).transpose(1, 2, 0)
+    expected = rs.positional_utility(sizes, 2.5)
+    assert rs.positional_utility(lines_last, 2.5).tobytes() == expected.tobytes()
+    for member in np.ndindex(sizes.shape[:-1]):
+        assert rs.positional_utility(sizes[member], 2.5).tobytes() == expected[member].tobytes()
+    cfg = rs.SamplerConfig(p_neg=0.3, local_mix=0.5)
+    previous = np.stack([random_root(rng, n).tactics for _ in range(32)])
+    agent_major = np.ascontiguousarray(previous.transpose(1, 2, 0)).transpose(2, 0, 1)
+    key, lines = rs.stream_key(n, rs.LINE_STREAM), np.arange(32)
+    expected = rs.sample_tactic_matrices(previous, cfg, key, lines, 1, 0.5)
+    assert rs.sample_tactic_matrices(agent_major, cfg, key, lines, 1, 0.5).tobytes() == (
+        expected.tobytes()
+    )
+    for member in range(32):
+        alone = rs.sample_tactic_matrices(
+            previous[member : member + 1], cfg, key, lines[member : member + 1], 1, 0.5
+        )
+        assert alone.tobytes() == expected[member : member + 1].tobytes()

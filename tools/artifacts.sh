@@ -24,6 +24,11 @@
 # One has a screened equilibrium with a nonzero guarantee: four agents,
 # the third dead, at max_profiles 5,000 (dead.json, seed 2). Each has
 # {frame,reels}-VARIANT/.
+# OUT_DIR/nine/ holds scenario.json, bench/workloads.py's
+# sampled_document of the shipped scenario at seed 0 with nine agents,
+# run on 2,000 lines, and its {frame,reels}/ outputs at seed 7: lines
+# at n >= 8, where adding in index order differs from numpy's pairwise
+# sums.
 # OUT_DIR/bench/W-S/ holds the inputs and outputs of every command that
 # bench/workloads.py's write_inputs gives workload W at seed S, for all
 # four workloads at seeds 1 and 2. The script only reads bench/; it runs
@@ -132,6 +137,21 @@ for variant in shipped:12 filtering:8 wide:0 dead:2; do
         reelsim --out-dir "$out/screen/$command-${variant%:*}" --seed "${variant#*:}" "$command" \
             "$out/screen/${variant%:*}.json"
     done
+done
+
+mkdir -p "$out/nine"
+python3 -c '
+import json, sys
+from pathlib import Path
+sys.path.insert(0, str(Path(sys.argv[1]) / "bench"))
+sys.dont_write_bytecode = True  # leave bench/ as it is
+from workloads import sampled_document
+doc = sampled_document(json.loads(Path(sys.argv[2]).read_text()), 0, 9)
+doc["sim"]["lines"] = 2000
+sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+' "$root" "$shipped" > "$out/nine/scenario.json"
+for command in frame reels; do
+    reelsim --out-dir "$out/nine/$command" --seed 7 "$command" "$out/nine/scenario.json"
 done
 
 # One interpreter writes each workload's inputs and runs its commands,
