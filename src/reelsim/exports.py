@@ -132,21 +132,15 @@ def export_frames_json(distribution: FrameDistribution, names: list[str]) -> str
 def _frame_template(n: int) -> str:
     """One frames.json entry for n agents as json.dumps(indent=2) lays it
     out at depth 2, with %r for each float and %d for the support."""
-
-    def listing(items: list[str], depth: int) -> str:
-        inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
-        return "[" + inner + ("," + inner).join(items) + outer + "]"
-
-    rows = [listing(["%r"] * n, 4) for _ in range(n)]
-    fields = {
+    entry = {
         "probability": "%r",
         "support": "%d",
         "weight": "%r",
-        "tactics": listing(rows, 3),
-        "sizes": listing(["%r"] * n, 3),
+        "tactics": [["%r"] * n] * n,
+        "sizes": ["%r"] * n,
     }
-    entries = [f'"{name}": {value}' for name, value in fields.items()]
-    return "    {\n      " + ",\n      ".join(entries) + "\n    }"
+    text = "    " + json.dumps(entry, indent=2).replace("\n", "\n    ")
+    return text.replace('"%r"', "%r").replace('"%d"', "%d")
 
 
 def export_reels_json(tree: ReelNode, reels: list[Reel], names: list[str]) -> str:

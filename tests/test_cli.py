@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import importlib.util
 import io
 import json
 import os
@@ -487,6 +488,39 @@ def test_screened_equilibrium_sets_a_nonzero_guarantee(tmp_path):
         "0x1.0b57bd1a9d471p-9",
     ]
     assert diagnostics["lines_retained"] == 670
+
+
+def test_screen_with_no_equilibrium_among_many_profiles_sets_its_security_level(
+    tmp_path, monkeypatch
+):
+    # five agents at p_neg 0.1: the screen draws 20,000 // 61 = 327
+    # profiles and none survives, so each agent's security level takes
+    # the minima of the grid it swept in its turn and of the rest
+    spec = importlib.util.spec_from_file_location(
+        "workloads", SRC.parent / "bench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    doc = workloads.sampled_document(json.loads(SHIPPED.read_text()), 0, 5)
+    doc["sim"]["lines"] = 2000
+    doc["sim"]["sampler"]["p_neg"] = 0.1
+    path = tmp_path / "sampled.json"
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    assert main(["--seed", "2", "--out-dir", str(out_dir), "frame", str(path)]) == 0
+    diagnostics = json.loads((out_dir / "frames.json").read_text())["diagnostics"]
+    assert diagnostics["exhaustive_game"] is False
+    assert diagnostics["equilibria"] == 0
+    assert [value.hex() for value in diagnostics["minimax"]] == [
+        "0x1.64420fe66c66bp-47",
+        "0x0.0p+0",
+        "0x1.367c2cf6b97afp-41",
+        "0x0.0p+0",
+        "0x1.bf72bf9b296acp-40",
+    ]
+    assert diagnostics["lines_retained"] == 1123
 
 
 def test_out_dir_env_var(scenario_file, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """The shell scripts under tools/."""
 
 import os
+import shutil
 import subprocess
 from pathlib import Path
 
@@ -44,6 +45,29 @@ def test_byte_identity_rejects_an_unknown_ref(tmp_path, ref):
     assert result.stderr == f"{BYTE_IDENTITY}: unknown commit {ref}\n"
 
 
+@pytest.mark.parametrize(
+    "script, args",
+    [(BYTE_IDENTITY, ["HEAD"]), (BENCH_PAIRS, ["HEAD", "reels-tree"])],
+    ids=["byte_identity", "bench_pairs"],
+)
+def test_unknown_ref_outside_a_work_tree_is_one_line(tmp_path, script, args):
+    # a copy of the script outside any git work tree, as in a git archive
+    # export: git's own error must not precede the script's
+    copy = tmp_path / "tools" / script.name
+    copy.parent.mkdir()
+    shutil.copy(script, copy)
+    result = subprocess.run(
+        ["bash", str(copy), *args],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "GIT_CEILING_DIRECTORIES": str(tmp_path.parent)},
+    )
+    assert result.returncode == 2
+    assert result.stderr == f"{copy}: unknown commit HEAD\n"
+    assert result.stdout == ""
+
+
 def test_artifacts_without_an_out_dir_prints_usage(tmp_path):
     result = subprocess.run(
         ["bash", str(ARTIFACTS)], capture_output=True, text=True, cwd=tmp_path
@@ -84,3 +108,18 @@ def test_bench_pairs_rejects_an_unknown_parent(tmp_path):
     assert result.returncode == 2
     assert result.stderr == f"{BENCH_PAIRS}: unknown commit no-such-ref\n"
     assert result.stdout == ""
+
+
+def test_artifacts_reproduce_across_processes(tmp_path):
+    trees = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        result = subprocess.run(
+            ["bash", str(ARTIFACTS), str(out)], capture_output=True, text=True, cwd=tmp_path
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == ""
+        files = sorted(path for path in out.rglob("*") if path.is_file())
+        trees.append({str(path.relative_to(out)): path.read_bytes() for path in files})
+    assert len(trees[0]) == 161
+    assert trees[0] == trees[1]

@@ -16,23 +16,30 @@
 # self-harm.json (allow_negative_diagonal true, local_mix 0.5) and
 # fresh.json (local_mix 0.0, every draw fresh), with the {frame,reels}
 # outputs of each at seed 7 in {frame,reels}-VARIANT/.
-# OUT_DIR/screen/ holds subsampled stage games. Three have no screened
+# OUT_DIR/screen/ holds subsampled stage games. Four have no screened
 # equilibrium, so the guarantee is the screen's security level, not zero:
 # the shipped scenario at max_profiles 60 (shipped.json, outputs at seed
-# 12), the same at p_neg 0.1 (filtering.json, seed 8), and a 13-agent
-# scenario whose 30**13 profiles exceed an int64 (wide.json, seed 0).
+# 12), the same at p_neg 0.1 (filtering.json, seed 8), a 13-agent
+# scenario whose 30**13 profiles exceed an int64 (wide.json, seed 0), and
+# bench/workloads.py's sampled_document of the shipped scenario at seed 0
+# with five agents, at p_neg 0.1 on 2,000 lines (sampled.json, seed 2),
+# whose screen draws hundreds of profiles, so each agent's swept grid is
+# merged with the rows it sweeps after the first.
 # One has a screened equilibrium with a nonzero guarantee: four agents,
 # the third dead, at max_profiles 5,000 (dead.json, seed 2). Each has
 # {frame,reels}-VARIANT/.
-# OUT_DIR/nine/ holds scenario.json, bench/workloads.py's
-# sampled_document of the shipped scenario at seed 0 with nine agents,
-# run on 2,000 lines, and its {frame,reels}/ outputs at seed 7: lines
-# at n >= 8, where adding in index order differs from numpy's pairwise
-# sums.
+# OUT_DIR/nine/ holds scenario.json, sampled_document at seed 0 with nine
+# agents, run on 2,000 lines, and its {frame,reels}/ outputs at seed 7:
+# lines at n >= 8, where adding in index order differs from numpy's
+# pairwise sums.
 # OUT_DIR/bench/W-S/ holds the inputs and outputs of every command that
 # bench/workloads.py's write_inputs gives workload W at seed S, for all
 # four workloads at seeds 1 and 2. The script only reads bench/; it runs
 # the engine from this checkout's src/.
+#
+# One interpreter writes every scenario file and runs every command
+# through reelsim.cli.main, each argv kept a list, so no path is split on
+# a space. The first command that fails ends the script with its status.
 set -euo pipefail
 
 if [ "$#" -ne 1 ]; then
@@ -41,66 +48,33 @@ if [ "$#" -ne 1 ]; then
 fi
 root="$(cd "$(dirname "$0")/.." && pwd)"
 mkdir -p "$1"
-out="$(cd "$1" && pwd)"
-shipped="$root/scenarios/three_agents.json"
-
-reelsim() {
-    PYTHONPATH="$root/src" python3 -m reelsim.cli "$@" > /dev/null
-}
-
-reelsim --out-dir "$out/shipped/frame" frame "$shipped"
-reelsim --out-dir "$out/shipped/frame-seed3" --seed 3 frame "$shipped"
-reelsim --out-dir "$out/shipped/reels" reels "$shipped"
-reelsim --out-dir "$out/shipped/step" step "$shipped"
-PYTHONPATH="$root/src" python3 -m reelsim.cli validate "$shipped" > "$out/shipped/validate.txt"
-PYTHONPATH="$root/src" python3 -c '
+# -B writes no bytecode, so bench/ is left as it is.
+PYTHONPATH="$root/src" python3 -B - "$root" "$(cd "$1" && pwd)" > /dev/null <<'EOF'
+import contextlib
+import copy
+import json
 import sys
 from pathlib import Path
-from reelsim.scenario import parse_scenario, serialize_scenario
-sys.stdout.write(serialize_scenario(parse_scenario(Path(sys.argv[1]).read_bytes())))
-' "$shipped" > "$out/shipped/scenario.json"
 
-mkdir -p "$out/filtering"
-python3 -c '
-import json, sys
-doc = json.load(open(sys.argv[1]))
-doc["sim"]["sampler"]["p_neg"] = 0.1
-sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-' "$shipped" > "$out/filtering/scenario.json"
-for seed in 7 8; do
-    for command in frame reels; do
-        reelsim --out-dir "$out/filtering/$command-seed$seed" --seed "$seed" "$command" \
-            "$out/filtering/scenario.json"
-    done
-done
+import reelsim as rs
+from reelsim.cli import main
 
-mkdir -p "$out/sampler"
-python3 -c '
-import copy, json, sys
-shipped = json.load(open(sys.argv[1]))
-for name, changes in (
-    ("self-harm", {"allow_negative_diagonal": True, "local_mix": 0.5}),
-    ("fresh", {"local_mix": 0.0}),
-):
-    doc = copy.deepcopy(shipped)
-    doc["sim"]["sampler"].update(changes)
-    with open(f"{sys.argv[2]}/{name}.json", "w") as handle:
-        handle.write(json.dumps(doc, indent=2) + "\n")
-' "$shipped" "$out/sampler"
-for variant in self-harm fresh; do
-    for command in frame reels; do
-        reelsim --out-dir "$out/sampler/$command-$variant" --seed 7 "$command" \
-            "$out/sampler/$variant.json"
-    done
-done
+root, out = Path(sys.argv[1]), Path(sys.argv[2])
+sys.path.insert(0, str(root / "bench"))
+from workloads import WORKLOADS, sampled_document, write_inputs
 
-mkdir -p "$out/screen"
-python3 -c '
-import copy, json, sys
-shipped = json.load(open(sys.argv[1]))
-shipped["sim"]["max_profiles"] = 60
-filtering = copy.deepcopy(shipped)
-filtering["sim"]["sampler"]["p_neg"] = 0.1
+shipped_file = root / "scenarios" / "three_agents.json"
+shipped = json.loads(shipped_file.read_text())
+
+
+def variant(doc, sim=None, sampler=None):
+    # a copy of doc with the given sim and sampler settings replaced
+    doc = copy.deepcopy(doc)
+    doc["sim"].update(sim or {})
+    doc["sim"]["sampler"].update(sampler or {})
+    return doc
+
+
 n = 13
 wide = {
     "schema": 1,
@@ -111,9 +85,7 @@ wide = {
     "sim": {
         "lines": 20, "horizon": 2, "depth_max": 1, "branch_k": 3, "p_min": 0.0,
         "seed": 0, "candidates": 30, "max_profiles": 400,
-        "sampler": {
-            "p_neg": 0.5, "allow_negative_diagonal": False, "local_mix": 0.5, "rounding": 0.25
-        },
+        "sampler": {**shipped["sim"]["sampler"], "local_mix": 0.5},
     },
 }
 dead = {
@@ -128,46 +100,63 @@ dead = {
     "params": shipped["params"],
     "sim": {**shipped["sim"], "max_profiles": 5000},
 }
-for name, doc in (("shipped", shipped), ("filtering", filtering), ("wide", wide), ("dead", dead)):
-    with open(f"{sys.argv[2]}/{name}.json", "w") as handle:
-        handle.write(json.dumps(doc, indent=2) + "\n")
-' "$shipped" "$out/screen"
-for variant in shipped:12 filtering:8 wide:0 dead:2; do
-    for command in frame reels; do
-        reelsim --out-dir "$out/screen/$command-${variant%:*}" --seed "${variant#*:}" "$command" \
-            "$out/screen/${variant%:*}.json"
-    done
-done
+documents = {
+    "filtering/scenario.json": variant(shipped, sampler={"p_neg": 0.1}),
+    "sampler/self-harm.json": variant(
+        shipped, sampler={"allow_negative_diagonal": True, "local_mix": 0.5}
+    ),
+    "sampler/fresh.json": variant(shipped, sampler={"local_mix": 0.0}),
+    "screen/shipped.json": variant(shipped, sim={"max_profiles": 60}),
+    "screen/filtering.json": variant(shipped, sim={"max_profiles": 60}, sampler={"p_neg": 0.1}),
+    "screen/wide.json": wide,
+    "screen/dead.json": dead,
+    "screen/sampled.json": variant(
+        sampled_document(shipped, 0, 5), sim={"lines": 2000}, sampler={"p_neg": 0.1}
+    ),
+    "nine/scenario.json": variant(sampled_document(shipped, 0, 9), sim={"lines": 2000}),
+}
+texts = {name: json.dumps(doc, indent=2) + "\n" for name, doc in documents.items()}
+texts["shipped/scenario.json"] = rs.serialize_scenario(rs.parse_scenario(shipped_file.read_bytes()))
+for name, text in texts.items():
+    (out / name).parent.mkdir(parents=True, exist_ok=True)
+    (out / name).write_text(text, encoding="utf-8")
+with open(out / "shipped" / "validate.txt", "w", encoding="utf-8") as handle:
+    with contextlib.redirect_stdout(handle):
+        if status := main(["validate", str(shipped_file)]):
+            sys.exit(status)
 
-mkdir -p "$out/nine"
-python3 -c '
-import json, sys
-from pathlib import Path
-sys.path.insert(0, str(Path(sys.argv[1]) / "bench"))
-sys.dont_write_bytecode = True  # leave bench/ as it is
-from workloads import sampled_document
-doc = sampled_document(json.loads(Path(sys.argv[2]).read_text()), 0, 9)
-doc["sim"]["lines"] = 2000
-sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-' "$root" "$shipped" > "$out/nine/scenario.json"
-for command in frame reels; do
-    reelsim --out-dir "$out/nine/$command" --seed 7 "$command" "$out/nine/scenario.json"
-done
-
-# One interpreter writes each workload's inputs and runs its commands,
-# each argv kept a list, so no path is split on a space.
-PYTHONPATH="$root/src" python3 -c '
-import sys
-from pathlib import Path
-from reelsim.cli import main
-root, out = Path(sys.argv[1]), Path(sys.argv[2])
-sys.path.insert(0, str(root / "bench"))
-sys.dont_write_bytecode = True  # leave bench/ as it is
-from workloads import write_inputs
-for workload in ("frame-lines", "frame-game", "frame-sampled", "reels-tree"):
-    for seed in (1, 2):
-        for command in write_inputs(workload, seed, root, out / "bench" / f"{workload}-{seed}"):
-            status = main(list(command.argv))
-            if status:
-                sys.exit(status)
-' "$root" "$out" > /dev/null
+# (scenario file, output directory, seed, commands): each command runs
+# once, into the directory with {} filled by its name; seed None keeps
+# the scenario's own seed.
+both = ("frame", "reels")
+table = [
+    (shipped_file, "shipped/{}", None, ("frame", "reels", "step")),
+    (shipped_file, "shipped/frame-seed3", 3, ("frame",)),
+    (out / "filtering/scenario.json", "filtering/{}-seed7", 7, both),
+    (out / "filtering/scenario.json", "filtering/{}-seed8", 8, both),
+    (out / "sampler/self-harm.json", "sampler/{}-self-harm", 7, both),
+    (out / "sampler/fresh.json", "sampler/{}-fresh", 7, both),
+    (out / "screen/shipped.json", "screen/{}-shipped", 12, both),
+    (out / "screen/filtering.json", "screen/{}-filtering", 8, both),
+    (out / "screen/wide.json", "screen/{}-wide", 0, both),
+    (out / "screen/dead.json", "screen/{}-dead", 2, both),
+    (out / "screen/sampled.json", "screen/{}-sampled", 2, both),
+    (out / "nine/scenario.json", "nine/{}", 7, both),
+]
+argvs = [
+    ["--out-dir", str(out / target.format(command))]
+    + (["--seed", str(seed)] if seed is not None else [])
+    + [command, str(scenario)]
+    for scenario, target, seed, commands in table
+    for command in commands
+]
+argvs += [
+    list(command.argv)
+    for workload in WORKLOADS
+    for seed in (1, 2)
+    for command in write_inputs(workload, seed, root, out / "bench" / f"{workload}-{seed}")
+]
+for argv in argvs:
+    if status := main(argv):
+        sys.exit(status)
+EOF

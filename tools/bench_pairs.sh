@@ -36,7 +36,7 @@ if ! [[ "$pairs" =~ ^[1-9][0-9]*$ && "$seed" =~ ^[0-9]+$ ]]; then
     exit 2
 fi
 root="$(cd "$(dirname "$0")/.." && pwd)"
-if ! git -C "$root" rev-parse --quiet --verify "$parent^{commit}" > /dev/null; then
+if ! git -C "$root" rev-parse --quiet --verify "$parent^{commit}" > /dev/null 2>&1; then
     echo "$0: unknown commit $parent" >&2
     exit 2
 fi

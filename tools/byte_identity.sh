@@ -21,7 +21,7 @@ if [ "$#" -ne 1 ]; then
     exit 2
 fi
 root="$(cd "$(dirname "$0")/.." && pwd)"
-if ! git -C "$root" rev-parse --quiet --verify "$1^{commit}" > /dev/null; then
+if ! git -C "$root" rev-parse --quiet --verify "$1^{commit}" > /dev/null 2>&1; then
     echo "$0: unknown commit $1" >&2
     exit 2
 fi
