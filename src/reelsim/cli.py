@@ -1,11 +1,9 @@
 """Command-line front end.
 
-Subcommands: validate (check a scenario file), step (play the scenario's
-own tactics forward, CSV out), frame (one transition distribution at the
-root, JSON + DOT out), reels (full tree of futures, JSON + DOT + CSV
-out). Exit codes: 0 success, 1 scenario validation failure, 2 runtime
-failure (a floating-point overflow, invalid value or division by zero
-included) or bad usage.
+Subcommands validate, step, frame and reels, each named once in
+COMMANDS with its function and --help summary. Exit codes: 0 success, 1
+scenario validation failure, 2 runtime failure (a floating-point
+overflow, invalid value or division by zero included) or bad usage.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from .exports import (
     export_tree_dot,
 )
 from .frames import transition_distribution
-from .reels import LEAF_EMPTY, LEAF_PRUNED, build_reel_tree, enumerate_reels
+from .reels import LEAF_EMPTY, LEAF_MAX_DEPTH, LEAF_PRUNED, build_reel_tree, enumerate_reels
 from .scenario import Scenario, ScenarioError, parse_scenario, with_seed
 
 OUT_DIR_ENV = "REELSIM_OUT_DIR"
@@ -56,12 +54,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.seed is not None:
         scenario = with_seed(scenario, args.seed)
     out_dir = Path(args.out_dir or os.environ.get(OUT_DIR_ENV, "."))
-    command = {
-        "validate": _cmd_validate,
-        "step": _cmd_step,
-        "frame": _cmd_frame,
-        "reels": _cmd_reels,
-    }[args.command]
+    command, _ = COMMANDS[args.command]
     try:
         # A float overflow or invalid value is a runtime failure, never
         # garbage in the output files.
@@ -98,24 +91,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    validate = commands.add_parser("validate", help="check a scenario file")
-    validate.add_argument("file", help="scenario JSON file")
-
-    step = commands.add_parser(
-        "step", help="play the scenario's own tactics forward, sizes to CSV"
-    )
-    step.add_argument("file", help="scenario JSON file")
+    for name, (_, summary) in COMMANDS.items():
+        commands.add_parser(name, help=summary).add_argument("file", help="scenario JSON file")
+    step = commands.choices["step"]
     step.add_argument("--t", type=int, default=10, help="number of steps (default 10)")
-
-    frame = commands.add_parser(
-        "frame", help="estimate the next-move distribution at the root"
-    )
-    frame.add_argument("file", help="scenario JSON file")
-
-    reels = commands.add_parser(
-        "reels", help="grow the tree of futures and rank the reels"
-    )
-    reels.add_argument("file", help="scenario JSON file")
     return parser
 
 
@@ -190,9 +169,20 @@ def _cmd_reels(scenario: Scenario, args, out_dir: Path) -> int:
         print(f"no next frame reached p_min {scenario.sim.p_min!r}; the tree is its root alone")
     elif tree.leaf_reason == LEAF_EMPTY:
         print("the root has no next frame; the tree is its root alone")
+    elif tree.leaf_reason == LEAF_MAX_DEPTH:
+        print("depth_max is 0; the tree is its root alone")
     else:
         print(f"{len(reels)} reels; most probable has probability {reels[0].probability:.4f}")
     return 0
+
+
+# name: (function, --help summary), in the order --help lists them
+COMMANDS = {
+    "validate": (_cmd_validate, "check a scenario file"),
+    "step": (_cmd_step, "play the scenario's own tactics forward, sizes to CSV"),
+    "frame": (_cmd_frame, "estimate the next-move distribution at the root"),
+    "reels": (_cmd_reels, "grow the tree of futures and rank the reels"),
+}
 
 
 if __name__ == "__main__":

@@ -126,10 +126,7 @@ def solve_stage_game(
     candidate under the worst combination of the others' candidates, or
     of the screened profiles' others when subsampled (an upper bound).
     """
-    candidates = tuple(np.asarray(pool, dtype=float) for pool in candidates)
-    previous = np.asarray(previous, dtype=float)
-    sizes = np.asarray(sizes, dtype=float)
-    _check_game(candidates, previous, sizes)
+    candidates, previous, sizes = _checked_game(candidates, previous, sizes)
     game = (candidates, previous, sizes, params)
     exhaustive = math.prod(len(pool) for pool in candidates) <= max_profiles
     if exhaustive:
@@ -143,8 +140,12 @@ def solve_stage_game(
     )
 
 
-def _check_game(candidates, previous, sizes) -> None:
-    """Reject pools and matrices that do not fit len(sizes) agents."""
+def _checked_game(candidates, previous, sizes):
+    """The pools, previous tactics and sizes as float arrays; pools and
+    matrices that do not fit len(sizes) agents are rejected."""
+    candidates = tuple(np.asarray(pool, dtype=float) for pool in candidates)
+    previous = np.asarray(previous, dtype=float)
+    sizes = np.asarray(sizes, dtype=float)
     n = len(sizes)
     if len(candidates) != n:
         raise ValueError(f"need one candidate pool per agent: got {len(candidates)} for {n}")
@@ -156,6 +157,7 @@ def _check_game(candidates, previous, sizes) -> None:
             )
     if previous.shape != (n, n):
         raise ValueError(f"previous must have shape ({n}, {n}) (got {previous.shape})")
+    return candidates, previous, sizes
 
 
 def payoff_tensor(
@@ -165,6 +167,7 @@ def payoff_tensor(
     params: ModelParams,
 ) -> np.ndarray:
     """Payoff table over the whole profile space, shape (k_1..k_n, n)."""
+    candidates, previous, sizes = _checked_game(candidates, previous, sizes)
     ks = tuple(len(pool) for pool in candidates)
     # Index rows of agents 0..n-2 with a last column the sweep ignores.
     rows = np.indices(ks[:-1] + (1,)).reshape(len(ks), -1).T

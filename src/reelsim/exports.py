@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import State
 from .frames import FrameDistribution
-from .reels import Reel, ReelNode
+from .reels import Reel, ReelNode, _walk
 from .scenario import agent_rows
 
 
@@ -59,8 +59,12 @@ def export_state_dot(state: State, names: list[str] | None = None) -> str:
 def export_tree_dot(tree: ReelNode) -> str:
     """Tree of future frames, edges labeled with transition probabilities."""
     lines = ["digraph reels {", "  node [shape=box];"]
-
-    def walk(node: ReelNode, path: tuple[int, ...]) -> None:
+    # each node's edge from its parent, then its own line
+    for node, path, _, probabilities in _walk(tree):
+        if path:
+            lines.append(
+                f'  {_node_id(path[:-1])} -> {_node_id(path)} [label="{probabilities[-1]:.3f}"];'
+            )
         sizes_text = ", ".join(f"{value:.3f}" for value in node.state.sizes)
         label = f"[{sizes_text}]"
         if node.leaf_reason is not None:
@@ -68,14 +72,6 @@ def export_tree_dot(tree: ReelNode) -> str:
         if node.dropped_mass > 0.0:
             label += f"\\ndropped={node.dropped_mass:.3f}"
         lines.append(f'  {_node_id(path)} [label="{label}"];')
-        for index, edge in enumerate(node.children):
-            child_path = path + (index,)
-            lines.append(
-                f'  {_node_id(path)} -> {_node_id(child_path)} [label="{edge.probability:.3f}"];'
-            )
-            walk(edge.child, child_path)
-
-    walk(tree, ())
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -104,7 +100,7 @@ def export_frames_json(distribution: FrameDistribution, names: list[str]) -> str
     """
     diagnostics = distribution.diagnostics
     payload = {
-        "agents": list(names),
+        "agents": _agent_names(len(diagnostics.minimax), names),
         "frames": [],
         "diagnostics": {**vars(diagnostics), "minimax": diagnostics.minimax.tolist()},
     }
@@ -146,7 +142,7 @@ def _frame_template(n: int) -> str:
 def export_reels_json(tree: ReelNode, reels: list[Reel], names: list[str]) -> str:
     """Full tree plus the ranked reel table as one JSON document."""
     payload = {
-        "agents": list(names),
+        "agents": _agent_names(tree.state.n, names),
         "tree": _node_payload(tree),
         "reels": [
             {
@@ -164,6 +160,7 @@ def export_reels_json(tree: ReelNode, reels: list[Reel], names: list[str]) -> st
 
 def export_reel_table_csv(reels: list[Reel], names: list[str]) -> str:
     """Ranked reel summary: probability, length, stop reason, final sizes."""
+    names = _agent_names(reels[0].path[-1].n if reels else len(names), names)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["rank", "probability", "steps", "leaf_reason", *names])

@@ -120,28 +120,20 @@ def enumerate_reels(tree: ReelNode) -> list[Reel]:
     Ties order by child indices, so the output is deterministic for a
     deterministic tree.
     """
-    reels: list[Reel] = []
-
-    def walk(
-        node: ReelNode,
-        states: tuple[State, ...],
-        indices: tuple[int, ...],
-        probabilities: tuple[float, ...],
-    ) -> None:
-        states = states + (node.state,)
-        if node.is_leaf:
-            reels.append(
-                Reel(states, indices, probabilities, math.prod(probabilities), node.leaf_reason)
-            )
-            return
-        for index, edge in enumerate(node.children):
-            walk(
-                edge.child,
-                states,
-                indices + (index,),
-                probabilities + (edge.probability,),
-            )
-
-    walk(tree, (), (), ())
+    reels = [
+        Reel(states, path, probabilities, math.prod(probabilities), node.leaf_reason)
+        for node, path, states, probabilities in _walk(tree)
+        if node.is_leaf
+    ]
     reels.sort(key=lambda reel: (-reel.probability, reel.indices))
     return reels
+
+
+def _walk(node: ReelNode, path=(), states=(), probabilities=()):
+    """Every node of the tree in preorder, children in index order, with
+    its path of child indices, the states from the root to it and the
+    edge probabilities on the way."""
+    states = states + (node.state,)
+    yield node, path, states, probabilities
+    for index, edge in enumerate(node.children):
+        yield from _walk(edge.child, path + (index,), states, probabilities + (edge.probability,))

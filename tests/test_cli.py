@@ -425,6 +425,22 @@ def test_root_pruned_out_is_not_called_certain(tmp_path, capsys):
     assert "most probable" not in out
 
 
+def test_depth_zero_root_is_not_called_certain(tmp_path, capsys):
+    # at depth_max 0 the root is a max_depth leaf: its one reel has
+    # probability 1 without any expansion behind it
+    doc = json.loads(SHIPPED.read_text())
+    doc["sim"]["depth_max"] = 0
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    assert main(["--out-dir", str(out_dir), "reels", str(path)]) == 0
+    rows = list(csv.DictReader(io.StringIO((out_dir / "reels.csv").read_text())))
+    assert [(row["probability"], row["leaf_reason"]) for row in rows] == [("1", "max_depth")]
+    out = capsys.readouterr().out
+    assert out.endswith("depth_max is 0; the tree is its root alone\n")
+    assert "most probable" not in out
+
+
 def test_surviving_lines_of_zero_weight_are_not_called_filtered(tmp_path, capsys):
     # at sigma 0.01 the one line the filter keeps moves so far that its
     # inertia weight underflows to 0: no frame, though a line survived
@@ -578,6 +594,33 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+
+
+def help_text(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--help"])
+    assert excinfo.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_lists_each_command_its_summary_and_file(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    summaries = {
+        "validate": "check a scenario file",
+        "step": "play the scenario's own tactics forward, sizes to CSV",
+        "frame": "estimate the next-move distribution at the root",
+        "reels": "grow the tree of futures and rank the reels",
+    }
+    top = help_text([], capsys)
+    assert "  {validate,step,frame,reels}\n" in top
+    for command, summary in summaries.items():
+        assert f"\n    {command:<20}{summary}\n" in top
+        text = help_text([command], capsys)
+        options = " [--t T]" if command == "step" else ""
+        assert text.startswith(f"usage: reelsim {command} [-h]{options} file\n")
+        assert "\n  file        scenario JSON file\n" in text
+        assert ("--t T" in text) == (command == "step")
+    assert "\n  --t T       number of steps (default 10)\n" in help_text(["step"], capsys)
 
 
 def test_console_script_entry_point(scenario_file):

@@ -195,6 +195,34 @@ def test_previous_must_be_square_over_the_agents(params):
         )
 
 
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("narrow pool", r"pool 2 must be a nonempty \(k, 3\) array .*\(got shape \(2, 2\)\)"),
+        ("two pools", r"need one candidate pool per agent: got 2 for 3"),
+        ("small previous", r"previous must have shape \(3, 3\) \(got \(2, 2\)\)"),
+        ("empty pool", r"pool 2 must be a nonempty \(k, 3\) array .*\(got shape \(0, 3\)\)"),
+    ],
+    ids=["narrow pool", "two pools", "small previous", "empty pool"],
+)
+def test_payoff_tensor_rejects_what_the_solver_rejects(params, case, message):
+    # two candidates per agent wherever the case leaves them
+    candidates, previous = pools(3, 2, seed=1), np.eye(3)
+    if case == "narrow pool":
+        candidates = candidates[:2] + (np.eye(2),)
+    elif case == "two pools":
+        candidates = candidates[:2]
+    elif case == "small previous":
+        previous = np.eye(2)
+    else:
+        candidates = candidates[:2] + (np.empty((0, 3)),)
+    with pytest.raises(ValueError, match=message) as solved:
+        rs.solve_stage_game(candidates, previous, np.ones(3), params, key=0)
+    with pytest.raises(ValueError) as tabled:
+        rs.payoff_tensor(candidates, previous, np.ones(3), params)
+    assert str(tabled.value) == str(solved.value)
+
+
 # ----------------------------------------------------------------- sampling
 
 

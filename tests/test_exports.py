@@ -110,6 +110,33 @@ def test_tree_dot_single_leaf(three_agent_state):
     assert "all_dead" in dot
 
 
+def test_tree_dot_writes_each_edge_before_its_child(three_agent_tactics):
+    # two children, the first with one child: every edge comes right
+    # before the node it leads to, in preorder
+    def node(sizes, depth, children=(), leaf_reason=None, dropped_mass=0.0):
+        state = rs.State(three_agent_tactics, np.array(sizes))
+        return rs.ReelNode(state, depth, children, leaf_reason, dropped_mass)
+
+    grandchild = node([0.1, 1.0, 0.4], 2, leaf_reason=rs.LEAF_MAX_DEPTH)
+    first = node([0.2, 1.0, 0.5], 1, (rs.ReelEdge(0.75, grandchild),), dropped_mass=0.25)
+    second = node([0.0, 1.0, 0.7], 1, leaf_reason=rs.LEAF_PRUNED, dropped_mass=1.0)
+    tree = node(
+        [0.3, 1.0, 0.6], 0, (rs.ReelEdge(0.5, first), rs.ReelEdge(0.3, second)), dropped_mass=0.2
+    )
+    assert rs.export_tree_dot(tree) == (
+        "digraph reels {\n"
+        "  node [shape=box];\n"
+        '  root [label="[0.300, 1.000, 0.600]\\ndropped=0.200"];\n'
+        '  root -> n0 [label="0.500"];\n'
+        '  n0 [label="[0.200, 1.000, 0.500]\\ndropped=0.250"];\n'
+        '  n0 -> n0_0 [label="0.750"];\n'
+        '  n0_0 [label="[0.100, 1.000, 0.400]\\nmax_depth"];\n'
+        '  root -> n1 [label="0.300"];\n'
+        '  n1 [label="[0.000, 1.000, 0.700]\\npruned_out\\ndropped=1.000"];\n'
+        "}\n"
+    )
+
+
 # ----------------------------------------------------------------- sizes CSV
 
 
@@ -185,6 +212,11 @@ finite_floats = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([-0.0, 5e-324, 1e308]),
 )
+
+
+def test_frames_json_name_count_checked(small_distribution):
+    with pytest.raises(ValueError, match="got 1 names for 3 agents"):
+        rs.export_frames_json(small_distribution, ["solo"])
 
 
 @st.composite
@@ -310,3 +342,15 @@ def test_reel_table_csv(small_tree):
         assert int(row[2]) == len(reel.indices)
         assert row[3] == reel.leaf_reason
         assert [float(cell) for cell in row[4:]] == [float(v) for v in reel.path[-1].sizes]
+
+
+def test_reels_json_name_count_checked(small_tree):
+    reels = rs.enumerate_reels(small_tree)
+    with pytest.raises(ValueError, match="got 1 names for 3 agents"):
+        rs.export_reels_json(small_tree, reels, ["solo"])
+
+
+def test_reel_table_csv_name_count_checked(small_tree):
+    reels = rs.enumerate_reels(small_tree)
+    with pytest.raises(ValueError, match="got 1 names for 3 agents"):
+        rs.export_reel_table_csv(reels, ["solo"])

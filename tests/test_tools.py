@@ -121,5 +121,5 @@ def test_artifacts_reproduce_across_processes(tmp_path):
         assert result.stdout == ""
         files = sorted(path for path in out.rglob("*") if path.is_file())
         trees.append({str(path.relative_to(out)): path.read_bytes() for path in files})
-    assert len(trees[0]) == 161
+    assert len(trees[0]) == 166
     assert trees[0] == trees[1]

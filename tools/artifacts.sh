@@ -32,6 +32,10 @@
 # agents, run on 2,000 lines, and its {frame,reels}/ outputs at seed 7:
 # lines at n >= 8, where adding in index order differs from numpy's
 # pairwise sums.
+# OUT_DIR/help/ holds what `reelsim --help` prints (reelsim.txt) and
+# what `reelsim COMMAND --help` prints for each command (COMMAND.txt),
+# at COLUMNS=80 so the text does not depend on the terminal; each must
+# exit with status 0.
 # OUT_DIR/bench/W-S/ holds the inputs and outputs of every command that
 # bench/workloads.py's write_inputs gives workload W at seed S, for all
 # four workloads at seeds 1 and 2. The script only reads bench/; it runs
@@ -49,7 +53,7 @@ fi
 root="$(cd "$(dirname "$0")/.." && pwd)"
 mkdir -p "$1"
 # -B writes no bytecode, so bench/ is left as it is.
-PYTHONPATH="$root/src" python3 -B - "$root" "$(cd "$1" && pwd)" > /dev/null <<'EOF'
+COLUMNS=80 PYTHONPATH="$root/src" python3 -B - "$root" "$(cd "$1" && pwd)" > /dev/null <<'EOF'
 import contextlib
 import copy
 import json
@@ -159,4 +163,17 @@ argvs += [
 for argv in argvs:
     if status := main(argv):
         sys.exit(status)
+
+(out / "help").mkdir(exist_ok=True)
+# the commands are listed here, not read from reelsim.cli, so that a
+# checkout whose parser lacks one fails here
+commands = ("validate", "step", "frame", "reels")
+for name, argv in [("reelsim", []), *((command, [command]) for command in commands)]:
+    with open(out / "help" / f"{name}.txt", "w", encoding="utf-8") as handle:
+        with contextlib.redirect_stdout(handle):
+            try:
+                main([*argv, "--help"])
+            except SystemExit as done:
+                if done.code:
+                    sys.exit(done.code)
 EOF
