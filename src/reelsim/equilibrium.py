@@ -36,6 +36,13 @@ their payoffs are what one sweep of every agent over every drawn
 profile would give. A profile is a row of
 candidate indices, never a flat index (a profile space can exceed an
 int64), and the kernel takes about PAYOFF_BLOCK cells at a time.
+
+The cells are held agent-major: the tables hold each candidate's
+transfer column recipient-major, (n, k), the kernel builds its sizes
+and payoffs as (n, rows, k) and the tensor as (n, k_1..k_n), so each
+add over the agents and each agent's slice of the tensor is one pass
+over contiguous memory. Callers see the (rows, k, n) and (k_1..k_n, n)
+shapes, as views; the layout changes no cell's operations or bits.
 """
 
 from __future__ import annotations
@@ -172,13 +179,16 @@ def payoff_tensor(
     # Index rows of agents 0..n-2 with a last column the sweep ignores.
     rows = np.indices(ks[:-1] + (1,)).reshape(len(ks), -1).T
     tables = _tables(candidates, previous, sizes, params)
-    return _sweep(tables, rows, len(ks) - 1, params).reshape(ks + (len(ks),))
+    # the sweep's (n, P, k) buffer, reshaped without a copy: agent-major
+    swept = np.moveaxis(_sweep(tables, rows, len(ks) - 1, params), -1, 0)
+    return np.moveaxis(swept.reshape((len(ks),) + ks), 0, -1)
 
 
 def _tables(candidates, previous, sizes, params) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each agent's candidates as transfer columns (k, n) and squared
-    moves (k,), tabled once per game from the stack whose member c holds
-    candidate c of every pool (zeros past a short pool's end)."""
+    """Each agent's candidates as transfer columns, recipient-major (n,
+    k), and squared moves (k,), tabled once per game from the stack whose
+    member c holds candidate c of every pool (zeros past a short pool's
+    end)."""
     n = len(candidates)
     stack = np.zeros((max(len(pool) for pool in candidates), n, n))
     for agent, pool in enumerate(candidates):
@@ -186,7 +196,8 @@ def _tables(candidates, previous, sizes, params) -> list[tuple[np.ndarray, np.nd
     gains = transfers(stack, sizes, params)
     moves = column_moves(stack, previous)
     return [
-        (gain[: len(pool)], move[: len(pool)]) for gain, move, pool in zip(gains, moves, candidates)
+        (np.ascontiguousarray(gain[: len(pool)].T), move[: len(pool)])
+        for gain, move, pool in zip(gains, moves, candidates)
     ]
 
 
@@ -196,28 +207,31 @@ def _sweep(tables, rows, agent: int, params, *, own: bool = False) -> np.ndarray
     c in place of rows[p, agent], whose value is ignored. With own, only
     the agent's payoff is computed, (P, k, 1).
 
-    The others' tabled columns are gathered once per row, (rows, 1, n),
-    against the agent's whole table, (1, k, n), PAYOFF_BLOCK // k rows
-    at a time.
+    The cells are held agent-major: the others' tabled columns are
+    gathered once per row, (n, rows, 1), against the agent's whole
+    table, (n, 1, k), PAYOFF_BLOCK // k rows at a time, so each add over
+    the agents is one pass over contiguous (rows, k) slabs. The result
+    is the (P, k, n) transpose of an (n, P, k) array, a view.
     """
     k = len(tables[agent][1])
-    payoffs = np.empty((len(rows), k, 1 if own else len(tables)))
+    payoffs = np.empty((1 if own else len(tables), len(rows), k))
     step = max(1, PAYOFF_BLOCK // k)
     for start in range(0, len(rows), step):
         block = rows[start : start + step].T
-        # take, not fancy indexing: the same rows, about 3x faster on (k, n) tables
+        # take, not fancy indexing: the same columns, about 3x faster on (n, k) tables
         terms = [
-            (gains[np.newaxis], moves[np.newaxis])
+            (gains[:, np.newaxis], moves[np.newaxis])
             if other == agent
-            else (gains.take(choices, 0)[:, np.newaxis], moves.take(choices)[:, np.newaxis])
+            else (gains.take(choices, 1)[..., np.newaxis], moves.take(choices)[:, np.newaxis])
             for other, ((gains, moves), choices) in enumerate(zip(tables, block))
         ]
-        updated = sizes_from_transfers(gain for gain, _ in terms)
+        updated = sizes_from_transfers(gain for gain, _ in terms).transpose(1, 2, 0)
         distance = distance_from_moves(move for _, move in terms)
         utilities = positional_utility(updated, params.alpha, agent if own else None)
-        # with one agent the sums are its own (1, k) tables, broadcast over the rows
-        payoffs[start : start + step] = expected_utility(utilities, distance, params.sigma)
-    return payoffs
+        # with one agent the sums are its own tables, (1, 1, k) and (1, k), broadcast over the rows
+        scored = expected_utility(utilities, distance, params.sigma)
+        payoffs[:, start : start + step] = scored.transpose(2, 0, 1)
+    return payoffs.transpose(1, 2, 0)
 
 
 def _solve_tensor(tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -261,8 +275,7 @@ def _screen(
     """
     ks = tuple(len(pool) for pool in candidates)
     draws = integer_draws(key, max(1, max_profiles // (1 + sum(ks))), ks)
-    # np.unique(draws, axis=0) gives the same rows but imports numpy.ma.
-    profiles = np.array(sorted(set(map(tuple, draws.tolist()))))
+    profiles = _distinct_rows(draws)
     tables = _tables(candidates, previous, sizes, params)
     # alive: the rows every agent so far found stable; payoffs[p, d]: row
     # p's payoff to agent d, filled in for the rows agent d swept
@@ -289,3 +302,10 @@ def _screen(
                 low = np.minimum(low, _sweep(tables, rest, agent, params, own=True)[..., 0].min(0))
             security[agent] = low.max()
     return profiles[alive], payoffs[alive], security
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-d array in lexicographic order, as
+    np.unique(rows, axis=0) gives them without importing numpy.ma."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    return rows[np.concatenate(([True], np.diff(rows, axis=0).any(axis=1)))]

@@ -457,3 +457,41 @@ def test_sampled_security_levels_bound_the_exact_ones(params):
             for agent in range(4)
         ]
         assert np.all(game.minimax >= exact), seed
+
+
+@pytest.mark.parametrize("n, ks", [(1, (4,)), (3, (3, 5, 4)), (4, (2, 3, 2, 3))])
+def test_payoff_cells_are_held_agent_major(params, n, ks):
+    # each agent's payoffs are one contiguous slab, so every sum over the
+    # agents and every per-agent reduction reads memory in order
+    candidates = tuple(
+        pool[:k]
+        for pool, k in zip(rs.sample_candidates(n, max(ks), rs.SamplerConfig(), 3), ks)
+    )
+    previous, sizes = np.eye(n), np.linspace(1.0, 0.5, n)
+    tables = equilibrium._tables(candidates, previous, sizes, params)
+    rows = np.indices(ks).reshape(n, -1).T
+    for agent in range(n):
+        for own in (False, True):
+            swept = equilibrium._sweep(tables, rows, agent, params, own=own)
+            assert np.moveaxis(swept, -1, 0).flags.c_contiguous
+    tensor = rs.payoff_tensor(candidates, previous, sizes, params)
+    assert tensor.shape == ks + (n,)
+    for agent in range(n):
+        assert tensor[..., agent].flags.c_contiguous
+
+
+@pytest.mark.parametrize(
+    "draws",
+    [
+        np.array([[2, 0, 1], [0, 1, 1], [2, 0, 1], [0, 1, 0], [0, 1, 1], [1, 2, 0]]),
+        equilibrium.integer_draws(rs.stream_key(3, rs.PROFILE_STREAM), 500, (3, 4, 2, 3)),
+        np.array([[4, 1, 7, 0]]),
+        np.array([[5], [2], [5], [0]]),
+    ],
+    ids=["duplicates", "drawn", "one-row", "one-agent"],
+)
+def test_distinct_rows_equal_sorted_tuples(draws):
+    expected = np.array(sorted(set(map(tuple, draws.tolist()))))
+    distinct = equilibrium._distinct_rows(draws)
+    assert distinct.shape == expected.shape and distinct.dtype == expected.dtype
+    assert distinct.tobytes() == expected.tobytes()

@@ -98,6 +98,36 @@ def test_bench_pairs_with_bad_arguments_prints_usage(tmp_path, args):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("HEAD", "no-such-workload", "1", "1", "1"),
+        ("HEAD", "Frame-Game"),
+        ("HEAD", ""),
+        ("HEAD", "reels-tree", "1", "0"),
+        ("HEAD", "reels-tree", "1", "0.0"),
+        ("HEAD", "reels-tree", "1", "-1"),
+        ("HEAD", "reels-tree", "1", "fifteen"),
+        ("HEAD", "reels-tree", "1", "."),
+    ],
+)
+def test_bench_pairs_rejects_a_bad_workload_or_seconds_before_extracting(tmp_path, args):
+    work, scratch = tmp_path / "work", tmp_path / "tmp"
+    work.mkdir()
+    scratch.mkdir()
+    result = subprocess.run(
+        ["bash", str(BENCH_PAIRS), *args],
+        capture_output=True,
+        text=True,
+        cwd=work,
+        env={**os.environ, "TMPDIR": str(scratch)},
+    )
+    assert result.returncode == 2
+    assert result.stderr == f"usage: {BENCH_PAIRS} PARENT WORKLOAD [PAIRS] [SECONDS] [SEED]\n"
+    assert result.stdout == ""
+    assert list(work.iterdir()) == [] and list(scratch.iterdir()) == []
+
+
 def test_bench_pairs_rejects_an_unknown_parent(tmp_path):
     result = subprocess.run(
         ["bash", str(BENCH_PAIRS), "no-such-ref", "reels-tree"],

@@ -21,8 +21,10 @@
 # run with its attempted and failed commands and its count of timed
 # passes, since peak_rss_mb grows with that count. Progress goes to
 # standard error. Exits 0 when every run printed a result, 1 when a run
-# failed, 2 on bad usage or an unknown PARENT. The temporary directory
-# is removed on exit.
+# failed, 2 on bad usage (a WORKLOAD not in bench/workloads.py's
+# WORKLOADS, PAIRS not a positive integer, SECONDS not a positive
+# number, SEED not a nonnegative integer) or an unknown PARENT, before
+# anything is extracted. The temporary directory is removed on exit.
 set -euo pipefail
 
 usage="usage: $0 PARENT WORKLOAD [PAIRS] [SECONDS] [SEED]"
@@ -31,13 +33,22 @@ if [ "$#" -lt 2 ] || [ "$#" -gt 5 ]; then
     exit 2
 fi
 parent="$1" workload="$2" pairs="${3:-10}" seconds="${4:-15}" seed="${5:-1}"
-if ! [[ "$pairs" =~ ^[1-9][0-9]*$ && "$seed" =~ ^[0-9]+$ ]]; then
+# SECONDS: a positive decimal number
+if ! [[ "$pairs" =~ ^[1-9][0-9]*$ && "$seed" =~ ^[0-9]+$ ]] \
+    || ! [[ "$seconds" =~ ^([0-9]+\.?[0-9]*|\.[0-9]+)$ && "$seconds" =~ [1-9] ]]; then
     echo "$usage" >&2
     exit 2
 fi
 root="$(cd "$(dirname "$0")/.." && pwd)"
 if ! git -C "$root" rev-parse --quiet --verify "$parent^{commit}" > /dev/null 2>&1; then
     echo "$0: unknown commit $parent" >&2
+    exit 2
+fi
+# WORKLOAD: one of the names bench/workloads.py defines
+if ! (cd "$root/bench" && python3 -B -c \
+    'import sys; from workloads import WORKLOADS; sys.exit(sys.argv[1] not in WORKLOADS)' \
+    "$workload") > /dev/null 2>&1; then
+    echo "$usage" >&2
     exit 2
 fi
 tmp="$(mktemp -d)"
