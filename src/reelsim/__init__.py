@@ -6,6 +6,8 @@ dynamic sit sampled stage games, a folk-style rationality filter over
 Monte Carlo lines of play, and probability trees of future states.
 """
 
+import types as _types
+
 from .core import (
     EPS_SUM,
     ModelParams,
@@ -89,69 +91,9 @@ from .utility import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CANDIDATE_STREAM",
-    "DEFAULT_CANDIDATES",
-    "DEFAULT_MAX_PROFILES",
-    "EPS_SUM",
-    "Frame",
-    "FrameDistribution",
-    "LEAF_ALL_DEAD",
-    "LEAF_EMPTY",
-    "LEAF_MAX_DEPTH",
-    "LEAF_PRUNED",
-    "LINE_BLOCK",
-    "LINE_STREAM",
-    "LineBlock",
-    "ModelParams",
-    "NODE_STREAM",
-    "PROFILE_STREAM",
-    "Reel",
-    "ReelEdge",
-    "ReelNode",
-    "SamplerConfig",
-    "Scenario",
-    "ScenarioError",
-    "SimSettings",
-    "StageGame",
-    "State",
-    "TacticMatrixError",
-    "TransitionDiagnostics",
-    "build_multiplier_matrix",
-    "build_reel_tree",
-    "cluster_first_moves",
-    "enumerate_reels",
-    "evolve",
-    "expected_utility",
-    "export_frames_json",
-    "export_reel_table_csv",
-    "export_reels_json",
-    "export_sizes_csv",
-    "export_state_dot",
-    "export_tree_dot",
-    "folk_filter",
-    "generate_line",
-    "generate_lines",
-    "inertia_probability",
-    "intertemporal_utility",
-    "line_weights",
-    "normalize_sizes",
-    "parse_scenario",
-    "payoff_tensor",
-    "positional_utility",
-    "profile_matrix",
-    "round_tactic_matrix",
-    "sample_candidates",
-    "sample_tactic_matrices",
-    "serialize_scenario",
-    "solve_stage_game",
-    "stage_game",
-    "step_update",
-    "stream_key",
-    "substream",
-    "tactical_distance",
-    "transition_distribution",
-    "update_sizes",
-    "validate_tactic_matrix",
-    "with_seed",
-]
+# The public names are those the imports above bind, the submodules aside.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

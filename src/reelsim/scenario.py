@@ -26,6 +26,9 @@ SCHEMA_VERSION = 1
 # tree.json nests three encoder frames per level, so a deeper chain would
 # exhaust Python's recursion limit after the whole expansion.
 MAX_DEPTH = 256
+# The most bytes one array sized by a sim field may take; a larger size is
+# refused at parse time instead of failing to allocate mid-run.
+_ARRAY_BYTES = 2**30
 
 class ScenarioError(ValueError):
     """Raised when a scenario document cannot become a runnable setup."""
@@ -179,6 +182,7 @@ def parse_scenario(text: str | bytes) -> Scenario:
     sim_block.pop("sampler", None)
     seed = sim_block.pop("seed", 0)
     sim = _build(SimSettings, "sim", sim_block)
+    _check_array_sizes(sim, n)
     if seed < 0:
         raise ScenarioError(f"sim: seed must be nonnegative (got {seed})")
     sampler = _build(SamplerConfig, "sampler", {**sampler_block, "rng_seed": seed})
@@ -249,6 +253,29 @@ def _settings(raw: dict, name: str, cls: type) -> dict:
         if kind and type(value) not in kind[0]:
             raise ScenarioError(f"{name}: {field} must be {kind[1]} (got {json.dumps(value)})")
     return dict(block)
+
+
+def _check_array_sizes(sim: SimSettings, n: int) -> None:
+    """Refuse a candidates, horizon or max_profiles whose largest array of
+    8-byte items exceeds _ARRAY_BYTES with n agents: the candidate draws,
+    2n words for each of n * candidates vectors; a block of LINE_BLOCK
+    lines, horizon tactic matrices per line; the stage game's profiles,
+    min(max_profiles, candidates**n) rows of n."""
+    from .frames import LINE_BLOCK  # frames imports this module
+
+    items = _ARRAY_BYTES // 8
+    for field, bound in (
+        ("candidates", items // (2 * n * n)),
+        ("horizon", items // (LINE_BLOCK * n * n)),
+        ("max_profiles", items // n),
+    ):
+        value = getattr(sim, field)
+        # a game of candidates**n <= bound profiles holds them all, whatever
+        # max_profiles; candidates is within its bound, so the power is cheap
+        if value > bound and (field != "max_profiles" or sim.candidates**n > bound):
+            raise ScenarioError(
+                f"sim: {field} must be at most {bound} for {n} agents (got {value})"
+            )
 
 
 def _build(cls: type, name: str, block: dict):

@@ -154,6 +154,38 @@ def test_rounding_too_fine_for_exact_keys_exits_one(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "field, largest, sim",
+    [
+        # 2**30-byte arrays of 8-byte items with 3 agents: 2 * 3 draw words
+        # for each of 3 candidate vectors, LINE_BLOCK 3 x 3 tactic matrices
+        # per horizon step, 3 entries per profile row
+        ("candidates", 2**27 // 18, {}),
+        ("horizon", 2**27 // (rs.LINE_BLOCK * 9), {}),
+        ("max_profiles", 2**27 // 3, {"candidates": 1000}),
+    ],
+)
+def test_sizes_past_their_array_bound_exit_one_with_one_line(
+    scenario_payload, write_scenario, capsys, field, largest, sim
+):
+    scenario_payload["sim"].update(sim, **{field: largest})
+    assert main(["validate", str(write_scenario(scenario_payload))]) == 0
+    assert capsys.readouterr().err == ""
+    scenario_payload["sim"][field] = largest + 1
+    assert main(["validate", str(write_scenario(scenario_payload))]) == 1
+    message = f"sim: {field} must be at most {largest} for 3 agents (got {largest + 1})"
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_max_profiles_is_unbounded_when_every_profile_fits(
+    scenario_payload, write_scenario, capsys
+):
+    # 5**3 profiles: the game never holds more rows, whatever max_profiles
+    scenario_payload["sim"]["max_profiles"] = 10**300
+    assert main(["validate", str(write_scenario(scenario_payload))]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("command", ["frame", "reels"])
 def test_float_overflow_at_run_time_exits_two(
     scenario_payload, write_scenario, tmp_path, capsys, command

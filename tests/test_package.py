@@ -2,6 +2,7 @@
 
 import ast
 import re
+import types
 import typing
 from pathlib import Path
 
@@ -53,3 +54,18 @@ def test_every_export_is_used_or_documented():
     readme = (ROOT / "README.md").read_text()
     documented = {name for name in rs.__all__ if re.search(rf"\b{name}\b", readme)}
     assert [name for name in rs.__all__ if name not in used | documented] == []
+
+
+def test_exported_names_are_the_names_the_package_imports():
+    # __all__ is derived, so a name the package imports is public and no
+    # submodule or private name is.
+    assert not any(isinstance(getattr(rs, name), types.ModuleType) for name in rs.__all__)
+    assert not any(name.startswith("_") for name in rs.__all__)
+    tree = ast.parse((ROOT / "src" / "reelsim" / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    assert set(rs.__all__) == imported

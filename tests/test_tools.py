@@ -1,8 +1,10 @@
 """The shell scripts under tools/."""
 
+import json
 import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -138,6 +140,51 @@ def test_bench_pairs_rejects_an_unknown_parent(tmp_path):
     assert result.returncode == 2
     assert result.stderr == f"{BENCH_PAIRS}: unknown commit no-such-ref\n"
     assert result.stdout == ""
+
+
+# A python3 that answers for bench/run.py with a fixed result, logging the
+# directory it ran in, and hands every other call to the real interpreter.
+PYTHON_SHIM = """#!/bin/sh
+if [ "$1" = bench/run.py ]; then
+    pwd -P >> "$SHIM_LOG"
+    echo '{{"metrics": {{"wall_s": {{"value": 1.0}}, "setup_s": {{"value": 0.2}}, \
+"peak_rss_mb": {{"value": 50.0}}}}, "attempted": 3, "failed": 0, "correct": true}}'
+    echo 'pass seconds: untraced [1.0] traced []' >&2
+    exit 0
+fi
+exec {python} "$@"
+"""
+
+
+def test_bench_pairs_runs_neither_side_in_the_checkout(tmp_path):
+    bin_dir, scratch, log = tmp_path / "bin", tmp_path / "tmp", tmp_path / "cwd.log"
+    bin_dir.mkdir()
+    scratch.mkdir()
+    shim = bin_dir / "python3"
+    shim.write_text(PYTHON_SHIM.format(python=sys.executable))
+    shim.chmod(0o755)
+    result = subprocess.run(
+        ["bash", str(BENCH_PAIRS), "HEAD", "frame-game", "2", "1"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={
+            **os.environ,
+            "PATH": f"{bin_dir}{os.pathsep}{os.environ['PATH']}",
+            "TMPDIR": str(scratch),
+            "SHIM_LOG": str(log),
+        },
+    )
+    assert result.returncode == 0, result.stderr
+    runs = json.loads(result.stdout)["workloads"]["frame-game"]["runs"]
+    assert [len(runs["parent"]), len(runs["change"])] == [2, 2]
+    # pair 1 runs the parent first, pair 2 the change
+    parent, change, *rest = [Path(line) for line in log.read_text().splitlines()]
+    assert rest == [change, parent] and parent != change
+    checkout = TOOLS.parent.resolve()
+    assert checkout not in (parent, *parent.parents, change, *change.parents)
+    assert parent.parent == change.parent and parent.parent.parent == scratch.resolve()
+    assert list(scratch.iterdir()) == []
 
 
 def test_artifacts_reproduce_across_processes(tmp_path):

@@ -5,15 +5,18 @@
 #   tools/bench_pairs.sh PARENT WORKLOAD [PAIRS] [SECONDS] [SEED]
 #
 # PAIRS defaults to 10, SECONDS to 15 (BENCHMARK.json's run_seconds) and
-# SEED to 1. Extracts PARENT with `git archive` into a temporary
-# directory and replaces its bench/ with this checkout's, so both sides
-# run the same benchmark code, each against its own src/. Pair p runs
+# SEED to 1. Both sides run from copies in one temporary directory, at
+# the same depth: PARENT extracted with `git archive`, and this
+# checkout's working tree, that is its tracked and untracked files that
+# .gitignore does not exclude, uncommitted edits included and deleted
+# files left out. The parent copy's bench/ is replaced with the working
+# tree's, so both sides run the same benchmark code, each against its
+# own src/. Pair p runs
 #
 #   python3 bench/run.py --workload WORKLOAD --seed SEED --seconds SECONDS --trace 0
 #
-# once in each tree, the parent first in odd pairs, and reads the JSON
-# object on the last line of each run's output. This checkout means its
-# working tree, uncommitted changes included. The document on standard
+# once in each copy, the parent first in odd pairs, and reads the JSON
+# object on the last line of each run's output. The document on standard
 # output has BENCH_24.json's layout: host (cores, Python, numpy, CPU
 # model and flags), command, method, and under workloads.WORKLOAD each
 # side's median and quartiles (numpy percentiles 50, 25 and 75) of every
@@ -54,12 +57,18 @@ fi
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-mkdir "$tmp/parent" "$tmp/runs"
+mkdir "$tmp/parent" "$tmp/change" "$tmp/runs"
 git -C "$root" archive "$parent" | tar -x -C "$tmp/parent"
+# the working tree: every file git lists that is not ignored, less the deleted ones
+git -C "$root" ls-files -z --cached --others --exclude-standard \
+    | (cd "$root" && while IFS= read -r -d '' file; do
+        if [ -e "$file" ] || [ -L "$file" ]; then printf '%s\0' "$file"; fi
+    done) \
+    | tar -c -C "$root" --null -T - | tar -x -C "$tmp/change"
 rm -rf "$tmp/parent/bench"
-tar -c -C "$root" --exclude=__pycache__ bench | tar -x -C "$tmp/parent"
+cp -R "$tmp/change/bench" "$tmp/parent/bench"
 
-run() {  # run SIDE TREE PAIR: one benchmark run, its output kept
+run() {  # run SIDE COPY PAIR: one benchmark run, its output kept
     echo "pair $3: $1" >&2
     if ! (cd "$2" && python3 bench/run.py --workload "$workload" --seed "$seed" \
         --seconds "$seconds" --trace 0) > "$tmp/runs/$1-$3.out" 2> "$tmp/runs/$1-$3.err"; then
@@ -71,9 +80,9 @@ run() {  # run SIDE TREE PAIR: one benchmark run, its output kept
 for pair in $(seq 1 "$pairs"); do
     if [ $((pair % 2)) -eq 1 ]; then
         run parent "$tmp/parent" "$pair"
-        run change "$root" "$pair"
+        run change "$tmp/change" "$pair"
     else
-        run change "$root" "$pair"
+        run change "$tmp/change" "$pair"
         run parent "$tmp/parent" "$pair"
     fi
 done
@@ -132,8 +141,10 @@ document = {
     ),
     "method": (
         f"tools/bench_pairs.sh {parent} {workload} {pairs} {seconds:g} {seed}: the parent "
-        "(git archive of that commit, with this checkout's bench/) and this checkout run "
-        "one after the other in each pair, the parent first in odd pairs. Medians and "
+        "(git archive of that commit, with this checkout's bench/) and this checkout "
+        "(a copy of its working tree, files .gitignore excludes left out) run from copies "
+        "at the same depth of one temporary directory, one after the other in each pair, "
+        "the parent first in odd pairs. Medians and "
         "quartiles are numpy percentiles 50/25/75 over each side's runs; "
         "change_lower_pairs counts the pairs in which the change read lower."
     ),
