@@ -42,6 +42,7 @@ from .frames import (
     Frame,
     FrameDistribution,
     LineBlock,
+    SimSettings,
     TransitionDiagnostics,
     cluster_first_moves,
     folk_filter,
@@ -76,7 +77,6 @@ from .sampling import (
 from .scenario import (
     Scenario,
     ScenarioError,
-    SimSettings,
     parse_scenario,
     serialize_scenario,
     with_seed,

@@ -7,17 +7,22 @@ total tactical movement they demand, then group them by the next state
 their first move reaches once rounded to the grid. Each group's share of
 the surviving weight is the probability of that next frame, so every
 frame is a distinct state and no state's probability is split.
+
+SimSettings, the run budget this pipeline and the reel tree read, lives
+here beside LINE_BLOCK, which its horizon bound is sized from; every
+transition_distribution checks the budget's array sizes before it draws.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ModelParams, State, update_sizes
-from .equilibrium import stage_game
+from .equilibrium import DEFAULT_CANDIDATES, DEFAULT_MAX_PROFILES, stage_game
 from .sampling import (
     LINE_STREAM,
     SamplerConfig,
@@ -25,7 +30,6 @@ from .sampling import (
     sample_tactic_matrices,
     stream_key,
 )
-from .scenario import SimSettings
 from .utility import (
     expected_utility,
     inertia_probability,
@@ -37,6 +41,74 @@ from .utility import (
 # Lines generated and scored as one stack. Fixed, so the memory a block
 # holds does not grow with the line count; it changes no output bit.
 LINE_BLOCK = 512
+# tree.json nests three encoder frames per level, so a deeper chain would
+# exhaust Python's recursion limit after the whole expansion.
+MAX_DEPTH = 256
+# The most bytes one array sized by a SimSettings count may take; a larger
+# size is refused before the run instead of failing to allocate mid-run.
+_ARRAY_BYTES = 2**30
+
+
+@dataclass(frozen=True)
+class SimSettings:
+    """The run budget that transition_distribution and build_reel_tree read.
+
+    lines and horizon size each transition distribution; depth_max,
+    branch_k, and p_min shape the reel tree; candidates and max_profiles
+    bound the stage games. Every value but p_min is an integer, held as
+    a Python int, and every value is checked here, once; check_sizes adds
+    the bounds that depend on the agent count. The seed is not a setting:
+    it is the sampler's rng_seed.
+    """
+
+    lines: int = 2000
+    horizon: int = 5
+    depth_max: int = 2
+    branch_k: int = 4
+    p_min: float = 0.02
+    candidates: int = DEFAULT_CANDIDATES
+    max_profiles: int = DEFAULT_MAX_PROFILES
+
+    def __post_init__(self):
+        for name in ("lines", "horizon", "depth_max", "branch_k", "candidates", "max_profiles"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer (got {value!r})") from None
+        if self.lines < 1:
+            raise ValueError(f"lines must be at least 1 (got {self.lines})")
+        if self.horizon < 1:
+            raise ValueError(f"horizon must be at least 1 (got {self.horizon})")
+        if not 0 <= self.depth_max <= MAX_DEPTH:
+            raise ValueError(f"depth_max must lie in [0, {MAX_DEPTH}] (got {self.depth_max})")
+        if self.branch_k < 1:
+            raise ValueError(f"branch_k must be at least 1 (got {self.branch_k})")
+        if not 0.0 <= self.p_min <= 1.0:
+            raise ValueError(f"p_min must lie in [0, 1] (got {self.p_min})")
+        if self.candidates < 1:
+            raise ValueError(f"candidates must be at least 1 (got {self.candidates})")
+        if self.max_profiles < 1:
+            raise ValueError(f"max_profiles must be at least 1 (got {self.max_profiles})")
+
+    def check_sizes(self, n: int) -> None:
+        """Refuse, with a ValueError, a candidates, horizon or max_profiles
+        whose largest array of 8-byte items exceeds _ARRAY_BYTES with n
+        agents: the candidate draws, 2n words for each of n * candidates
+        vectors; a block of LINE_BLOCK lines, horizon tactic matrices per
+        line; the stage game's profiles, min(max_profiles, candidates**n)
+        rows of n."""
+        items = _ARRAY_BYTES // 8
+        for field, bound in (
+            ("candidates", items // (2 * n * n)),
+            ("horizon", items // (LINE_BLOCK * n * n)),
+            ("max_profiles", items // n),
+        ):
+            value = getattr(self, field)
+            # a game of candidates**n <= bound profiles holds them all, whatever
+            # max_profiles; candidates is within its bound, so the power is cheap
+            if value > bound and (field != "max_profiles" or self.candidates**n > bound):
+                raise ValueError(f"{field} must be at most {bound} for {n} agents (got {value})")
 
 
 @dataclass(frozen=True)
@@ -249,7 +321,9 @@ def transition_distribution(
 ) -> FrameDistribution:
     """Run the full pipeline at a root state, on sim.lines lines of
     sim.horizon steps and a stage game bounded by sim.candidates and
-    sim.max_profiles.
+    sim.max_profiles. sim.check_sizes(root.n) runs first, so a budget
+    whose arrays could not be allocated raises a ValueError before any
+    draw.
 
     Line k is line k of the stream keyed by stream_key(cfg.rng_seed,
     LINE_STREAM), and the stage game reads the seed's CANDIDATE_STREAM
@@ -257,6 +331,7 @@ def transition_distribution(
     params, cfg, sim), drawn with no numpy generator. Lines run
     LINE_BLOCK at a time; the block size changes no output bit.
     """
+    sim.check_sizes(root.n)
     game = stage_game(
         root, params, cfg, k_candidates=sim.candidates, max_profiles=sim.max_profiles
     )

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ModelParams, State
-from .frames import ordered_sum, transition_distribution
+from .frames import SimSettings, ordered_sum, transition_distribution
 from .sampling import NODE_STREAM, SamplerConfig, stream_key
-from .scenario import SimSettings
 
 LEAF_MAX_DEPTH = "max_depth"
 LEAF_ALL_DEAD = "all_dead"

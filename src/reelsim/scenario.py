@@ -4,6 +4,9 @@ A scenario bundles the cast of agents, their starting state, the model
 parameters, and the simulation settings. Tactics are stored agent-major
 (row i is agent i's outgoing allocations) because that is the natural
 authoring order; internally they become the column-per-agent matrix.
+This module holds the file format only: each settings class, and the
+checks on its values, lives with the code that reads it (ModelParams in
+core, SamplerConfig in sampling, SimSettings in frames).
 """
 
 from __future__ import annotations
@@ -19,54 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ModelParams, State, TacticMatrixError, normalize_sizes, validate_tactic_matrix
-from .equilibrium import DEFAULT_CANDIDATES, DEFAULT_MAX_PROFILES
+from .frames import SimSettings
 from .sampling import SamplerConfig
 
 SCHEMA_VERSION = 1
-# tree.json nests three encoder frames per level, so a deeper chain would
-# exhaust Python's recursion limit after the whole expansion.
-MAX_DEPTH = 256
-# The most bytes one array sized by a sim field may take; a larger size is
-# refused at parse time instead of failing to allocate mid-run.
-_ARRAY_BYTES = 2**30
 
 class ScenarioError(ValueError):
     """Raised when a scenario document cannot become a runnable setup."""
-
-
-@dataclass(frozen=True)
-class SimSettings:
-    """The run budget that transition_distribution and build_reel_tree read.
-
-    lines and horizon size each transition distribution; depth_max,
-    branch_k, and p_min shape the reel tree; candidates and max_profiles
-    bound the stage games. Every value is checked here, once. The seed is
-    not a setting: it is the sampler's rng_seed.
-    """
-
-    lines: int = 2000
-    horizon: int = 5
-    depth_max: int = 2
-    branch_k: int = 4
-    p_min: float = 0.02
-    candidates: int = DEFAULT_CANDIDATES
-    max_profiles: int = DEFAULT_MAX_PROFILES
-
-    def __post_init__(self):
-        if self.lines < 1:
-            raise ValueError(f"lines must be at least 1 (got {self.lines})")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be at least 1 (got {self.horizon})")
-        if not 0 <= self.depth_max <= MAX_DEPTH:
-            raise ValueError(f"depth_max must lie in [0, {MAX_DEPTH}] (got {self.depth_max})")
-        if self.branch_k < 1:
-            raise ValueError(f"branch_k must be at least 1 (got {self.branch_k})")
-        if not 0.0 <= self.p_min <= 1.0:
-            raise ValueError(f"p_min must lie in [0, 1] (got {self.p_min})")
-        if self.candidates < 1:
-            raise ValueError(f"candidates must be at least 1 (got {self.candidates})")
-        if self.max_profiles < 1:
-            raise ValueError(f"max_profiles must be at least 1 (got {self.max_profiles})")
 
 
 # The fields each settings block of the file may hold, with the JSON types
@@ -176,16 +138,16 @@ def parse_scenario(text: str | bytes) -> Scenario:
     except TacticMatrixError as err:
         raise ScenarioError(f"tactics: {err}") from None
 
-    params = _build(ModelParams, "params", _settings(raw, "params", ModelParams))
+    params = _build("params", ModelParams, **_settings(raw, "params", ModelParams))
     sim_block = _settings(raw, "sim", SimSettings)
     sampler_block = _settings(sim_block, "sampler", SamplerConfig)
     sim_block.pop("sampler", None)
     seed = sim_block.pop("seed", 0)
-    sim = _build(SimSettings, "sim", sim_block)
-    _check_array_sizes(sim, n)
+    sim = _build("sim", SimSettings, **sim_block)
+    _build("sim", sim.check_sizes, n)
     if seed < 0:
         raise ScenarioError(f"sim: seed must be nonnegative (got {seed})")
-    sampler = _build(SamplerConfig, "sampler", {**sampler_block, "rng_seed": seed})
+    sampler = _build("sampler", SamplerConfig, **sampler_block, rng_seed=seed)
     return Scenario(tuple(agents), State(tactics, sizes), params, sampler, sim)
 
 
@@ -255,32 +217,9 @@ def _settings(raw: dict, name: str, cls: type) -> dict:
     return dict(block)
 
 
-def _check_array_sizes(sim: SimSettings, n: int) -> None:
-    """Refuse a candidates, horizon or max_profiles whose largest array of
-    8-byte items exceeds _ARRAY_BYTES with n agents: the candidate draws,
-    2n words for each of n * candidates vectors; a block of LINE_BLOCK
-    lines, horizon tactic matrices per line; the stage game's profiles,
-    min(max_profiles, candidates**n) rows of n."""
-    from .frames import LINE_BLOCK  # frames imports this module
-
-    items = _ARRAY_BYTES // 8
-    for field, bound in (
-        ("candidates", items // (2 * n * n)),
-        ("horizon", items // (LINE_BLOCK * n * n)),
-        ("max_profiles", items // n),
-    ):
-        value = getattr(sim, field)
-        # a game of candidates**n <= bound profiles holds them all, whatever
-        # max_profiles; candidates is within its bound, so the power is cheap
-        if value > bound and (field != "max_profiles" or sim.candidates**n > bound):
-            raise ScenarioError(
-                f"sim: {field} must be at most {bound} for {n} agents (got {value})"
-            )
-
-
-def _build(cls: type, name: str, block: dict):
-    """cls built from a checked block, its ValueError named after the block."""
+def _build(name: str, build, /, *args, **kwargs):
+    """build(*args, **kwargs), its ValueError named after the block name."""
     try:
-        return cls(**block)
+        return build(*args, **kwargs)
     except ValueError as err:
         raise ScenarioError(f"{name}: {err}") from None

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -466,3 +467,51 @@ def test_no_output_depends_on_line_block(shipped, monkeypatch, agents):
     for block in (1, 7, 4096):
         monkeypatch.setattr(frames_module, "LINE_BLOCK", block)
         assert run() == default
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("lines", 2.5),
+        ("horizon", 2.0),
+        ("depth_max", 1.5),
+        ("branch_k", 2.5),
+        ("candidates", 5.0),
+        ("max_profiles", "1000"),
+    ],
+)
+def test_sim_settings_counts_are_integers(field, value):
+    # a float depth_max would never equal a node's depth, and the other
+    # counts would fail mid-run as array sizes or range bounds
+    with pytest.raises(ValueError, match=f"^{field} must be an integer \\(got {value!r}\\)$"):
+        rs.SimSettings(**{field: value})
+    # any integer type is accepted and held as a Python int
+    assert type(getattr(rs.SimSettings(**{field: np.int64(3)}), field)) is int
+
+
+@pytest.mark.parametrize("run", [rs.transition_distribution, rs.build_reel_tree])
+@pytest.mark.parametrize(
+    "sim, message",
+    [
+        ({"candidates": 10**12}, f"candidates must be at most 7456540 for 3 agents (got {10**12})"),
+        ({"horizon": 10**12}, f"horizon must be at most 29127 for 3 agents (got {10**12})"),
+        # 400**3 profiles are past the row bound
+        (
+            {"candidates": 400, "max_profiles": 10**9},
+            f"max_profiles must be at most 44739242 for 3 agents (got {10**9})",
+        ),
+    ],
+)
+def test_library_calls_refuse_arrays_past_their_bound_before_drawing(shipped, run, sim, message):
+    # the bounds parse_scenario applies, without its "sim: " prefix, and
+    # before anything is allocated
+    settings = rs.SimSettings(**sim)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as raised:
+            run(shipped.state, shipped.params, shipped.sampler, settings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(raised.value) == message
+    assert peak < 2**20

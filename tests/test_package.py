@@ -69,3 +69,33 @@ def test_exported_names_are_the_names_the_package_imports():
         for alias in node.names
     }
     assert set(rs.__all__) == imported
+
+
+def test_engine_modules_import_no_front_end_module():
+    # the engine reads its own settings classes; the file format, the
+    # exporters and the command line sit on top of it
+    front_end = {"scenario", "exports", "cli"}
+    for stem in ("core", "sampling", "utility", "equilibrium", "frames", "reels"):
+        tree = ast.parse((ROOT / "src" / "reelsim" / f"{stem}.py").read_text())
+        modules = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, ["reelsim" if node.level else "", node.module]))
+                modules += [f"{base}.{alias.name}" for alias in node.names]
+        imported = {name.split(".")[1] for name in modules if name.startswith("reelsim.")}
+        assert imported.isdisjoint(front_end), (stem, sorted(imported & front_end))
+
+
+def test_no_function_body_imports():
+    # every dependency is declared at the top of its module
+    for path in sorted((ROOT / "src" / "reelsim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = [
+                    child.lineno
+                    for child in ast.walk(node)
+                    if isinstance(child, (ast.Import, ast.ImportFrom))
+                ]
+                assert inner == [], (path.name, node.name, inner)
