@@ -38,7 +38,7 @@ from .exports import (
     export_tree_dot,
 )
 from .frames import (
-    LINE_BLOCK,
+    BLOCK_WORDS,
     Frame,
     FrameDistribution,
     LineBlock,

@@ -63,6 +63,9 @@ DEFAULT_MAX_PROFILES = 200_000
 # overhead, small enough that its (cells, n) temporaries stay a few tens
 # of kilobytes.
 PAYOFF_BLOCK = 1024
+# The most bytes one array sized by a count may take; a larger count is
+# refused before anything is drawn instead of failing to allocate mid-run.
+_ARRAY_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -104,10 +107,16 @@ def stage_game(
     The pools read the stream keyed by stream_key(seed, CANDIDATE_STREAM)
     and the profile screen, whose drawn profiles also give the security
     levels, the one keyed by stream_key(seed, PROFILE_STREAM), so the
-    same config always reproduces the same game.
+    same config always reproduces the same game. A k_candidates or
+    max_profiles past its array bound (check_size, check_profiles)
+    raises ValueError before anything is drawn.
     """
+    n = state.n
+    # the pools' draws: 2n words for each of n * k_candidates vectors
+    check_size("candidates", k_candidates, 2 * n * n, n)
+    check_profiles((k_candidates,) * n, max_profiles)
     seed = cfg.rng_seed
-    pools = sample_candidates(state.n, k_candidates, cfg, stream_key(seed, CANDIDATE_STREAM))
+    pools = sample_candidates(n, k_candidates, cfg, stream_key(seed, CANDIDATE_STREAM))
     key = stream_key(seed, PROFILE_STREAM)
     return solve_stage_game(
         pools, state.tactics, state.sizes, params, max_profiles=max_profiles, key=key
@@ -132,8 +141,11 @@ def solve_stage_game(
     equilibrium payoff or, with none found, its security level: its best
     candidate under the worst combination of the others' candidates, or
     of the screened profiles' others when subsampled (an upper bound).
+    A max_profiles past check_profiles' bound raises ValueError before
+    any profile is scored or drawn.
     """
     candidates, previous, sizes = _checked_game(candidates, previous, sizes)
+    check_profiles([len(pool) for pool in candidates], max_profiles)
     game = (candidates, previous, sizes, params)
     exhaustive = math.prod(len(pool) for pool in candidates) <= max_profiles
     if exhaustive:
@@ -145,6 +157,25 @@ def solve_stage_game(
     return StageGame(
         candidates=candidates, equilibria=equilibria, minimax=minimax, exhaustive=exhaustive
     )
+
+
+def check_size(name: str, value: int, unit: int, n: int) -> None:
+    """Refuse, with a ValueError that names the count and its largest
+    accepted value, a count whose array of unit 8-byte items per counted
+    thing would exceed _ARRAY_BYTES with n agents."""
+    bound = _ARRAY_BYTES // 8 // unit
+    if value > bound:
+        raise ValueError(f"{name} must be at most {bound} for {n} agents (got {value})")
+
+
+def check_profiles(ks, max_profiles: int) -> None:
+    """Refuse a max_profiles whose game, on pools of ks candidates,
+    could hold more profile rows of len(ks) entries than check_size
+    allows. A game holds min(max_profiles, prod(ks)) rows, so when every
+    profile fits, any max_profiles is accepted."""
+    n = len(ks)
+    if math.prod(ks) > _ARRAY_BYTES // 8 // n:
+        check_size("max_profiles", max_profiles, n, n)
 
 
 def _checked_game(candidates, previous, sizes):

@@ -1,5 +1,7 @@
 """Stage games on sampled candidate pools: equilibria and guarantees."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -288,3 +290,56 @@ def test_stage_game_minimax_bounded_by_best_payoff(three_agent_state, params):
     assert np.all(game.minimax >= 0.0)
     for agent in range(3):
         assert game.minimax[agent] <= tensor[..., agent].max()
+
+
+def peak_and_error(call):
+    """The ValueError call raises and the traced peak it reached."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as raised:
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return str(raised.value), peak
+
+
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        (
+            {"k_candidates": 10**12},
+            f"candidates must be at most 7456540 for 3 agents (got {10**12})",
+        ),
+        # 400**3 profiles are past the row bound
+        (
+            {"k_candidates": 400, "max_profiles": 10**9},
+            f"max_profiles must be at most 44739242 for 3 agents (got {10**9})",
+        ),
+    ],
+)
+def test_stage_game_refuses_arrays_past_their_bound_before_drawing(shipped, sizes, message):
+    # the bounds and messages of SimSettings.check_sizes, before any draw
+    state, params, cfg = shipped.state, shipped.params, shipped.sampler
+    error, peak = peak_and_error(lambda: rs.stage_game(state, params, cfg, **sizes))
+    assert error == message
+    assert peak < 2**20
+
+
+def test_solve_stage_game_refuses_profiles_past_their_bound_before_scoring(shipped):
+    # 400**3 profiles would be solved exhaustively, a 1.5 GB payoff tensor
+    state = shipped.state
+    candidates = pools(3, 400, 0)
+    error, peak = peak_and_error(
+        lambda: rs.solve_stage_game(
+            candidates, state.tactics, state.sizes, shipped.params, max_profiles=10**9, key=0
+        )
+    )
+    assert error == f"max_profiles must be at most 44739242 for 3 agents (got {10**9})"
+    assert peak < 2**20
+    # a budget every profile fits needs no bound
+    small = tuple(pool[:3] for pool in candidates)
+    game = rs.solve_stage_game(
+        small, state.tactics, state.sizes, shipped.params, max_profiles=10**300, key=0
+    )
+    assert game.exhaustive

@@ -329,6 +329,33 @@ def test_shipped_frames_are_merged_grid_cells(shipped, monkeypatch):
         )
 
 
+def test_no_frame_has_zero_weight(shipped, monkeypatch):
+    # at sigma 0.005 every line of 16 of the 45 states the retained lines
+    # reach weighs 0.0 (its inertia weight underflows): no weight reaches
+    # those states, so they are no frames, and the 29 kept are unchanged
+    calls = []
+    cluster_first_moves = frames_module.cluster_first_moves
+
+    def recording(first_moves, weights, *rest):
+        calls.append((first_moves.tolist(), weights.tolist()))
+        return cluster_first_moves(first_moves, weights, *rest)
+
+    monkeypatch.setattr(frames_module, "cluster_first_moves", recording)
+    params = dataclasses.replace(shipped.params, sigma=0.005)
+    dist = rs.transition_distribution(shipped.state, params, shipped.sampler, shipped.sim)
+    [(first_moves, weights)] = calls
+    slow = oracles.cluster(first_moves, weights, shipped.sampler.rounding)
+    kept = {key: value for key, value in slow.items() if value[1] != 0.0}
+    assert (len(slow), len(kept)) == (45, 29)
+    assert len(dist.frames) == dist.diagnostics.clusters == 29
+    total = dist.diagnostics.total_weight
+    assert total == ordered_sum(weights)
+    order = sorted(kept, key=lambda key: -kept[key][1] / total)
+    assert [frame.tactics.tobytes() for frame in dist.frames] == order
+    assert [kept[key] for key in order] == [(f.support, f.weight) for f in dist.frames]
+    assert all(frame.probability == frame.weight / total > 0.0 for frame in dist.frames)
+
+
 # ------------------------------------------------------------- distribution
 
 
@@ -435,7 +462,7 @@ def test_no_output_depends_on_line_block(shipped, monkeypatch, agents):
     # The shipped root, and a nine-agent root whose column sums numpy adds
     # pairwise (benevolent, so most lines keep every agent alive and pass
     # a guarantee above 0); 1, 7 and 4,096 lines per block against the
-    # default 512.
+    # default block_lines, one block of 300 lines at either agent count.
     state, params, cfg = shipped.state, shipped.params, shipped.sampler
     if agents == 9:
         rng = np.random.default_rng(0)
@@ -465,7 +492,8 @@ def test_no_output_depends_on_line_block(shipped, monkeypatch, agents):
     # a root, two children and four leaves, with an edge into each child
     assert sum(isinstance(entry, tuple) for entry in nodes) == 7 and len(nodes) == 13
     for block in (1, 7, 4096):
-        monkeypatch.setattr(frames_module, "LINE_BLOCK", block)
+        monkeypatch.setattr(frames_module, "BLOCK_WORDS", block * (1 + 2 * agents * agents))
+        assert frames_module.block_lines(agents) == block
         assert run() == default
 
 
@@ -494,7 +522,8 @@ def test_sim_settings_counts_are_integers(field, value):
     "sim, message",
     [
         ({"candidates": 10**12}, f"candidates must be at most 7456540 for 3 agents (got {10**12})"),
-        ({"horizon": 10**12}, f"horizon must be at most 29127 for 3 agents (got {10**12})"),
+        # 2**27 // (2,000 lines, one block, x 9)
+        ({"horizon": 10**12}, f"horizon must be at most 7456 for 3 agents (got {10**12})"),
         # 400**3 profiles are past the row bound
         (
             {"candidates": 400, "max_profiles": 10**9},

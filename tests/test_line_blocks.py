@@ -148,23 +148,30 @@ def shipped_like(seed):
     return state, params, cfg
 
 
+def words_for(lines, n):
+    """The BLOCK_WORDS that makes a block of n agents hold exactly lines lines."""
+    return lines * (1 + 2 * n * n)
+
+
 @pytest.mark.parametrize(
     "n_lines",
-    # 255-257 straddle a boundary inside one block; the last three straddle
-    # the first block boundary
-    [1, 255, 256, 257, rs.LINE_BLOCK - 1, rs.LINE_BLOCK, rs.LINE_BLOCK + 1],
+    # in blocks of 512 lines, 255-257 straddle a boundary inside one block;
+    # the last three straddle the first block boundary
+    [1, 255, 256, 257, 511, 512, 513],
 )
-def test_distribution_matches_per_step_reference(n_lines):
+def test_distribution_matches_per_step_reference(monkeypatch, n_lines):
     state, params, cfg = shipped_like(31)
+    monkeypatch.setattr(frames, "BLOCK_WORDS", words_for(512, state.n))
     sim = rs.SimSettings(lines=n_lines, horizon=3, candidates=4)
     dist = rs.transition_distribution(state, params, cfg, sim)
     assert_matches_reference(dist, *reference_distribution(state, params, cfg, n_lines, 3, 4))
 
 
 def test_block_as_long_as_a_side_matches_reference(monkeypatch):
-    # LINE_BLOCK == n: a (B,n,n) @ (B,n) matmul would silently mix lines
+    # n lines a block: a (B,n,n) @ (B,n) matmul would silently mix lines
     state, params, cfg = shipped_like(32)
-    monkeypatch.setattr(frames, "LINE_BLOCK", state.n)
+    monkeypatch.setattr(frames, "BLOCK_WORDS", words_for(state.n, state.n))
+    assert frames.block_lines(state.n) == state.n
     sim = rs.SimSettings(lines=40, horizon=4, candidates=4)
     dist = rs.transition_distribution(state, params, cfg, sim)
     assert_matches_reference(dist, *reference_distribution(state, params, cfg, 40, 4, 4))
@@ -175,7 +182,8 @@ def test_block_size_changes_nothing(monkeypatch, block):
     state, params, cfg = shipped_like(33)
     sim = rs.SimSettings(lines=300, horizon=3, candidates=4)
     default = rs.transition_distribution(state, params, cfg, sim)
-    monkeypatch.setattr(frames, "LINE_BLOCK", block)
+    monkeypatch.setattr(frames, "BLOCK_WORDS", words_for(block, state.n))
+    assert frames.block_lines(state.n) == block
     other = rs.transition_distribution(state, params, cfg, sim)
     assert len(other.frames) == len(default.frames) > 1
     for a, b in zip(other.frames, default.frames):
@@ -191,6 +199,33 @@ def test_block_size_changes_nothing(monkeypatch, block):
         b.total_weight,
     )
     assert (a.equilibria, a.exhaustive_game) == (b.equilibria, b.exhaustive_game)
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_block_is_the_most_lines_the_word_budget_holds(n):
+    words = 1 + 2 * n * n
+    lines = frames.block_lines(n)
+    assert lines >= 1
+    assert lines * words <= rs.BLOCK_WORDS < (lines + 1) * words
+
+
+def test_block_holds_a_line_whatever_the_budget(monkeypatch):
+    monkeypatch.setattr(frames, "BLOCK_WORDS", 1)
+    assert [frames.block_lines(n) for n in (1, 3, 13)] == [1, 1, 1]
+
+
+def test_shipped_frame_is_one_block(shipped, monkeypatch):
+    # the shipped 2,000 lines of 3 agents hash 38,000 words a step
+    calls = []
+    generate_lines = frames.generate_lines
+
+    def counting(root, horizon, cfg, params, key, lines):
+        calls.append((lines[0], len(lines)))
+        return generate_lines(root, horizon, cfg, params, key, lines)
+
+    monkeypatch.setattr(frames, "generate_lines", counting)
+    rs.transition_distribution(shipped.state, shipped.params, shipped.sampler, shipped.sim)
+    assert calls == [(0, shipped.sim.lines)] == [(0, 2000)]
 
 
 @pytest.mark.parametrize("n", range(1, 14))
