@@ -159,11 +159,16 @@ def solve_stage_game(
     )
 
 
+def size_bound(unit: int) -> int:
+    """The largest count whose array of unit 8-byte items per counted
+    thing fits in _ARRAY_BYTES."""
+    return _ARRAY_BYTES // 8 // unit
+
+
 def check_size(name: str, value: int, unit: int, n: int) -> None:
     """Refuse, with a ValueError that names the count and its largest
-    accepted value, a count whose array of unit 8-byte items per counted
-    thing would exceed _ARRAY_BYTES with n agents."""
-    bound = _ARRAY_BYTES // 8 // unit
+    accepted value, a count past size_bound(unit) with n agents."""
+    bound = size_bound(unit)
     if value > bound:
         raise ValueError(f"{name} must be at most {bound} for {n} agents (got {value})")
 
@@ -174,7 +179,7 @@ def check_profiles(ks, max_profiles: int) -> None:
     allows. A game holds min(max_profiles, prod(ks)) rows, so when every
     profile fits, any max_profiles is accepted."""
     n = len(ks)
-    if math.prod(ks) > _ARRAY_BYTES // 8 // n:
+    if math.prod(ks) > size_bound(n):
         check_size("max_profiles", max_profiles, n, n)
 
 

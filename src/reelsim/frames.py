@@ -8,11 +8,11 @@ their first move reaches once rounded to the grid. Each group's share of
 the surviving weight is the probability of that next frame, so every
 frame is a distinct state and no state's probability is split.
 
-Lines run in blocks of block_lines(n), as many lines as BLOCK_WORDS
-random words per step hold. SimSettings, the run budget this pipeline
-and the reel tree read, lives here beside them, since its horizon bound
-is sized from that block; every transition_distribution checks the
-budget's array sizes before it draws.
+Lines run in blocks of block_lines(n, horizon), as many lines as
+BLOCK_WORDS random words per step hold. SimSettings, the run budget this
+pipeline and the reel tree read, lives here beside them, since its
+horizon bound is sized from that block; every transition_distribution
+checks the budget's array sizes before it draws.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .equilibrium import (
     DEFAULT_MAX_PROFILES,
     check_profiles,
     check_size,
+    size_bound,
     stage_game,
 )
 from .sampling import (
@@ -49,18 +50,20 @@ from .utility import (
 # The random words per step that one block of lines may hash; a line
 # hashes 1 + 2n**2 a step (sampling.line_draws). A budget of words, not
 # of lines, keeps each step's arrays near their fastest size at every n
-# and the memory a block holds fixed, whatever the line count or n; it
-# changes no output bit.
+# and the memory a block holds per step fixed, whatever the line count
+# or n; it changes no output bit.
 BLOCK_WORDS = 2**16
 # tree.json nests three encoder frames per level, so a deeper chain would
 # exhaust Python's recursion limit after the whole expansion.
 MAX_DEPTH = 256
 
 
-def block_lines(n: int) -> int:
-    """Lines generated and scored as one stack with n agents: as many as
-    BLOCK_WORDS random words per step hold, and at least one."""
-    return max(1, BLOCK_WORDS // (1 + 2 * n * n))
+def block_lines(n: int, horizon: int) -> int:
+    """Lines generated and scored as one stack with n agents and horizon
+    steps: as many as BLOCK_WORDS random words per step hold, but no more
+    than keep the block's tactic matrices, horizon * n * n items a line,
+    within equilibrium's array bound, and at least one."""
+    return max(1, min(BLOCK_WORDS // (1 + 2 * n * n), size_bound(horizon * n * n)))
 
 
 @dataclass(frozen=True)
@@ -109,13 +112,13 @@ class SimSettings:
         """Refuse, with a ValueError, a candidates, horizon or max_profiles
         whose largest array of 8-byte items exceeds equilibrium's 1 GiB
         with n agents, in that order: the candidate draws, 2n words for
-        each of n * candidates vectors; the block a run allocates,
-        min(lines, block_lines(n)) lines of horizon tactic matrices; the
-        stage game's profiles, min(max_profiles, candidates**n) rows of n.
+        each of n * candidates vectors; one line's horizon tactic
+        matrices, since block_lines(n, horizon) holds a block to as many
+        lines as fit the same bound, and at least one; the stage game's
+        profiles, min(max_profiles, candidates**n) rows of n.
         stage_game applies the same candidates and max_profiles bounds."""
         check_size("candidates", self.candidates, 2 * n * n, n)
-        block = min(self.lines, block_lines(n))
-        check_size("horizon", self.horizon, block * n * n, n)
+        check_size("horizon", self.horizon, n * n, n)
         # candidates is within its bound, so the profile count is cheap
         check_profiles((self.candidates,) * n, self.max_profiles)
 
@@ -209,11 +212,11 @@ def generate_lines(
     member's move distance from the matrix before it; the finished block
     is then scored as one stack. Every member agrees bit for bit with a
     one-member block of its line, so the block's size changes no bit;
-    transition_distribution passes block_lines(n) lines at a time, so a
-    step hashes at most BLOCK_WORDS words. Tactics, sizes and distances
-    are held lines-last, (H, n, n, B), (H, n, B) and (H, B), so each
-    step's arithmetic is one pass over the block; the block is scored
-    on, and the LineBlock holds, (B, H, ...) views of them.
+    transition_distribution passes block_lines(n, horizon) lines at a
+    time, so a step hashes at most BLOCK_WORDS words. Tactics, sizes and
+    distances are held lines-last, (H, n, n, B), (H, n, B) and (H, B), so
+    each step's arithmetic is one pass over the block; the block is
+    scored on, and the LineBlock holds, (B, H, ...) views of them.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1 (got {horizon})")
@@ -295,10 +298,8 @@ def cluster_first_moves(
     is summed in line order, and its probability is that weight over the
     line-order sum of all the weights. Its sizes are what the
     representative produces from the root, so each frame is itself a
-    valid state. A frame whose summed weight is exactly 0.0 (every one
-    of its lines' inertia weights underflows) is left out: no weight
-    reaches it, and dropping it moves no other frame's bits. Frames come
-    out sorted by probability, ties keeping first-seen order.
+    valid state. Frames come out sorted by probability, ties keeping
+    first-seen order.
     """
     weights = np.asarray(weights, dtype=float)
     total = ordered_sum(weights)
@@ -313,11 +314,9 @@ def cluster_first_moves(
     # bincount adds each frame's weights one at a time in line order.
     supports = np.bincount(ids).tolist()
     summed = np.bincount(ids, weights).tolist()
-    frames = [
-        Frame(state_tactics, state_sizes, weight / total, support, weight)
-        for state_tactics, state_sizes, support, weight in zip(tactics, sizes, supports, summed)
-        if weight != 0.0
-    ]
+    frames = []
+    for state_tactics, state_sizes, support, weight in zip(tactics, sizes, supports, summed):
+        frames.append(Frame(state_tactics, state_sizes, weight / total, support, weight))
     frames.sort(key=lambda frame: -frame.probability)
     return tuple(frames)
 
@@ -344,8 +343,9 @@ def transition_distribution(
     LINE_STREAM), and the stage game reads the seed's CANDIDATE_STREAM
     and PROFILE_STREAM keys, so the result is a pure function of (root,
     params, cfg, sim), drawn with no numpy generator. Lines run
-    block_lines(root.n) at a time, so the shipped 2,000 lines of 3
-    agents are one block; the block size changes no output bit.
+    block_lines(root.n, sim.horizon) at a time, so the shipped 2,000
+    lines of 3 agents are one block; the block size changes no output
+    bit.
     """
     sim.check_sizes(root.n)
     game = stage_game(
@@ -353,7 +353,7 @@ def transition_distribution(
     )
     key = stream_key(cfg.rng_seed, LINE_STREAM)
     first_moves, weights = [], []
-    size = block_lines(root.n)
+    size = block_lines(root.n, sim.horizon)
     for start in range(0, sim.lines, size):
         lines = np.arange(start, min(start + size, sim.lines))
         block = generate_lines(root, sim.horizon, cfg, params, key, lines)

@@ -16,7 +16,6 @@ import pytest
 import reelsim as rs
 from reelsim import equilibrium
 from reelsim.cli import main
-from reelsim.frames import block_lines
 
 
 # A child interpreter imports reelsim from this checkout's src, as pytest does.
@@ -160,10 +159,10 @@ def test_rounding_too_fine_for_exact_keys_exits_one(
     [
         # 2**30-byte arrays of 8-byte items with 3 agents: 2 * 3 draw words
         # for each of 3 candidate vectors, 3 x 3 tactic matrices per horizon
-        # step for each line of the block a run allocates (the payload's 60
-        # lines, fewer than a block), 3 entries per profile row
+        # step of one line (a block holds no more lines than fit the same
+        # bound), 3 entries per profile row
         ("candidates", 2**27 // 18, {}),
-        ("horizon", 2**27 // (min(60, block_lines(3)) * 9), {}),
+        ("horizon", 2**27 // 9, {}),
         ("max_profiles", 2**27 // 3, {"candidates": 1000}),
     ],
 )

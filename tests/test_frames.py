@@ -329,10 +329,11 @@ def test_shipped_frames_are_merged_grid_cells(shipped, monkeypatch):
         )
 
 
-def test_no_frame_has_zero_weight(shipped, monkeypatch):
+def test_zero_weight_frames_keep_supports_summing_to_lines_retained(shipped, monkeypatch):
     # at sigma 0.005 every line of 16 of the 45 states the retained lines
-    # reach weighs 0.0 (its inertia weight underflows): no weight reaches
-    # those states, so they are no frames, and the 29 kept are unchanged
+    # reach weighs 0.0 (its inertia weight underflows); those states are
+    # still listed, with probability 0.0, so the supports add up to every
+    # retained line and the frames match the line-by-line oracle
     calls = []
     cluster_first_moves = frames_module.cluster_first_moves
 
@@ -345,15 +346,16 @@ def test_no_frame_has_zero_weight(shipped, monkeypatch):
     dist = rs.transition_distribution(shipped.state, params, shipped.sampler, shipped.sim)
     [(first_moves, weights)] = calls
     slow = oracles.cluster(first_moves, weights, shipped.sampler.rounding)
-    kept = {key: value for key, value in slow.items() if value[1] != 0.0}
-    assert (len(slow), len(kept)) == (45, 29)
-    assert len(dist.frames) == dist.diagnostics.clusters == 29
-    total = dist.diagnostics.total_weight
+    diag = dist.diagnostics
+    assert len(slow) == len(dist.frames) == diag.clusters == 45
+    assert sum(frame.weight == 0.0 for frame in dist.frames) == 16
+    assert sum(frame.support for frame in dist.frames) == diag.lines_retained == len(weights)
+    total = diag.total_weight
     assert total == ordered_sum(weights)
-    order = sorted(kept, key=lambda key: -kept[key][1] / total)
+    order = sorted(slow, key=lambda key: -slow[key][1] / total)
     assert [frame.tactics.tobytes() for frame in dist.frames] == order
-    assert [kept[key] for key in order] == [(f.support, f.weight) for f in dist.frames]
-    assert all(frame.probability == frame.weight / total > 0.0 for frame in dist.frames)
+    assert [slow[key] for key in order] == [(f.support, f.weight) for f in dist.frames]
+    assert all(frame.probability == frame.weight / total for frame in dist.frames)
 
 
 # ------------------------------------------------------------- distribution
@@ -493,7 +495,7 @@ def test_no_output_depends_on_line_block(shipped, monkeypatch, agents):
     assert sum(isinstance(entry, tuple) for entry in nodes) == 7 and len(nodes) == 13
     for block in (1, 7, 4096):
         monkeypatch.setattr(frames_module, "BLOCK_WORDS", block * (1 + 2 * agents * agents))
-        assert frames_module.block_lines(agents) == block
+        assert frames_module.block_lines(agents, sim.horizon) == block
         assert run() == default
 
 
@@ -522,8 +524,9 @@ def test_sim_settings_counts_are_integers(field, value):
     "sim, message",
     [
         ({"candidates": 10**12}, f"candidates must be at most 7456540 for 3 agents (got {10**12})"),
-        # 2**27 // (2,000 lines, one block, x 9)
-        ({"horizon": 10**12}, f"horizon must be at most 7456 for 3 agents (got {10**12})"),
+        # 2**27 // 9: one line's tactic matrices, since a block of a longer
+        # horizon holds fewer lines
+        ({"horizon": 10**12}, f"horizon must be at most 14913080 for 3 agents (got {10**12})"),
         # 400**3 profiles are past the row bound
         (
             {"candidates": 400, "max_profiles": 10**9},

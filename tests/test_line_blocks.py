@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 import reelsim as rs
-from reelsim import frames, sampling
+from reelsim import equilibrium, frames, sampling
 
 # (allow_negative_diagonal, local_mix, p_neg)
 CORNERS = list(itertools.product((False, True), (0.0, 0.5, 0.7, 1.0), (0.0, 1.0)))
@@ -171,20 +171,13 @@ def test_block_as_long_as_a_side_matches_reference(monkeypatch):
     # n lines a block: a (B,n,n) @ (B,n) matmul would silently mix lines
     state, params, cfg = shipped_like(32)
     monkeypatch.setattr(frames, "BLOCK_WORDS", words_for(state.n, state.n))
-    assert frames.block_lines(state.n) == state.n
     sim = rs.SimSettings(lines=40, horizon=4, candidates=4)
+    assert frames.block_lines(state.n, sim.horizon) == state.n
     dist = rs.transition_distribution(state, params, cfg, sim)
     assert_matches_reference(dist, *reference_distribution(state, params, cfg, 40, 4, 4))
 
 
-@pytest.mark.parametrize("block", [1, 7, 4096])
-def test_block_size_changes_nothing(monkeypatch, block):
-    state, params, cfg = shipped_like(33)
-    sim = rs.SimSettings(lines=300, horizon=3, candidates=4)
-    default = rs.transition_distribution(state, params, cfg, sim)
-    monkeypatch.setattr(frames, "BLOCK_WORDS", words_for(block, state.n))
-    assert frames.block_lines(state.n) == block
-    other = rs.transition_distribution(state, params, cfg, sim)
+def assert_same_distribution(other, default):
     assert len(other.frames) == len(default.frames) > 1
     for a, b in zip(other.frames, default.frames):
         assert a.tactics.tobytes() == b.tactics.tobytes()
@@ -201,17 +194,71 @@ def test_block_size_changes_nothing(monkeypatch, block):
     assert (a.equilibria, a.exhaustive_game) == (b.equilibria, b.exhaustive_game)
 
 
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_block_size_changes_nothing(monkeypatch, block):
+    state, params, cfg = shipped_like(33)
+    sim = rs.SimSettings(lines=300, horizon=3, candidates=4)
+    default = rs.transition_distribution(state, params, cfg, sim)
+    monkeypatch.setattr(frames, "BLOCK_WORDS", words_for(block, state.n))
+    assert frames.block_lines(state.n, sim.horizon) == block
+    assert_same_distribution(rs.transition_distribution(state, params, cfg, sim), default)
+
+
 @pytest.mark.parametrize("n", range(1, 14))
 def test_block_is_the_most_lines_the_word_budget_holds(n):
     words = 1 + 2 * n * n
-    lines = frames.block_lines(n)
+    lines = frames.block_lines(n, 5)
     assert lines >= 1
     assert lines * words <= rs.BLOCK_WORDS < (lines + 1) * words
 
 
 def test_block_holds_a_line_whatever_the_budget(monkeypatch):
     monkeypatch.setattr(frames, "BLOCK_WORDS", 1)
-    assert [frames.block_lines(n) for n in (1, 3, 13)] == [1, 1, 1]
+    assert [frames.block_lines(n, 5) for n in (1, 3, 13)] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 13])
+def test_block_fits_its_tactic_matrices_in_the_array_bound(n):
+    # 2**27 8-byte items, 1 GiB, for one block's horizon tactic matrices;
+    # every horizon check_sizes accepts gets a block of at least one line
+    items = 2**27
+    longest = items // (n * n)
+    rs.SimSettings(horizon=longest).check_sizes(n)
+    with pytest.raises(ValueError, match="horizon must be at most"):
+        rs.SimSettings(horizon=longest + 1).check_sizes(n)
+    for horizon in (1, 5, 1000, 10**5, longest):
+        lines = frames.block_lines(n, horizon)
+        assert 1 <= lines <= frames.block_lines(n, 1)
+        assert lines * horizon * n * n <= items
+        # the most lines that fit, unless the word budget holds fewer
+        assert lines == frames.block_lines(n, 1) or (lines + 1) * horizon * n * n > items
+
+
+def test_long_horizon_shrinks_the_block():
+    # 3 agents: 3,449 lines a block at the shipped horizon 5; at 10,000
+    # steps 2**27 // 90,000 = 1,491 lines fit; at the longest, one
+    assert [frames.block_lines(3, h) for h in (5, 10**4, 2**27 // 9)] == [3449, 1491, 1]
+
+
+def test_array_bound_splits_the_block_and_changes_nothing(monkeypatch):
+    # a bound of 50 lines of 3 steps of 3 x 3 matrices cuts 300 lines into
+    # six blocks of 50, whatever BLOCK_WORDS allows
+    state, params, cfg = shipped_like(34)
+    sim = rs.SimSettings(lines=300, horizon=3, candidates=4)
+    default = rs.transition_distribution(state, params, cfg, sim)
+    calls = []
+    generate_lines = frames.generate_lines
+
+    def counting(root, horizon, cfg, params, key, lines):
+        calls.append((lines[0], len(lines)))
+        return generate_lines(root, horizon, cfg, params, key, lines)
+
+    monkeypatch.setattr(frames, "generate_lines", counting)
+    monkeypatch.setattr(equilibrium, "_ARRAY_BYTES", 8 * 50 * 3 * 9)
+    assert frames.block_lines(state.n, sim.horizon) == 50
+    other = rs.transition_distribution(state, params, cfg, sim)
+    assert calls == [(start, 50) for start in range(0, 300, 50)]
+    assert_same_distribution(other, default)
 
 
 def test_shipped_frame_is_one_block(shipped, monkeypatch):

@@ -196,16 +196,6 @@ def test_shipped_siblings_are_distinct_states(shipped, depth_max):
     assert len(expanded) > 1
 
 
-def test_tree_keeps_no_child_of_probability_zero(shipped):
-    # at sigma 1e-300 one next state takes all the weight and the lines of
-    # every other weigh 0.0; even at p_min 0 the root keeps that one alone
-    params = dataclasses.replace(shipped.params, sigma=1e-300)
-    sim = dataclasses.replace(shipped.sim, p_min=0.0, depth_max=1)
-    tree = rs.build_reel_tree(shipped.state, params, shipped.sampler, sim)
-    assert [edge.probability for edge in tree.children] == [1.0]
-    assert tree.dropped_mass == 0.0
-
-
 def test_dropped_mass_adds_kept_probabilities_in_order(tiny_state, params, monkeypatch):
     # added in order each 2**-54 is lost against 0.5, so 0.5 is dropped; a
     # compensated sum would keep 0.5 + 5 * 2**-53 and drop less
