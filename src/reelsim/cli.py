@@ -36,7 +36,7 @@ OUT_DIR_ENV = "REELSIM_OUT_DIR"
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
+    if args.threads is not None and args.threads < 1:
         parser.error("--threads must be at least 1")
     if args.seed is not None and args.seed < 0:
         parser.error("--seed must be nonnegative")
@@ -86,8 +86,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--threads",
         type=int,
-        default=1,
-        help="accepted for compatibility and ignored: lines run on one thread",
+        default=None,
+        help=(
+            "worker processes that expand the reel tree's levels for reels (default: "
+            "the CPUs this process may run on, or 1 where the platform does not say)"
+        ),
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -96,6 +99,14 @@ def _build_parser() -> argparse.ArgumentParser:
     step = commands.choices["step"]
     step.add_argument("--t", type=int, default=10, help="number of steps (default 10)")
     return parser
+
+
+def _default_threads() -> int:
+    """The CPUs this process may run on, where the platform reports them,
+    else 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
 
 
 def _load_scenario(path_text: str) -> Scenario:
@@ -159,7 +170,10 @@ def _cmd_frame(scenario: Scenario, args, out_dir: Path) -> int:
 
 
 def _cmd_reels(scenario: Scenario, args, out_dir: Path) -> int:
-    tree = build_reel_tree(scenario.state, scenario.params, scenario.sampler, scenario.sim)
+    workers = args.threads or _default_threads()
+    tree = build_reel_tree(
+        scenario.state, scenario.params, scenario.sampler, scenario.sim, workers
+    )
     reels = enumerate_reels(tree)
     names = list(scenario.agents)
     _write(out_dir, "tree.json", export_reels_json(tree, reels, names))

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -76,3 +77,30 @@ def write_scenario(tmp_path):
         return path
 
     return _write
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Every os.fork this process makes appends the fork's return value in
+    the parent, a child's pid; the fork itself is real."""
+    made = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return made
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set how many CPUs os.sched_getaffinity reports to this process."""
+
+    def set_cpus(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+    return set_cpus

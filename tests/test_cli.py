@@ -617,6 +617,50 @@ def test_threaded_run_matches_serial(scenario_file, tmp_path):
     assert (serial / "frames.json").read_bytes() == (threaded / "frames.json").read_bytes()
 
 
+@pytest.mark.parametrize("affinity", [True, False])
+def test_reels_forks_per_usable_cpu_by_default(
+    scenario_payload, write_scenario, tmp_path, monkeypatch, forks, cpus, affinity
+):
+    scenario_payload["sim"]["depth_max"] = 2
+    path = write_scenario(scenario_payload)
+    assert main(["--threads", "1", "--out-dir", str(tmp_path / "one"), "reels", str(path)]) == 0
+    assert not forks
+    cpus(2)
+    if not affinity:  # a platform that does not say which CPUs are usable
+        monkeypatch.delattr(os, "sched_getaffinity")
+    assert main(["--out-dir", str(tmp_path / "default"), "reels", str(path)]) == 0
+    assert len(forks) == (1 if affinity else 0)
+    for name in ("tree.json", "tree.dot", "reels.csv"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
+
+
+def test_failing_node_exits_two_alike_at_every_thread_count(
+    scenario_payload, write_scenario, tmp_path, monkeypatch, capsys, forks, cpus
+):
+    cpus(2)
+    scenario_payload["sim"]["depth_max"] = 2
+    path = write_scenario(scenario_payload)
+    # every node of level 1 but the first fails, in the parent's share and the child's
+    failing = {rs.stream_key(5, rs.NODE_STREAM, index): index for index in range(1, 10)}
+    distribution = rs.reels.transition_distribution
+
+    def failing_at_paths(state, params, cfg, sim):
+        if cfg.rng_seed in failing:
+            raise FloatingPointError(f"node {failing[cfg.rng_seed]} failed")
+        return distribution(state, params, cfg, sim)
+
+    monkeypatch.setattr(rs.reels, "transition_distribution", failing_at_paths)
+    for threads in ("1", "2"):
+        out_dir = tmp_path / threads
+        argv = ["--seed", "5", "--threads", threads, "--out-dir", str(out_dir), "reels", str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: node 1 failed\n"
+        assert not out_dir.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert len(forks) == 1
+
+
 def test_unknown_subcommand_is_usage_error(scenario_file):
     with pytest.raises(SystemExit) as excinfo:
         main(["explode", str(scenario_file)])

@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import os
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -31,9 +34,9 @@ def small_sim(**changes):
     return dataclasses.replace(SMALL_SIM, **changes)
 
 
-def small_tree(state, params, seed=11, **changes):
+def small_tree(state, params, seed=11, workers=1, **changes):
     cfg = rs.SamplerConfig(rng_seed=seed, rounding=0.25, local_mix=0.8)
-    return rs.build_reel_tree(state, params, cfg, small_sim(**changes))
+    return rs.build_reel_tree(state, params, cfg, small_sim(**changes), workers)
 
 
 # ------------------------------------------------------------- hand-built
@@ -208,6 +211,133 @@ def test_dropped_mass_adds_kept_probabilities_in_order(tiny_state, params, monke
     tree = rs.build_reel_tree(tiny_state, params, rs.SamplerConfig(), sim)
     assert len(tree.children) == 11
     assert tree.dropped_mass == 0.5
+
+
+# ------------------------------------------------------- worker processes
+
+
+def tree_bytes(tree, names):
+    reels = rs.enumerate_reels(tree)
+    return (
+        rs.export_reels_json(tree, reels, names),
+        rs.export_tree_dot(tree),
+        rs.export_reel_table_csv(reels, names),
+    )
+
+
+@pytest.mark.parametrize("depth_max", [2, 3])
+def test_worker_count_changes_no_exported_byte(shipped, depth_max, forks, cpus):
+    cpus(3)
+    sim = dataclasses.replace(shipped.sim, depth_max=depth_max)
+    names = list(shipped.agents)
+    serial = tree_bytes(rs.build_reel_tree(shipped.state, shipped.params, shipped.sampler, sim), names)
+    assert not forks
+    for workers in (2, 3):
+        tree = rs.build_reel_tree(shipped.state, shipped.params, shipped.sampler, sim, workers)
+        assert tree_bytes(tree, names) == serial
+    # depth 2 forks on level 1 only (1 child, then 2); depth 3 on levels 1 and 2
+    assert len(forks) == (depth_max - 1) * 3
+
+
+@pytest.mark.parametrize("workers, cpu_count", [(1, 3), (2, 3), (3, 2), (3, 3), (5, 3)])
+def test_level_forks_at_most_workers_cpus_and_width(
+    tiny_state, params, monkeypatch, forks, cpus, workers, cpu_count
+):
+    cpus(cpu_count)
+    levels = []  # (width, children forked) per level
+    expand_level = rs.reels._expand_level
+
+    def counted(expand, paths, workers):
+        before = len(forks)
+        results = expand_level(expand, paths, workers)
+        levels.append((len(paths), len(forks) - before))
+        return results
+
+    monkeypatch.setattr(rs.reels, "_expand_level", counted)
+    tree = small_tree(tiny_state, params, depth_max=3, branch_k=3, workers=workers)
+    assert [width for width, _ in levels] == [1, 3, 9]
+    assert levels == [(width, min(workers, cpu_count, width) - 1) for width, _ in levels]
+    monkeypatch.undo()
+    assert tree_bytes(tree, ["a", "b", "c"]) == tree_bytes(
+        small_tree(tiny_state, params, depth_max=3, branch_k=3), ["a", "b", "c"]
+    )
+
+
+@pytest.mark.parametrize("failing", [{(1,), (2,)}, {(0,), (2,)}, {(2,)}])
+def test_first_failing_node_in_path_order_raises_at_every_worker_count(
+    tiny_state, params, monkeypatch, cpus, failing
+):
+    cpus(3)
+    paths = {rs.stream_key(11, rs.NODE_STREAM, *path): path for path in failing}
+    distribution = rs.reels.transition_distribution
+
+    def failing_at_paths(state, params, cfg, sim):
+        if cfg.rng_seed in paths:
+            raise ValueError(f"node {paths[cfg.rng_seed]} failed")
+        return distribution(state, params, cfg, sim)
+
+    monkeypatch.setattr(rs.reels, "transition_distribution", failing_at_paths)
+    for workers in (1, 2, 3):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'node {min(failing)} failed')}$"):
+            small_tree(tiny_state, params, depth_max=2, branch_k=3, workers=workers)
+        with pytest.raises(ChildProcessError):  # every child was waited for
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_failed_fork_leaves_no_child(tiny_state, params, monkeypatch, cpus):
+    cpus(3)
+    fork = os.fork
+    calls = []
+
+    def fork_once():
+        calls.append(None)
+        if len(calls) > 1:
+            raise BlockingIOError("fork refused")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    with pytest.raises(BlockingIOError, match="^fork refused$"):
+        small_tree(tiny_state, params, depth_max=2, branch_k=3, workers=3)
+    assert len(calls) == 2  # the level of 3 nodes forked one child, then failed
+    with pytest.raises(ChildProcessError):  # and that child was waited for
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_build_is_serial_where_fork_is_missing(tiny_state, params, monkeypatch, cpus):
+    cpus(3)
+    serial = tree_bytes(small_tree(tiny_state, params, depth_max=3, branch_k=3), ["a", "b", "c"])
+    monkeypatch.delattr(os, "fork")
+    tree = small_tree(tiny_state, params, depth_max=3, branch_k=3, workers=3)
+    assert tree_bytes(tree, ["a", "b", "c"]) == serial
+
+
+def test_fork_warning_about_threads_is_not_shown(tiny_state, params, monkeypatch, forks, cpus):
+    # From Python 3.12 os.fork warns so in a process with threads, as numpy
+    # makes this one; the test suite turns any DeprecationWarning into an error
+    cpus(2)
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            message = (
+                f"This process (pid={os.getpid()}) is multi-threaded, "
+                "use of fork() may lead to deadlocks in the child."
+            )
+            warnings.warn(message, DeprecationWarning, stacklevel=2)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        small_tree(tiny_state, params, depth_max=2, branch_k=3, workers=2)
+    assert len(forks) == 1
+    assert caught == []
+
+
+def test_workers_must_be_positive(tiny_state, params):
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        small_tree(tiny_state, params, workers=0)
 
 
 # ------------------------------------------------------------ enumeration
