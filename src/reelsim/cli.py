@@ -28,6 +28,7 @@ from .exports import (
 )
 from .frames import transition_distribution
 from .reels import LEAF_EMPTY, LEAF_MAX_DEPTH, LEAF_PRUNED, build_reel_tree, enumerate_reels
+from .reels import _usable_cpus
 from .scenario import Scenario, ScenarioError, parse_scenario, with_seed
 
 OUT_DIR_ENV = "REELSIM_OUT_DIR"
@@ -101,14 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_threads() -> int:
-    """The CPUs this process may run on, where the platform reports them,
-    else 1."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return 1
-
-
 def _load_scenario(path_text: str) -> Scenario:
     path = Path(path_text)
     try:
@@ -170,7 +163,7 @@ def _cmd_frame(scenario: Scenario, args, out_dir: Path) -> int:
 
 
 def _cmd_reels(scenario: Scenario, args, out_dir: Path) -> int:
-    workers = args.threads or _default_threads()
+    workers = args.threads or _usable_cpus()
     tree = build_reel_tree(
         scenario.state, scenario.params, scenario.sampler, scenario.sim, workers
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import os
 import pickle
 import warnings
@@ -88,14 +89,20 @@ def build_reel_tree(
 
     The walk is breadth-first: each level's live nodes shallower than
     depth_max are expanded in path order, and the tree is put together
-    from their results by path. With workers > 1, a level of several
-    nodes is split over min(workers, usable CPUs, level width) processes,
-    forked from this one; since a node's result depends only on its state
-    and path, the tree is the same at every worker count. Where os.fork
-    is missing the build is serial. If expansions raise, the error of the
-    first failing node in path order is raised, whatever the worker
-    count, after every forked process has exited.
+    from their results by path. workers, an integer of at least 1, caps
+    the processes: a level is split over min(workers, usable CPUs, level
+    width) of them, forked from this one, where usable CPUs are those of
+    os.sched_getaffinity, or 1 where the platform does not report them or
+    cannot fork (the build is then serial). Since a node's result depends
+    only on its state and path, the tree is the same at every worker
+    count. If expansions raise, the error of the first failing node in
+    path order is raised, whatever the worker count, after every forked
+    process has exited.
     """
+    try:
+        workers = operator.index(workers)
+    except TypeError:
+        raise ValueError(f"workers must be an integer (got {workers!r})") from None
     if workers < 1:
         raise ValueError(f"workers must be at least 1 (got {workers})")
     states = {(): root}
@@ -159,55 +166,42 @@ def _expand(
 def _expand_level(expand, paths: list, workers: int) -> list:
     """expand(path) for every path, in order, on up to workers processes.
 
-    The paths are cut into contiguous shares, one a process. This process
-    forks a child for every share but the first, expands the first
-    itself, then reads each child's results from its pipe and waits for
-    it, even when something raised. The first error in path order is
-    raised after every child has exited.
+    The paths are cut into max(1, min(workers, _usable_cpus(), len(paths)))
+    contiguous shares, one a process. This process forks a child for every
+    share but the first, then expands the first itself. Whatever happens,
+    every child's pipe is read and every child waited for before anything
+    is raised. The first share holds the level's first paths, so its error
+    is the first in path order and propagates as it is; otherwise the first
+    error a child sent, or its failure, is raised in path order.
     """
-    count = max(1, min(workers, _usable_cpus(), len(paths))) if hasattr(os, "fork") else 1
+    count = max(1, min(workers, _usable_cpus(), len(paths)))
     bounds = [len(paths) * share // count for share in range(count + 1)]
     shares = [paths[start:stop] for start, stop in zip(bounds, bounds[1:])]
-    children = []  # (pid, read end of its pipe)
-    received = []  # (bytes a child sent, its wait status)
+    children = []  # (pid, read end of its pipe), then (bytes it sent, its wait status)
     try:
         for share in shares[1:]:
             children.append(_fork(expand, share))
-        runs = [_run(expand, shares[0])]
+        results = [expand(path) for path in shares[0]]
     finally:
-        for pid, read_fd in children:
+        for index, (pid, read_fd) in enumerate(children):
             with open(read_fd, "rb") as pipe:
                 data = pipe.read()
-            received.append((data, os.waitpid(pid, 0)[1]))
-    for data, status in received:
+            children[index] = data, os.waitpid(pid, 0)[1]
+    for data, status in children:
         if status:  # the child failed before it sent everything
             code = os.waitstatus_to_exitcode(status)
-            runs.append(([], RuntimeError(f"a reel-tree worker process exited with code {code}")))
-        else:
-            runs.append(pickle.loads(data))
-    results = []
-    for outcomes, error in runs:
+            raise RuntimeError(f"a reel-tree worker process exited with code {code}")
+        outcomes, error = pickle.loads(data)
+        results.extend(outcomes)
         if error is not None:
             raise error
-        results.extend(outcomes)
     return results
 
 
-def _run(expand, paths: list) -> tuple[list, Exception | None]:
-    """expand over paths in order, stopping at the first error, which is
-    returned beside the outcomes before it."""
-    outcomes = []
-    try:
-        for path in paths:
-            outcomes.append(expand(path))
-    except Exception as error:  # handed to _expand_level, which raises it
-        return outcomes, error
-    return outcomes, None
-
-
 def _fork(expand, paths: list) -> tuple[int, int]:
-    """Fork a child that pickles _run(expand, paths) into a pipe and exits;
-    return its pid and the pipe's read end."""
+    """Fork a child that expands paths in order, stopping at the first
+    error, pickles (outcomes before it, the error or None) into a pipe and
+    exits; return its pid and the pipe's read end."""
     read_fd, write_fd = os.pipe()
     try:
         with warnings.catch_warnings():
@@ -227,8 +221,14 @@ def _fork(expand, paths: list) -> tuple[int, int]:
         status = 1
         try:
             os.close(read_fd)
+            outcomes, error = [], None
+            try:
+                for path in paths:
+                    outcomes.append(expand(path))
+            except Exception as caught:  # raised by the parent, in path order
+                error = caught
             with open(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps(_run(expand, paths)))
+                pipe.write(pickle.dumps((outcomes, error)))
             status = 0
         finally:
             os._exit(status)  # never return into the parent's stack
@@ -237,9 +237,12 @@ def _fork(expand, paths: list) -> tuple[int, int]:
 
 
 def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
+    """The CPUs this process may run on, where the platform reports them
+    and can fork, else 1: the most processes a reel-tree level runs on,
+    and reels' default --threads."""
+    if hasattr(os, "sched_getaffinity") and hasattr(os, "fork"):
         return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return 1
 
 
 def enumerate_reels(tree: ReelNode) -> list[Reel]:

@@ -661,6 +661,19 @@ def test_failing_node_exits_two_alike_at_every_thread_count(
     assert len(forks) == 1
 
 
+def test_explicit_threads_fork_nothing_where_the_platform_reports_no_cpus(
+    scenario_payload, write_scenario, tmp_path, monkeypatch, forks
+):
+    scenario_payload["sim"]["depth_max"] = 2
+    path = write_scenario(scenario_payload)
+    assert main(["--threads", "1", "--out-dir", str(tmp_path / "one"), "reels", str(path)]) == 0
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert main(["--threads", "3", "--out-dir", str(tmp_path / "three"), "reels", str(path)]) == 0
+    assert forks == []
+    for name in ("tree.json", "tree.dot", "reels.csv"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "three" / name).read_bytes()
+
+
 def test_unknown_subcommand_is_usage_error(scenario_file):
     with pytest.raises(SystemExit) as excinfo:
         main(["explode", str(scenario_file)])

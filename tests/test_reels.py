@@ -340,6 +340,26 @@ def test_workers_must_be_positive(tiny_state, params):
         small_tree(tiny_state, params, workers=0)
 
 
+@pytest.mark.parametrize("cpu_count", [2, 3])
+def test_workers_must_be_an_integer_on_every_host(
+    tiny_state, params, monkeypatch, forks, cpus, cpu_count
+):
+    cpus(cpu_count)
+    expanded = []
+    monkeypatch.setattr(rs.reels, "_expand", lambda *args: expanded.append(args))
+    with pytest.raises(ValueError, match=r"^workers must be an integer \(got 2\.5\)$"):
+        small_tree(tiny_state, params, depth_max=2, branch_k=3, workers=2.5)
+    assert expanded == [] and forks == []
+
+
+def test_build_is_serial_where_the_platform_reports_no_cpus(tiny_state, params, monkeypatch, forks):
+    serial = tree_bytes(small_tree(tiny_state, params, depth_max=3, branch_k=3), ["a", "b", "c"])
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    tree = small_tree(tiny_state, params, depth_max=3, branch_k=3, workers=3)
+    assert forks == []
+    assert tree_bytes(tree, ["a", "b", "c"]) == serial
+
+
 # ------------------------------------------------------------ enumeration
 
 

@@ -17,9 +17,10 @@
 #
 # once in each copy, the parent first in odd pairs, and reads the JSON
 # object on the last line of each run's output. The document on standard
-# output has BENCH_24.json's layout: host (cores, Python, numpy, CPU
-# model and flags), command, method, and under workloads.WORKLOAD each
-# side's median and quartiles (numpy percentiles 50, 25 and 75) of every
+# output has BENCH_24.json's layout: host (cores, usable CPUs or null
+# where the platform does not report them, Python, numpy, CPU model and
+# flags), command, method, and under workloads.WORKLOAD each side's
+# median and quartiles (numpy percentiles 50, 25 and 75) of every
 # end-to-end metric, the pairs in which the change read lower, and every
 # run with its attempted and failed commands and its count of timed
 # passes, since peak_rss_mb grows with that count. Progress goes to
@@ -150,6 +151,9 @@ document = {
     ),
     "host": {
         "cores": os.cpu_count(),
+        # reels forks one process per usable CPU, and under an affinity
+        # mask os.cpu_count() counts CPUs this process may not run on
+        "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
         "cpu": cpu(),
         "python": platform.python_version(),
         "numpy": np.__version__,
