@@ -35,8 +35,9 @@ from .equilibrium import (
 from .sampling import (
     LINE_STREAM,
     SamplerConfig,
+    _line_seeds,
+    _next_tactics,
     round_tactic_matrix,
-    sample_tactic_matrices,
     stream_key,
 )
 from .utility import (
@@ -207,7 +208,8 @@ def generate_lines(
 
     Member b is line lines[b] of the counter-based stream keyed by key:
     its draws at step t are a pure function of (key, lines[b], t, slot),
-    so it does not depend on the other members. Each step samples and
+    so it does not depend on the other members. Each line's seed is
+    hashed once, for all of its steps. Each step samples and
     rolls the whole block's tactics and sizes as stacks and takes each
     member's move distance from the matrix before it; the finished block
     is then scored as one stack. Every member agrees bit for bit with a
@@ -226,10 +228,9 @@ def generate_lines(
     distances = np.empty((horizon, count))
     tactics = np.broadcast_to(root.tactics, (count, n, n))
     current = np.broadcast_to(root.sizes, (count, n))
+    seeds = _line_seeds(key, lines)
     for step in range(horizon):
-        matrices[step] = sample_tactic_matrices(
-            tactics, cfg, key, lines, step, params.sigma
-        ).transpose(1, 2, 0)
+        matrices[step] = _next_tactics(tactics, cfg, seeds, step, params.sigma)
         following = matrices[step].transpose(2, 0, 1)
         distances[step] = tactical_distance(following, tactics)
         sizes[step] = update_sizes(following, current, params).T
@@ -293,7 +294,8 @@ def cluster_first_moves(
 
     first_moves (L, n, n) and weights (L,) hold one line each, in line
     order. A line's frame is round_tactic_matrix of its first move, and
-    lines group by exact equality of its bytes; grid cells that
+    lines group by exact equality of its bytes, numbered by one np.unique
+    over them and renumbered in first-seen order; grid cells that
     renormalize to one matrix therefore share a frame. A frame's weight
     is summed in line order, and its probability is that weight over the
     line-order sum of all the weights. Its sizes are what the
@@ -306,10 +308,14 @@ def cluster_first_moves(
     if total <= 0.0:
         return ()
     representatives = round_tactic_matrix(first_moves, cfg.rounding)
-    # Representative bytes to frame index, first-seen order.
-    index: dict[bytes, int] = {}
-    ids = [index.setdefault(member.tobytes(), len(index)) for member in representatives]
-    tactics = np.frombuffer(b"".join(index), float).reshape(-1, *representatives.shape[1:])
+    # np.unique numbers the frames in byte order; ranking each frame's
+    # first line renumbers them in first-seen order.
+    rows = representatives.reshape(len(representatives), -1)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    ids = np.argsort(order)[inverse]
+    tactics = representatives[first[order]]
     sizes = update_sizes(tactics, root.sizes, params)
     # bincount adds each frame's weights one at a time in line order.
     supports = np.bincount(ids).tolist()

@@ -156,34 +156,56 @@ def line_words(key: int, lines: Sequence[int] | np.ndarray, step: int, slots: in
 
     Word (line, step, slot) is output slot of the SplitMix64 stream
     seeded by output step of the stream seeded by output line of the
-    stream seeded by key: a pure function of its four arguments. The
-    words are hashed lines-last, as a (slots, B) array, so each
-    operation is one pass over the block, and come back as its (B,
-    slots) transpose, a view. Every operation runs on uint64 arrays,
-    whose arithmetic wraps modulo 2**64; numpy uint64 scalar arithmetic
-    would raise under np.errstate(over="raise").
+    stream seeded by key: a pure function of its four arguments. Every
+    draw's words come from _step_words of the lines' _line_seeds, hashed
+    lines-last as a (slots, B) array, so each operation is one pass over
+    the block; here they come back as its (B, slots) transpose, a view.
+    Every operation runs on uint64 arrays, whose arithmetic wraps modulo
+    2**64; numpy uint64 scalar arithmetic would raise under
+    np.errstate(over="raise").
     """
+    return _step_words(_line_seeds(key, lines), step, slots).T
+
+
+def _line_seeds(key: int, lines: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Each line's seed (B,), output line of the stream seeded by key; a
+    block hashes it once for all of its steps."""
     lines = np.asarray(lines, dtype=np.uint64).reshape(-1)
-    base = _splitmix(np.full_like(lines, key), lines)
-    base = _splitmix(base, np.full_like(lines, step))
-    return _splitmix(base, np.arange(slots, dtype=np.uint64)[:, np.newaxis]).T
+    return _splitmix(np.full_like(lines, key), lines)
+
+
+def _step_words(seeds: np.ndarray, step: int, slots: int) -> np.ndarray:
+    """The words (slots, B) of one step from the lines' seeds."""
+    base = _splitmix(seeds, np.full_like(seeds, step))
+    return _splitmix(base, np.arange(slots, dtype=np.uint64)[:, np.newaxis])
 
 
 def _splitmix(base: np.ndarray, counters: np.ndarray) -> np.ndarray:
     """Output counters + 1 of the SplitMix64 streams seeded by base
-    (Steele, Lea & Flood, OOPSLA 2014); uint64 arrays, broadcast."""
+    (Steele, Lea & Flood, OOPSLA 2014); uint64 arrays, broadcast. The
+    sum is mixed in place, with one scratch array for the shifts."""
     z = base + (counters + 1) * np.uint64(0x9E3779B97F4A7C15)
-    z ^= z >> 30
+    scratch = np.empty_like(z)
+    z ^= np.right_shift(z, 30, out=scratch)
     z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> 27
+    z ^= np.right_shift(z, 27, out=scratch)
     z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> 31
+    z ^= np.right_shift(z, 31, out=scratch)
     return z
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:
-    """Each 64-bit word's uniform ((w >> 11) + 1) * 2**-53 in (0, 1]."""
-    return ((words >> 11) + 1) * 2.0**-53
+    """Each 64-bit word's uniform ((w >> 11) + 1) * 2**-53 in (0, 1],
+    written over words, a uint64 array the caller gives up. A shifted
+    word is below 2**53, so it casts to a double exactly through an
+    int64 view, and adding 1.0 and scaling by 2**-53 are exact. The
+    shifted words are a separate array: numpy copies a cast's operand
+    that overlaps its output."""
+    shifted = words >> 11
+    uniforms = words.view(np.float64)
+    np.add(shifted.view(np.int64), 1.0, out=uniforms)
+    uniforms *= 2.0**-53
+    return uniforms
 
 
 def line_draws(
@@ -196,19 +218,32 @@ def line_draws(
     next n**2 uniforms b, each read as (B, n, n). exponentials are
     -log(a), normals the Box-Muller sqrt(-2 log a) cos(2 pi b), and the
     sign uniforms 1 - b. The coins are 1 - u too: both lie in [0, 1),
-    so comparing them with < p is exact at p = 0 and p = 1. The draws
-    are computed lines-last, on (n, n, B) slices of the (1 + 2n**2, B)
-    uniforms; the coins (B,) and each (B, n, n) result are views of
-    them.
+    so comparing them with < p is exact at p = 0 and p = 1. _draws
+    computes them lines-last, in place over the uniforms where it can;
+    the coins (B,) and each (B, n, n) result are views of its arrays.
     """
-    uniforms = _uniforms(line_words(key, lines, step, 1 + 2 * n * n).T)
+    coins, *draws = _draws(_line_seeds(key, lines), step, n)
+    return (coins, *(draw.transpose(2, 0, 1) for draw in draws))
+
+
+def _draws(seeds: np.ndarray, step: int, n: int) -> tuple[np.ndarray, ...]:
+    """line_draws from the lines' seeds, lines-last: coins (B,) and
+    (n, n, B) slices. Beside the (1 + 2n**2, B) uniforms only the
+    exponentials and the angles 2 pi b are new arrays; the coins, the
+    normals and the sign uniforms are computed in place over the
+    uniforms they come from, each value by the same operations in the
+    same order."""
+    uniforms = _uniforms(_step_words(seeds, step, 1 + 2 * n * n))
     count = uniforms.shape[-1]
     first = uniforms[1 : 1 + n * n].reshape(n, n, count)
     second = uniforms[1 + n * n :].reshape(n, n, count)
-    exponentials = -np.log(first)
-    normals = np.sqrt(2.0 * exponentials) * np.cos(2.0 * np.pi * second)
-    draws = (exponentials, normals, 1.0 - second)
-    return (1.0 - uniforms[0], *(draw.transpose(2, 0, 1) for draw in draws))
+    exponentials = np.log(first)
+    np.negative(exponentials, out=exponentials)
+    normals = np.sqrt(np.multiply(exponentials, 2.0, out=first), out=first)
+    angles = np.multiply(second, 2.0 * np.pi)
+    normals *= np.cos(angles, out=angles)
+    signs = np.subtract(1.0, second, out=second)
+    return np.subtract(1.0, uniforms[0], out=uniforms[0]), exponentials, normals, signs
 
 
 def sample_tactic_matrices(
@@ -231,19 +266,34 @@ def sample_tactic_matrices(
     each column to abs-sum 1. The arithmetic runs once on the whole
     stack, held agent-major as (n, n, B) so that every operation is one
     pass over the lines, and gives each member the bits it gets alone,
-    whatever the layout of previous. The result is (B, n, n), as
+    whatever the layout of previous, which is only read. _next_tactics
+    turns the normals into the raw matrices in place and computes the
+    fresh branch for the fresh members only. The result is (B, n, n), as
     previous is, a view of that lines-last array.
     """
+    seeds = _line_seeds(key, lines)
+    return _next_tactics(previous, cfg, seeds, step, noise_sigma).transpose(2, 0, 1)
+
+
+def _next_tactics(
+    previous: np.ndarray, cfg: SamplerConfig, seeds: np.ndarray, step: int, noise_sigma: float
+) -> np.ndarray:
+    """sample_tactic_matrices from the lines' seeds, lines-last (n, n, B).
+    The normals turn into the raw matrices in place: scaled by noise_sigma
+    / n, or by 0.0 for fresh members, so a huge sigma cannot overflow
+    where it is unused, then previous added. Only the fresh members'
+    signed exponentials are computed, and scattered in over them."""
     previous = np.asarray(previous, dtype=float).transpose(1, 2, 0)
     n = previous.shape[0]
-    coins, *draws = line_draws(key, lines, step, n)
-    exponentials, normals, sign_uniforms = (draw.transpose(1, 2, 0) for draw in draws)
+    coins, exponentials, raw, sign_uniforms = _draws(seeds, step, n)
     local = coins < cfg.local_mix
-    # Fresh members get no noise, so a huge sigma cannot overflow where it is unused.
-    perturbed = previous + normals * (local * (noise_sigma / n))
+    raw *= local * (noise_sigma / n)
+    raw += previous
+    fresh = np.flatnonzero(~local)
     # Row j of a member's draws is its column j.
-    fresh = _signed(exponentials, sign_uniforms, cfg).swapaxes(0, 1)
-    return _tactic_columns(np.where(local, perturbed, fresh), cfg).transpose(2, 0, 1)
+    signed = _signed(exponentials[..., fresh], sign_uniforms[..., fresh], cfg)
+    raw[..., fresh] = signed.swapaxes(0, 1)
+    return _tactic_columns(raw, cfg)
 
 
 def _signed(exponentials: np.ndarray, uniforms: np.ndarray, cfg: SamplerConfig) -> np.ndarray:
@@ -255,7 +305,7 @@ def _tactic_columns(raw: np.ndarray, cfg: SamplerConfig) -> np.ndarray:
     """Tactics from raw matrices held agent-major, (n, n, ...) with
     raw[i, j] entry (i, j) of every member: the diagonal made
     nonnegative unless cfg allows self-harm, then every column scaled to
-    abs-sum 1 by _renormalize_columns. raw's diagonal is overwritten."""
+    abs-sum 1 by _renormalize_columns. raw is overwritten and returned."""
     if not cfg.allow_negative_diagonal:
         idx = np.arange(raw.shape[0])
         raw[idx, idx] = np.abs(raw[idx, idx])
@@ -265,14 +315,17 @@ def _tactic_columns(raw: np.ndarray, cfg: SamplerConfig) -> np.ndarray:
 def _renormalize_columns(matrix: np.ndarray) -> np.ndarray:
     """Rescale each column of an agent-major stack (n, n, ...) to abs-sum
     1, member by member, the abs-sum added down the rows in order; an
-    all-zero column falls back to pure self-allocation."""
-    matrix = np.asarray(matrix, dtype=float)
+    all-zero column falls back to pure self-allocation. The float array
+    matrix is divided in place and returned."""
     scale = reduce(np.add, np.abs(matrix))
     zero = scale == 0.0
     if not zero.any():
-        return matrix / scale
+        matrix /= scale
+        return matrix
+    matrix /= np.where(zero, 1.0, scale)
     eye = np.eye(len(matrix)).reshape(matrix.shape[:2] + (1,) * (matrix.ndim - 2))
-    return np.where(zero, eye, matrix / np.where(zero, 1.0, scale))
+    np.copyto(matrix, eye, where=zero)
+    return matrix
 
 
 def round_tactic_matrix(tactics: np.ndarray, rounding: float) -> np.ndarray:

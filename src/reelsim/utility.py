@@ -38,12 +38,13 @@ def positional_utility(sizes: np.ndarray, alpha: float, agent: int | None = None
     sizes = np.asarray(sizes, dtype=float)
     if (sizes < 0).any():
         raise ValueError("sizes must be nonnegative")
-    squares = sizes**2
-    agents = squares.transpose(-1, *range(squares.ndim - 1))
-    concentration = reduce(np.add, agents)[..., np.newaxis]
+    # The squares, added in agent order, are freed before the numerators exist.
+    concentration = reduce(np.add, (sizes**2).transpose(-1, *range(sizes.ndim - 1)))
     scored = sizes if agent is None else sizes[..., agent, np.newaxis]
+    utilities = scored**alpha
     # All dead: every numerator is 0, so dividing by 1 gives the zero vector.
-    return scored**alpha / np.where(concentration > 0.0, concentration, 1.0)
+    utilities /= np.where(concentration > 0.0, concentration, 1.0)[..., np.newaxis]
+    return utilities
 
 
 def column_moves(tactics_a: np.ndarray, tactics_b: np.ndarray) -> np.ndarray:

@@ -282,6 +282,22 @@ def test_cluster_sums_weights_one_at_a_time_in_line_order(three_agent_state, par
     assert [(frame.weight, frame.probability) for frame in frames] == [(1.0, 0.5), (1.0, 0.5)]
 
 
+def test_cluster_ties_keep_first_seen_order(three_agent_state, params):
+    # Two frames of equal weight, the first seen being the one whose
+    # representative's bytes sort last: frames are listed in line order,
+    # not in byte order, whichever comes first.
+    cfg = rs.SamplerConfig(rounding=0.25)
+    moves = [rs.round_tactic_matrix(m, 0.25) for m in (np.eye(3), np.ones((3, 3)) / 3.0)]
+    later, earlier = sorted(moves, key=lambda move: move.tobytes(), reverse=True)
+    assert later.tobytes() > earlier.tobytes()
+    for first, second in ((later, earlier), (earlier, later)):
+        lines = [make_line([m], 0.25) for m in (first, second, second, first)]
+        frames = cluster(lines, three_agent_state, params, cfg)
+        assert [frame.probability for frame in frames] == [0.5, 0.5]
+        assert [frame.support for frame in frames] == [2, 2]
+        assert [frame.tactics.tobytes() for frame in frames] == [first.tobytes(), second.tobytes()]
+
+
 def shipped_distribution(scenario):
     return rs.transition_distribution(
         scenario.state, scenario.params, scenario.sampler, scenario.sim

@@ -244,6 +244,47 @@ def test_all_zero_draws_become_self_allocation(monkeypatch, allow_negative_diago
         assert np.array_equal(matrix[:, ~zero], kept / kept.sum(axis=0))
 
 
+def test_sampler_reads_previous_and_writes_nothing_into_it():
+    # 64 members at local_mix 0.5: both branches occur, and the fresh
+    # members, whose signed exponentials are scattered in among the local
+    # ones, are not one run.
+    n, key, step, sigma = 3, 23, 2, 0.5
+    cfg = rs.SamplerConfig(local_mix=0.5, p_neg=0.4)
+    rng = np.random.default_rng(24)
+    previous = rng.uniform(-1.0, 1.0, (64, n, n))
+    previous /= np.abs(previous).sum(axis=1, keepdims=True)
+    before = previous.tobytes()
+    lines = rng.permutation(200)[:64]
+    coins = rs.sampling.line_draws(key, lines, step, n)[0]
+    fresh = np.flatnonzero(coins >= cfg.local_mix)
+    assert 0 < len(fresh) < 64
+    assert np.diff(fresh).max() > 1
+    stacked = rs.sample_tactic_matrices(previous, cfg, key, lines, step, sigma)
+    assert previous.tobytes() == before
+    for member, line in enumerate(lines):
+        member_previous = previous[member : member + 1]
+        alone = rs.sample_tactic_matrices(member_previous, cfg, key, [line], step, sigma)
+        assert stacked[member].tobytes() == alone[0].tobytes()
+    # generate_lines passes the root's matrix at step one as a read-only
+    # broadcast, one matrix for every member
+    root = previous[0].copy()
+    shared = np.broadcast_to(root, (64, n, n))
+    assert not shared.flags.writeable
+    from_root = rs.sample_tactic_matrices(shared, cfg, key, lines, 0, sigma)
+    assert root.tobytes() == previous[0].tobytes()
+    for member, line in enumerate(lines):
+        alone = rs.sample_tactic_matrices(root[np.newaxis], cfg, key, [line], 0, sigma)
+        assert from_root[member].tobytes() == alone[0].tobytes()
+
+
+def test_uniforms_of_the_extreme_words():
+    # A word's top bits reach the int64 view the cast reads: 2**63 and
+    # 2**64 - 1 must not read as negative integers.
+    words = np.array([0, 2**11 - 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    uniforms = rs.sampling._uniforms(words)
+    assert uniforms.tolist() == [2.0**-53, 2.0**-53, 0.5 + 2.0**-53, 1.0]
+
+
 # ------------------------------------------------------------------ rounding
 
 

@@ -187,6 +187,33 @@ def test_bench_pairs_runs_neither_side_in_the_checkout(tmp_path):
     assert list(scratch.iterdir()) == []
 
 
+@pytest.mark.parametrize("dont_write", [True, False])
+def test_bench_pairs_records_whether_python_writes_bytecode(tmp_path, dont_write):
+    bin_dir, scratch = tmp_path / "bin", tmp_path / "tmp"
+    bin_dir.mkdir()
+    scratch.mkdir()
+    shim = bin_dir / "python3"
+    shim.write_text(PYTHON_SHIM.format(python=sys.executable))
+    shim.chmod(0o755)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONDONTWRITEBYTECODE"}
+    if dont_write:
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+    result = subprocess.run(
+        ["bash", str(BENCH_PAIRS), "HEAD", "frame-game", "1", "1"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={
+            **env,
+            "PATH": f"{bin_dir}{os.pathsep}{env['PATH']}",
+            "TMPDIR": str(scratch),
+            "SHIM_LOG": str(tmp_path / "cwd.log"),
+        },
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["host"]["dont_write_bytecode"] is dont_write
+
+
 def test_artifacts_reproduce_across_processes(tmp_path):
     trees = []
     for name in ("first", "second"):

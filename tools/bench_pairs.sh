@@ -18,12 +18,13 @@
 # once in each copy, the parent first in odd pairs, and reads the JSON
 # object on the last line of each run's output. The document on standard
 # output has BENCH_24.json's layout: host (cores, usable CPUs or null
-# where the platform does not report them, Python, numpy, CPU model and
-# flags), command, method, and under workloads.WORKLOAD each side's
-# median and quartiles (numpy percentiles 50, 25 and 75) of every
-# end-to-end metric, the pairs in which the change read lower, and every
-# run with its attempted and failed commands and its count of timed
-# passes, since peak_rss_mb grows with that count. Progress goes to
+# where the platform does not report them, whether Python is set not to
+# write bytecode, Python, numpy, CPU model and flags), command, method,
+# and under workloads.WORKLOAD each side's median and quartiles (numpy
+# percentiles 50, 25 and 75) of every end-to-end metric, the pairs in
+# which the change read lower, and every run with its attempted and
+# failed commands and its count of timed passes, since peak_rss_mb grows
+# with that count. Progress goes to
 # standard error. Exits 0 when every run printed a result, 1 when a run
 # failed, 2 on bad usage (a WORKLOAD not in bench/workloads.py's
 # WORKLOADS, PAIRS not a positive integer, SECONDS not a positive
@@ -154,6 +155,10 @@ document = {
         # reels forks one process per usable CPU, and under an affinity
         # mask os.cpu_count() counts CPUs this process may not run on
         "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
+        # true under PYTHONDONTWRITEBYTECODE (or -B): each set-up
+        # interpreter of bench/run.py then compiles src/ afresh, so
+        # setup_s grows with the size of the source
+        "dont_write_bytecode": sys.dont_write_bytecode,
         "cpu": cpu(),
         "python": platform.python_version(),
         "numpy": np.__version__,
