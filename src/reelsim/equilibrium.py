@@ -35,7 +35,17 @@ do not depend on which rows share its sweep, the rows that survive and
 their payoffs are what one sweep of every agent over every drawn
 profile would give. A profile is a row of
 candidate indices, never a flat index (a profile space can exceed an
-int64), and the kernel takes about PAYOFF_BLOCK cells at a time.
+int64).
+
+The kernel scores PAYOFF_BLOCK // k rows, about PAYOFF_BLOCK cells, a
+pass. A pass costs about 30 us before it scores a cell, in its 35 or so
+numpy calls, and then about 120 ns a cell, most of it math.erfc and **,
+whose values the output bits fix. So the fewer passes the better, until
+a pass's (n, rows, k) temporaries outgrow the heap the last pass freed
+and a command takes a few hundred fresh page faults: at n = 3 from about
+6,000 cells up, and at 4,096 in some heap layouts but not others, so
+the threshold follows the layout, not the size alone. At 4,096 cells, the 27,000-cell tensor of n = 3 and k = 30 takes
+7 passes, where one row a pass took 900.
 
 The cells are held agent-major: the tables hold each candidate's
 transfer column recipient-major, (n, k), the kernel builds its sizes
@@ -59,10 +69,13 @@ from .utility import column_moves, distance_from_moves, expected_utility, positi
 
 DEFAULT_CANDIDATES = 30
 DEFAULT_MAX_PROFILES = 200_000
-# Cells per pass of _sweep's loop: large enough to amortize the per-pass
-# overhead, small enough that its (cells, n) temporaries stay a few tens
-# of kilobytes.
-PAYOFF_BLOCK = 1024
+# Cells per pass of _sweep's loop, the one constant that sizes a pass. A
+# pass costs about 30 us fixed and about 120 ns a cell (n = 3, 2-core
+# Xeon): at k = 30, 1,024 cells gave 27 passes and 4.2 ms a tensor,
+# 4,096 gives 7 and 3.6 ms, and 3,072 to 6,144 cells read within
+# 0.15 ms of each other, so the value rests on the pass count; where
+# page faults start depends on the heap's layout (module docstring).
+PAYOFF_BLOCK = 4096
 # The most bytes one array sized by a count may take; a larger count is
 # refused before anything is drawn instead of failing to allocate mid-run.
 _ARRAY_BYTES = 2**30
@@ -75,8 +88,9 @@ class StageGame:
     candidates holds one (k, n) array per agent, rows being that agent's
     candidate columns. equilibria are full tactic matrices assembled from
     candidate columns. minimax is the per-agent guarantee: the worst
-    equilibrium payoff, or the security level when equilibria is empty.
-    exhaustive records whether every profile was checked.
+    equilibrium payoff, or the security level when equilibria is empty;
+    the security levels are computed only then. exhaustive records
+    whether every profile was checked.
     """
 
     candidates: tuple[np.ndarray, ...]
@@ -270,18 +284,26 @@ def _sweep(tables, rows, agent: int, params, *, own: bool = False) -> np.ndarray
     return payoffs.transpose(1, 2, 0)
 
 
-def _solve_tensor(tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _solve_tensor(tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Equilibrium rows (E, n) in index order, where each agent's payoff is
-    its axis max, their payoffs (E, n), and each agent's security level:
-    its best candidate under the worst combination of the others'."""
+    its axis max, their payoffs (E, n), and each agent's security level,
+    its best candidate under the worst combination of the others', or
+    None when some row is an equilibrium. The security levels are read
+    only when none is, so only then are they computed."""
     n = tensor.shape[-1]
     mask = np.ones(tensor.shape[:-1], dtype=bool)
-    security = np.empty(n)
     for agent in range(n):
         payoffs = tensor[..., agent]
         mask &= payoffs == payoffs.max(axis=agent, keepdims=True)
-        security[agent] = payoffs.min(axis=tuple(a for a in range(n) if a != agent)).max()
     rows = np.argwhere(mask)
+    security = None
+    if not len(rows):
+        security = np.array(
+            [
+                tensor[..., agent].min(axis=tuple(a for a in range(n) if a != agent)).max()
+                for agent in range(n)
+            ]
+        )
     return rows, tensor[tuple(rows.T)], security
 
 

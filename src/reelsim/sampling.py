@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
@@ -41,6 +42,14 @@ NODE_STREAM = 2
 PROFILE_STREAM = 3
 
 _MASK64 = 2**64 - 1
+
+
+# The largest noise_sigma a local draw may scale its normals by. A normal
+# is at most sqrt(106 ln 2) ~ 8.5717 in size, its uniform being at least
+# 2**-53, and a perturbed entry at most 8.5717 * noise_sigma / n + 1, so
+# a column's abs-sum of n entries stays finite, with margin for any n,
+# below this bound.
+MAX_NOISE_SIGMA = sys.float_info.max / 16
 
 
 @dataclass(frozen=True)
@@ -76,6 +85,16 @@ class SamplerConfig:
         if operator.index(self.rng_seed) < 0:
             raise ValueError(f"rng_seed must be nonnegative (got {self.rng_seed})")
         _check_rounding(self.rounding)
+
+    def check_noise(self, noise_sigma: float) -> None:
+        """Refuse, with a ValueError that names the bound, a noise_sigma
+        above MAX_NOISE_SIGMA while some draws are local: their columns'
+        abs-sums could overflow. With local_mix 0 it scales no draw."""
+        if self.local_mix > 0.0 and noise_sigma > MAX_NOISE_SIGMA:
+            raise ValueError(
+                f"sigma must be at most {MAX_NOISE_SIGMA} while local_mix is positive "
+                f"(got {noise_sigma})"
+            )
 
 
 def _check_rounding(rounding: float) -> None:

@@ -148,6 +148,7 @@ def parse_scenario(text: str | bytes) -> Scenario:
     if seed < 0:
         raise ScenarioError(f"sim: seed must be nonnegative (got {seed})")
     sampler = _build("sampler", SamplerConfig, **sampler_block, rng_seed=seed)
+    _build("params", sampler.check_noise, params.sigma)
     return Scenario(tuple(agents), State(tactics, sizes), params, sampler, sim)
 
 

@@ -184,20 +184,28 @@ def stage_tabulation(candidates, previous, sizes, params):
             min(payoffs[profile][agent] for profile in equilibria) for agent in range(n)
         ]
     else:
-        minimax = []
-        for agent in range(n):
-            best = -math.inf
-            for own_choice in range(ks[agent]):
-                worst = math.inf
-                other_ranges = [
-                    range(ks[other]) if other != agent else [own_choice]
-                    for other in range(n)
-                ]
-                for profile in itertools.product(*other_ranges):
-                    worst = min(worst, payoffs[profile][agent])
-                best = max(best, worst)
-            minimax.append(best)
+        minimax = security_levels(payoffs, ks)
     return payoffs, equilibria, minimax
+
+
+def security_levels(payoffs, ks):
+    """Each agent's best candidate under the worst combination of the
+    others', from payoffs mapping each profile tuple over pools of ks
+    candidates to the per-agent payoff list."""
+    n = len(ks)
+    levels = []
+    for agent in range(n):
+        best = -math.inf
+        for own_choice in range(ks[agent]):
+            worst = math.inf
+            other_ranges = [
+                range(ks[other]) if other != agent else [own_choice] for other in range(n)
+            ]
+            for profile in itertools.product(*other_ranges):
+                worst = min(worst, payoffs[profile][agent])
+            best = max(best, worst)
+        levels.append(best)
+    return levels
 
 
 def sampled_stage_game(candidates, previous, sizes, params, max_profiles, key):

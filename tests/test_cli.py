@@ -16,6 +16,7 @@ import pytest
 import reelsim as rs
 from reelsim import equilibrium
 from reelsim.cli import main
+from reelsim.sampling import MAX_NOISE_SIGMA
 
 
 # A child interpreter imports reelsim from this checkout's src, as pytest does.
@@ -214,6 +215,39 @@ def test_huge_sigma_reaches_only_the_local_branch(write_scenario, tmp_path, caps
     out_dir = tmp_path / "out"
     assert main(["--out-dir", str(out_dir), "frame", str(path)]) == 0, capsys.readouterr().err
     assert json.loads((out_dir / "frames.json").read_text())["frames"]
+
+
+@pytest.mark.parametrize("command", ["frame", "reels"])
+def test_sigma_past_the_noise_bound_exits_one_with_one_line(
+    scenario_payload, write_scenario, tmp_path, capsys, command
+):
+    # a local draw scales its normals by sigma / n; past MAX_NOISE_SIGMA a
+    # column's abs-sum could overflow once play starts
+    above = float(np.nextafter(MAX_NOISE_SIGMA, np.inf))
+    scenario_payload["params"]["sigma"] = above
+    path = write_scenario(scenario_payload, "noisy.json")
+    assert main(["--out-dir", str(tmp_path / "out"), command, str(path)]) == 1
+    message = f"params: sigma must be at most {MAX_NOISE_SIGMA} while local_mix is positive"
+    assert capsys.readouterr().err == f"error: {message} (got {above})\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n", [3, 9])
+def test_sigma_at_the_noise_bound_runs_with_every_draw_local(
+    scenario_payload, write_scenario, tmp_path, capsys, n
+):
+    scenario_payload.update(
+        agents=[f"agent{i}" for i in range(n)],
+        sizes=[1.0] + [0.5] * (n - 1),
+        tactics=np.eye(n).tolist(),
+    )
+    scenario_payload["params"]["sigma"] = MAX_NOISE_SIGMA
+    scenario_payload["sim"].update(lines=50, candidates=2, max_profiles=64)
+    scenario_payload["sim"]["sampler"]["local_mix"] = 1.0
+    path = write_scenario(scenario_payload, "noisy.json")
+    out_dir = tmp_path / "out"
+    assert main(["--out-dir", str(out_dir), "frame", str(path)]) == 0, capsys.readouterr().err
+    assert "frames" in json.loads((out_dir / "frames.json").read_text())
 
 
 def test_step_writes_trajectory(scenario_file, tmp_path, capsys):

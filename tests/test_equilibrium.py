@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 import reelsim as rs
+from reelsim import equilibrium
 
 
 def pools(n, k, seed, p_neg=0.5):
@@ -163,6 +164,31 @@ def test_security_fallback_matches_tabulation(params):
         )
         assert security[agent] == best
     assert slow_profiles == []
+
+
+def test_solved_tensor_has_no_security_levels_when_a_profile_is_stable(params):
+    candidates = pools(3, 4, seed=5)
+    previous = rs.profile_matrix(candidates, (0, 0, 0))
+    sizes = np.array([0.4, 1.0, 0.7])
+    _, slow_profiles, _ = oracles.stage_tabulation(
+        [pool.tolist() for pool in candidates], previous, sizes, params
+    )
+    assert slow_profiles
+    rows, _, security = equilibrium._solve_tensor(
+        rs.payoff_tensor(candidates, previous, sizes, params)
+    )
+    assert [tuple(row) for row in rows.tolist()] == slow_profiles
+    assert security is None
+
+
+def test_solved_tensor_without_equilibria_has_the_tabulated_security_levels():
+    # agent 0 wants to match agent 1's choice, agent 1 to differ: every
+    # profile has a deviation, so no profile is stable
+    tensor = np.array([[[3.0, 0.0], [1.0, 2.0]], [[0.0, 4.0], [2.0, 1.0]]])
+    rows, payoffs, security = equilibrium._solve_tensor(tensor)
+    assert rows.shape == (0, 2) and payoffs.shape == (0, 2)
+    tabulated = {profile: tensor[profile].tolist() for profile in np.ndindex(2, 2)}
+    assert security.tolist() == oracles.security_levels(tabulated, (2, 2)) == [1.0, 1.0]
 
 
 def test_empty_pool_is_rejected(params):

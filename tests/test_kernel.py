@@ -258,21 +258,39 @@ def test_all_dead_stack_scores_zero(params):
 
 def test_payoff_tensor_over_several_blocks_matches_tabulation(params, monkeypatch):
     key = rs.stream_key(5, rs.CANDIDATE_STREAM)
-    candidates = rs.sample_candidates(3, 20, rs.SamplerConfig(p_neg=0.3), key)
+    candidates = rs.sample_candidates(3, 25, rs.SamplerConfig(p_neg=0.3), key)
     assert math.prod(len(pool) for pool in candidates) > 2 * PAYOFF_BLOCK
     previous = rs.profile_matrix(candidates, (0, 0, 0))
     sizes = np.array([0.4, 1.0, 0.7])
     payoffs, _, _ = oracles.stage_tabulation(
         [pool.tolist() for pool in candidates], previous, sizes, params
     )
-    # the 8,000 profiles one per call, in blocks that end mid-row of the
+    # the 15,625 profiles one per call, in blocks that end mid-row of the
     # tensor, in the default blocks and in two uneven ones
     for block in (1, 7, PAYOFF_BLOCK, 4096):
         monkeypatch.setattr(equilibrium, "PAYOFF_BLOCK", block)
         tensor = rs.payoff_tensor(candidates, previous, sizes, params)
-        assert tensor.shape == (20, 20, 20, 3)
+        assert tensor.shape == (25, 25, 25, 3)
         for profile, expected in payoffs.items():
             assert tensor[profile].tolist() == expected
+
+
+def test_payoff_tensor_at_k_30_takes_one_pass_per_payoff_block(params, monkeypatch):
+    # each pass of the kernel scores its cells with one expected_utility
+    # call; 900 rows of PAYOFF_BLOCK // 30 = 136 take 7 passes, where 1,024
+    # cells a pass took 27
+    key = rs.stream_key(1, rs.CANDIDATE_STREAM)
+    candidates = rs.sample_candidates(3, 30, rs.SamplerConfig(), key)
+    calls = []
+
+    def counted(*args):
+        calls.append(len(calls))
+        return rs.expected_utility(*args)
+
+    monkeypatch.setattr(equilibrium, "expected_utility", counted)
+    tensor = rs.payoff_tensor(candidates, np.eye(3), np.array([0.3, 1.0, 0.6]), params)
+    assert tensor.shape == (30, 30, 30, 3)
+    assert len(calls) == math.ceil(900 / (PAYOFF_BLOCK // 30)) == 7
 
 
 def identity_state(n, seed):
